@@ -11,27 +11,19 @@ the true optimum and where it does not.
 from .cycle_space import (
     Cycle,
     CycleBasis,
-    classify_vertices,
     count_covers,
     edges_with_cover,
     fundamental_basis,
-    gf2_sum,
-    is_simple_cycle,
 )
 from .graphs import (
     Graph,
     GraphError,
     NotConnected,
-    NotDegreeTwo,
     ParseError,
-    SmoothingWouldBreakSimplicity,
     Weight,
-    degree,
     is_connected,
-    is_cycle_graph,
     parse_graph,
     serialize_graph,
-    smooth_out,
     tour_from_edge_mask,
     tour_weight,
 )
@@ -55,17 +47,12 @@ from .oracle import (
 from .removability import (
     RemovabilityContext,
     ReductionOutcome,
-    build_diagonal_cluster,
-    degree_two_neighbor_count,
     find_diagonals,
-    is_candidate,
     is_removable,
     reduce_cluster,
 )
 from .solvability import (
-    PairProfile,
     SolutionPartition,
-    classify_pair,
     enumerate_solutions,
     is_solvable,
     solution_sum,
@@ -78,7 +65,6 @@ from .solver import (
     TourResult,
     apply_deletion,
     boundary_mask,
-    deletion_delta,
     initial_state,
     select_deletion,
     solve,

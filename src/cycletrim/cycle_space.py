@@ -5,8 +5,7 @@ fundamental one: a breadth-first spanning tree rooted at vertex 0 with
 neighbors visited in ascending id order, one cycle per non-tree edge (chord),
 ordered by chord index. The per-edge cover count — how many basis cycles pass
 through an edge — drives everything downstream: edges covered exactly once
-are *boundary* edges, and vertices are classified by the cover pattern of
-their incident edges.
+are *boundary* edges.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NotConnected, is_connected, iter_edge_indices, mask_vertices
-
-VERTEX_CUT = "cut"
-VERTEX_BOUNDARY = "boundary"
-VERTEX_INSIDE = "inside"
+from .graphs import Graph, NotConnected, iter_edge_indices, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -41,21 +36,9 @@ class CycleBasis:
     def dimension(self) -> int:
         return len(self.cycles)
 
-    @property
-    def matrix(self) -> tuple[int, ...]:
-        """Rows of the cycle/edge incidence matrix, one bitmask per cycle."""
-        return tuple(c.edges for c in self.cycles)
-
     @cached_property
     def cycle_vertices(self) -> tuple[frozenset[int], ...]:
         return tuple(mask_vertices(self.graph, c.edges) for c in self.cycles)
-
-
-def gf2_sum(masks: Iterable[int]) -> int:
-    total = 0
-    for m in masks:
-        total ^= m
-    return total
 
 
 def count_covers(edge_count: int, rows: Iterable[int]) -> tuple[int, ...]:
@@ -81,10 +64,9 @@ def fundamental_basis(g: Graph) -> CycleBasis:
 
     BFS spanning tree rooted at 0, neighbors in ascending id order; each
     chord yields the cycle chord + tree path between its endpoints. A tree
-    input yields an empty basis.
+    input yields an empty basis; a disconnected one raises
+    :class:`~cycletrim.graphs.NotConnected`.
     """
-    if not is_connected(g):
-        raise NotConnected("fundamental basis requires a connected graph")
     n = g.vertex_count
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -103,6 +85,8 @@ def fundamental_basis(g: Graph) -> CycleBasis:
                 depth[nb] = depth[x] + 1
                 tree_edges.add(eidx)
                 queue.append(nb)
+    if not all(visited):
+        raise NotConnected("fundamental basis requires a connected graph")
 
     cycles = []
     for eidx, (u, v, _) in enumerate(g.edges):
@@ -125,49 +109,3 @@ def fundamental_basis(g: Graph) -> CycleBasis:
 
     covers = count_covers(g.edge_count, (c.edges for c in cycles))
     return CycleBasis(g, tuple(cycles), covers)
-
-
-def classify_vertices(g: Graph, basis: CycleBasis) -> tuple[str, ...]:
-    """Tag each vertex as cut, boundary or inside.
-
-    A vertex is *cut* when every incident edge is covered exactly once,
-    *boundary* when exactly two incident edges are (but not all), and
-    *inside* otherwise.
-    """
-    tags = []
-    for v in range(g.vertex_count):
-        covers = [basis.cover_counts[e] for _, e in g.adjacency[v]]
-        ones = sum(1 for c in covers if c == 1)
-        if ones == len(covers):
-            tags.append(VERTEX_CUT)
-        elif ones == 2:
-            tags.append(VERTEX_BOUNDARY)
-        else:
-            tags.append(VERTEX_INSIDE)
-    return tuple(tags)
-
-
-def is_simple_cycle(g: Graph, mask: int) -> bool:
-    """Validate that ``mask`` is a single simple cycle of length >= 3."""
-    if mask.bit_count() < 3:
-        return False
-    deg: dict[int, int] = {}
-    nbrs: dict[int, list[int]] = {}
-    for e in iter_edge_indices(mask):
-        u, v, _ = g.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    if any(d != 2 for d in deg.values()):
-        return False
-    start = next(iter(nbrs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(nbrs)

@@ -8,18 +8,20 @@ integer bitmasks over those indices.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
-blank lines are ignored. Vertex ids must cover ``0..n-1`` with no gaps.
+blank lines are ignored. Vertex ids are plain ASCII decimal digits and must
+cover ``0..n-1`` with no gaps.
 Weights are decimals with at most six fractional digits (the documented
  10^-6 scale); they are parsed exactly and may be negative.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Weight = Fraction
 
@@ -39,15 +41,11 @@ class NotConnected(GraphError):
     pass
 
 
-class NotDegreeTwo(GraphError):
-    pass
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]{1,6})?")
+_VERTEX_ID_RE = re.compile(r"[0-9]+")
 
-
-class SmoothingWouldBreakSimplicity(GraphError):
-    pass
-
-
-_WEIGHT_RE = re.compile(r"^[+-]?\d+(?:\.\d{1,6})?$")
+#: how many missing vertex ids a parse error lists
+_MISSING_IDS_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -115,84 +113,24 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self._edge_lookup
 
 
-@dataclass(frozen=True)
-class SmoothingResult:
-    """Outcome of :func:`smooth_out`.
-
-    ``new_edge`` uses the relabeled ids of ``graph``; ``replaced`` holds the
-    two old-id edges that were merged; ``removed_vertex`` is the old id.
-    """
-
-    graph: Graph
-    new_edge: tuple[int, int]
-    replaced: tuple[tuple[int, int], tuple[int, int]]
-    removed_vertex: int
-
-
-def degree(g: Graph, v: int) -> int:
-    return g.degrees[v]
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex."""
-    if g.vertex_count == 1:
-        return True
-    seen = [False] * g.vertex_count
+def is_connected(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """True iff the edges ``pairs`` join vertices ``0..vertex_count-1`` into one component."""
+    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = [False] * vertex_count
     seen[0] = True
     stack = [0]
     reached = 1
     while stack:
         x = stack.pop()
-        for nb, _ in g.adjacency[x]:
-            if not seen[nb]:
-                seen[nb] = True
+        for y in nbrs[x]:
+            if not seen[y]:
+                seen[y] = True
                 reached += 1
-                stack.append(nb)
-    return reached == g.vertex_count
-
-
-def is_cycle_graph(g: Graph) -> bool:
-    """True iff the graph is a single simple cycle covering all vertices."""
-    return (
-        g.vertex_count >= 3
-        and all(d == 2 for d in g.degrees)
-        and is_connected(g)
-    )
-
-
-def smooth_out(g: Graph, v: int) -> SmoothingResult:
-    """Remove a degree-2 vertex, merging its two edges into one.
-
-    The new edge joins the two neighbors of ``v`` and weighs the sum of the
-    replaced edges. Vertex ids above ``v`` shift down by one. Raises
-    :class:`NotDegreeTwo` or :class:`SmoothingWouldBreakSimplicity` when the
-    neighbors are already adjacent (the result would be a multigraph).
-    """
-    if degree(g, v) != 2:
-        raise NotDegreeTwo(f"vertex {v} has degree {degree(g, v)}, not 2")
-    (x, ex), (y, ey) = g.adjacency[v]
-    if g.has_edge(x, y):
-        raise SmoothingWouldBreakSimplicity(
-            f"neighbors {x} and {y} of vertex {v} are already adjacent"
-        )
-
-    def relabel(a: int) -> int:
-        return a - 1 if a > v else a
-
-    new_edges = [
-        (relabel(u), relabel(t), w)
-        for i, (u, t, w) in enumerate(g.edges)
-        if i not in (ex, ey)
-    ]
-    merged_weight = g.weights[ex] + g.weights[ey]
-    nx, ny = relabel(x), relabel(y)
-    new_edges.append((min(nx, ny), max(nx, ny), merged_weight))
-    return SmoothingResult(
-        graph=Graph(g.vertex_count - 1, tuple(new_edges)),
-        new_edge=(min(nx, ny), max(nx, ny)),
-        replaced=((min(x, v), max(x, v)), (min(y, v), max(y, v))),
-        removed_vertex=v,
-    )
+                stack.append(y)
+    return reached == vertex_count
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +138,7 @@ def smooth_out(g: Graph, v: int) -> SmoothingResult:
 # ---------------------------------------------------------------------------
 
 def parse_weight(text: str) -> Weight:
-    if not _WEIGHT_RE.match(text):
+    if not _WEIGHT_RE.fullmatch(text):
         raise ParseError(
             f"bad weight {text!r} (decimal with at most 6 fractional digits)"
         )
@@ -237,12 +175,12 @@ def parse_graph(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
+        if not all(_VERTEX_ID_RE.fullmatch(t) for t in parts[:2]):
+            raise ParseError(f"line {lineno}: vertex ids must be ASCII digits 0-9")
         try:
             u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: vertex ids must be integers") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: vertex ids must be non-negative")
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: vertex id too long") from None
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         pair = (min(u, v), max(u, v))
@@ -258,13 +196,16 @@ def parse_graph(text: str) -> Graph:
     if not edges:
         raise ParseError("no edges found")
     n = max(seen_vertices) + 1
-    if seen_vertices != set(range(n)):
-        missing = sorted(set(range(n)) - seen_vertices)
-        raise ParseError(f"vertex ids must cover 0..{n - 1}; missing {missing}")
-    g = Graph(n, tuple(edges))
-    if not is_connected(g):
+    if len(seen_vertices) != n:
+        # at most len(seen_vertices) + _MISSING_IDS_SHOWN ids are scanned
+        absent = (i for i in range(n) if i not in seen_vertices)
+        shown = list(itertools.islice(absent, _MISSING_IDS_SHOWN))
+        more = n - len(seen_vertices) - len(shown)
+        tail = f" and {more} more" if more else ""
+        raise ParseError(f"vertex ids must cover 0..{n - 1}; missing {shown}{tail}")
+    if not is_connected(n, seen_pairs):
         raise NotConnected("graph is not connected")
-    return g
+    return Graph(n, tuple(edges))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -309,12 +250,11 @@ def mask_weight(g: Graph, mask: int) -> Weight:
     return total
 
 
-def edge_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
+def edge_subgraph(g: Graph, mask: int) -> Graph:
     """Materialize the edges in ``mask`` as a graph of their own.
 
-    Touched vertices are relabeled to ``0..k-1`` in ascending original id;
-    the returned tuple maps new ids back to the originals. Weights are
-    inherited. Raises :class:`GraphError` on an empty mask.
+    Touched vertices are relabeled to ``0..k-1`` in ascending original id.
+    Weights are inherited. Raises :class:`GraphError` on an empty mask.
     """
     if mask == 0:
         raise GraphError("cannot materialize an empty edge set")
@@ -324,7 +264,7 @@ def edge_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
         (new_id[g.edges[e][0]], new_id[g.edges[e][1]], g.edges[e][2])
         for e in iter_edge_indices(mask)
     )
-    return Graph(len(old_ids), edges), tuple(old_ids)
+    return Graph(len(old_ids), edges)
 
 
 def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:

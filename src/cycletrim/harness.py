@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cycle_space import fundamental_basis
-from .graphs import Graph, Weight, format_weight, serialize_graph
+from .graphs import Graph, Weight, format_weight, is_connected, serialize_graph
 from .oracle import OracleAnswer, is_hamiltonian, min_tour
 from .solvability import is_solvable
 from .solver import STATUS_NOT_HAMILTONIAN, TourResult, solve
@@ -197,7 +197,7 @@ def random_connected_graph(
         ]
         if not pairs:
             continue
-        if _covers_and_connects(n, pairs):
+        if is_connected(n, pairs):
             return Graph(
                 n,
                 tuple(
@@ -208,25 +208,6 @@ def random_connected_graph(
     raise CampaignError(
         f"no connected graph on {n} vertices after {max_attempts} draws at p={edge_probability}"
     )
-
-
-def _covers_and_connects(n: int, pairs: list[tuple[int, int]]) -> bool:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if not seen[y]:
-                seen[y] = True
-                reached += 1
-                stack.append(y)
-    return reached == n
 
 
 def report_line(obj: dict) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, Weight, tour_weight
+from .graphs import Graph, Weight
 
 HELD_KARP_MAX_VERTICES = 24
 ENUMERATION_MAX_VERTICES = 10
@@ -27,7 +27,6 @@ class OracleAnswer:
     hamiltonian: bool
     optimum_weight: Weight | None
     optimum_tour: tuple[int, ...] | None
-    tours_enumerated: int = 0
 
 
 def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,14 +198,7 @@ def min_tour_by_enumeration(g: Graph, limit: int = 10**7) -> OracleAnswer:
     """Optimum by exhaustive enumeration; the cross-check for the DP route."""
     tours = enumerate_tours(g, limit)
     if not tours:
-        return OracleAnswer(False, None, None, 0)
+        return OracleAnswer(False, None, None)
     best_weight, best_tour = min((w, t) for t, w in tours)
-    return OracleAnswer(True, best_weight, _canonical(best_tour), len(tours))
+    return OracleAnswer(True, best_weight, _canonical(best_tour))
 
-
-def validate_tour(g: Graph, tour: tuple[int, ...], weight: Weight) -> bool:
-    """True iff ``tour`` is a Hamilton cycle of ``g`` with the stated weight."""
-    try:
-        return tour_weight(g, tour) == weight
-    except ValueError:
-        return False

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, edge_subgraph, iter_edge_indices, mask_degrees, mask_vertices
+from .graphs import Graph, edge_subgraph, iter_edge_indices, mask_degrees
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolverState
@@ -36,20 +36,15 @@ REDUCED_ACYCLIC = "acyclic"
 
 @dataclass(frozen=True)
 class RemovabilityContext:
-    """Audit record of a single removability decision.
+    """Verdict of a single removability decision.
 
-    ``boundary_edge`` is the target's unique once-covered edge when it has
-    one; ``quad_vertices`` lists the target's vertices left with union
-    degree 4 after the trial deletion; ``clusters_reduced`` counts reducer
-    runs actually performed (cache hits excluded).
+    ``boundary_edge`` is the target's unique once-covered edge, the one the
+    deletion drops from the union; it is None for ``not_candidate``.
     """
 
     target: int
     verdict: str
     boundary_edge: int | None
-    quad_vertices: tuple[int, ...]
-    diagonals: tuple[int, ...]
-    clusters_reduced: int
 
 
 @dataclass(frozen=True)
@@ -60,45 +55,20 @@ class ReductionOutcome:
     cycle; anything else (including forests and multi-component leftovers)
     is tagged ``acyclic``. ``steps`` records the edge-removing moves; every
     one strictly decreases the edge count, so there are at most |E| of them.
-    ``pruned`` lists isolated vertices dropped along the way.
     """
 
     tag: str
     steps: tuple[tuple, ...]
-    pruned: tuple[int, ...]
-
-
-def degree_two_neighbor_count(g: Graph, edge_mask: int, v: int) -> int:
-    """Number of neighbors of ``v`` with degree exactly 2 in the edge subset."""
-    degrees = mask_degrees(g, edge_mask)
-    count = 0
-    for nb, eidx in g.adjacency[v]:
-        if (edge_mask >> eidx) & 1 and degrees[nb] == 2:
-            count += 1
-    return count
-
-
-def is_candidate(state: SolverState, c: int) -> bool:
-    """True iff deleting ``c`` keeps every vertex and drops exactly one edge."""
-    if c not in state.retained:
-        raise ValueError(f"cycle {c} is not retained")
-    return _candidate_boundary(state, c) is not None
 
 
 def _candidate_boundary(state: SolverState, c: int) -> int | None:
-    # the unique once-covered edge of c, or None when c is not a candidate
+    # the unique once-covered edge of c, or None when c is not a candidate;
+    # c's other edges are covered at least twice, so after the deletion they
+    # stay in the union and no vertex of c is left isolated
     row = state.basis.cycles[c].edges
     state.counters.row_ops += 1
     boundary = [e for e in iter_edge_indices(row) if state.cover_counts[e] == 1]
-    if len(boundary) != 1:
-        return None
-    removed = boundary[0]
-    union_after = state.union_edges & ~(1 << removed)
-    degrees = mask_degrees(state.graph, union_after)
-    u, v, _ = state.graph.edges[removed]
-    if degrees[u] == 0 or degrees[v] == 0:
-        return None
-    return removed
+    return boundary[0] if len(boundary) == 1 else None
 
 
 def find_diagonals(state: SolverState, c: int) -> tuple[int, ...]:
@@ -134,19 +104,6 @@ def _cluster_members(state: SolverState, seed: int) -> frozenset[int]:
                 members.add(other)
                 frontier.append(other)
     return frozenset(members)
-
-
-def build_diagonal_cluster(state: SolverState, d: int) -> Graph:
-    """Materialize the edge-sharing cluster containing cycle ``d``."""
-    if d not in state.retained:
-        raise ValueError(f"cycle {d} is not retained")
-    members = _cluster_members(state, d)
-    mask = 0
-    for m in members:
-        mask |= state.basis.cycles[m].edges
-    state.counters.row_ops += len(members)
-    graph, _ = edge_subgraph(state.graph, mask)
-    return graph
 
 
 def _single_cycle(adj: dict[int, set[int]]) -> bool:
@@ -213,20 +170,18 @@ def reduce_cluster(subgraph: Graph, *, rng: random.Random | None = None) -> Redu
         adj[u].add(v)
         adj[v].add(u)
     steps: list[tuple] = []
-    pruned: list[int] = []
     while True:
         for v in sorted(adj):
             if not adj[v]:
                 del adj[v]
-                pruned.append(v)
         if _single_cycle(adj):
-            return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps), tuple(pruned))
+            return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
         if rng is None:
             moves = _deletion_moves(adj)[:1] or _smoothing_moves(adj)[:1]
         else:
             moves = _deletion_moves(adj) + _smoothing_moves(adj)
         if not moves:
-            return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps), tuple(pruned))
+            return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
         move = moves[0] if rng is None else rng.choice(moves)
         if move[0] == "delete_edge":
             _, u, v = move
@@ -265,7 +220,7 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
     g = state.graph
     removed = _candidate_boundary(state, c)
     if removed is None:
-        return RemovabilityContext(c, NOT_CANDIDATE, None, (), (), 0)
+        return RemovabilityContext(c, NOT_CANDIDATE, None)
 
     union_after = state.union_edges & ~(1 << removed)
     degrees = mask_degrees(g, union_after)
@@ -275,16 +230,10 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
             if (union_after >> eidx) & 1 and degrees[nb] == 2:
                 count += 1
         if count >= 3:
-            return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, removed, (), (), 0)
+            return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, removed)
 
-    quad = tuple(
-        v for v in sorted(mask_vertices(g, state.basis.cycles[c].edges))
-        if degrees[v] == 4
-    )
-    diagonals = find_diagonals(state, c)
-    reduced = 0
     seen_clusters: set[frozenset[int]] = set()
-    for d in diagonals:
+    for d in find_diagonals(state, c):
         members = _cluster_members(state, d)
         if members in seen_clusters:
             continue
@@ -294,14 +243,11 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
             mask = 0
             for m in members:
                 mask |= state.basis.cycles[m].edges
-            cluster_graph, _ = edge_subgraph(g, mask)
+            cluster_graph = edge_subgraph(g, mask)
             state.counters.row_ops += len(members)
             outcome_tag = reduce_cluster(cluster_graph).tag
             state.cluster_cache[members] = outcome_tag
             state.counters.reduce_calls += 1
-            reduced += 1
         if outcome_tag == REDUCED_ACYCLIC:
-            return RemovabilityContext(
-                c, BLOCKED_BY_CLUSTER, removed, quad, diagonals, reduced
-            )
-    return RemovabilityContext(c, REMOVABLE, removed, quad, diagonals, reduced)
+            return RemovabilityContext(c, BLOCKED_BY_CLUSTER, removed)
+    return RemovabilityContext(c, REMOVABLE, removed)

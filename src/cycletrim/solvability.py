@@ -11,36 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cycle_space import Cycle, CycleBasis
-from .graphs import Graph, mask_vertices
-
-PAIR_TWO_VERTEX_ONE_EDGE = "two_vertex_one_edge"
-PAIR_TWO_VERTEX_NO_EDGE = "two_vertex_no_edge"
-PAIR_OTHER = "other"
-
-
-@dataclass(frozen=True)
-class PairProfile:
-    """How two cycles intersect: shared vertex and edge counts plus a tag."""
-
-    tag: str
-    shared_vertices: int
-    shared_edges: int
+from .cycle_space import CycleBasis
 
 
 @dataclass(frozen=True)
 class SolutionPartition:
     """A solution subset together with its co-solution complement.
 
-    ``pool`` is the initial set of deletable cycles (the whole co-solution);
-    ``groups`` splits the co-solution into maximal clusters connected by
-    edge sharing.
+    ``co_solution`` lists, ascending, the cycles the solver may delete.
     """
 
     solution: tuple[int, ...]
     co_solution: tuple[int, ...]
-    pool: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
 
 
 def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
@@ -50,56 +32,10 @@ def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
     return sum(basis.cycles[i].length - 2 for i in indices)
 
 
-def classify_pair(g: Graph, a: Cycle, b: Cycle) -> PairProfile:
-    """Intersection profile of two distinct cycles.
-
-    Two cycles meeting in exactly two vertices can share at most the one
-    edge joining them, hence the tags distinguish the one-edge and no-edge
-    cases only.
-    """
-    if a == b:
-        raise ValueError("classify_pair requires two distinct cycles")
-    shared_edges = (a.edges & b.edges).bit_count()
-    shared_vertices = len(mask_vertices(g, a.edges) & mask_vertices(g, b.edges))
-    if shared_vertices == 2 and shared_edges == 1:
-        tag = PAIR_TWO_VERTEX_ONE_EDGE
-    elif shared_vertices == 2 and shared_edges == 0:
-        tag = PAIR_TWO_VERTEX_NO_EDGE
-    else:
-        tag = PAIR_OTHER
-    return PairProfile(tag, shared_vertices, shared_edges)
-
-
-def _co_solution_groups(
-    basis: CycleBasis, co_solution: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    # maximal clusters of co-solution cycles connected by edge sharing
-    remaining = set(co_solution)
-    groups = []
-    while remaining:
-        seed = min(remaining)
-        members = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            row = basis.cycles[cur].edges
-            for other in sorted(remaining - members):
-                if row & basis.cycles[other].edges:
-                    members.add(other)
-                    frontier.append(other)
-        remaining -= members
-        groups.append(tuple(sorted(members)))
-    return tuple(groups)
-
-
 def _make_partition(basis: CycleBasis, solution: tuple[int, ...]) -> SolutionPartition:
-    co = tuple(i for i in range(basis.dimension) if i not in set(solution))
-    return SolutionPartition(
-        solution=solution,
-        co_solution=co,
-        pool=co,
-        groups=_co_solution_groups(basis, co),
-    )
+    chosen = set(solution)
+    co = tuple(i for i in range(basis.dimension) if i not in chosen)
+    return SolutionPartition(solution, co)
 
 
 def enumerate_solutions(basis: CycleBasis, *, cap: int = 64) -> tuple[SolutionPartition, ...]:

@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .cycle_space import CycleBasis, count_covers, edges_with_cover, fundamental_basis
+from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
 from .graphs import Graph, Weight, iter_edge_indices, mask_weight, tour_from_edge_mask
 from .oracle import is_hamiltonian
 from .removability import REMOVABLE, RemovabilityContext, is_removable
@@ -118,9 +118,10 @@ def initial_state(
 ) -> SolverState:
     """Fresh state retaining the whole basis."""
     counters = counters if counters is not None else Counters()
-    rows = basis.matrix
-    covers = count_covers(basis.graph.edge_count, rows)
-    counters.row_ops += len(rows)
+    covers = basis.cover_counts
+    # row_ops charges the starting cover counts one op per basis row on
+    # every partition, so reports do not depend on where they are computed
+    counters.row_ops += basis.dimension
     union = 0
     for e, c in enumerate(covers):
         if c >= 1:
@@ -160,19 +161,6 @@ def _record(state: SolverState, c: int) -> DeletionRecord:
         raise NotRemovable(f"cycle {c} has no boundary edge")
     added = sum((state.graph.weights[e] for e in newly), start=Weight(0))
     return DeletionRecord(c, removed, tuple(newly), added)
-
-
-def deletion_delta(state: SolverState, c: int) -> DeletionRecord:
-    """The deletion record for ``c`` after a full removability check.
-
-    Raises :class:`NotRemovable` when the verdict is anything but removable.
-    """
-    if c not in state.retained:
-        raise NotRemovable(f"cycle {c} is not retained")
-    ctx = is_removable(state, c)
-    if ctx.verdict != REMOVABLE:
-        raise NotRemovable(f"cycle {c}: {ctx.verdict}")
-    return _record(state, c)
 
 
 def select_deletion(state: SolverState, records: list[DeletionRecord]) -> DeletionRecord:

@@ -16,6 +16,7 @@ from cycletrim import (
     solution_sum,
 )
 from cycletrim.cycle_space import Cycle
+from cycletrim.graphs import iter_edge_indices
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -101,6 +102,37 @@ def gf2_rank(rows) -> int:
     return rank
 
 
+def gf2_sum(masks) -> int:
+    """Sum of edge bitmasks over GF(2)."""
+    total = 0
+    for m in masks:
+        total ^= m
+    return total
+
+
+def is_simple_cycle(g: Graph, mask: int) -> bool:
+    """True iff the edges in ``mask`` form a single simple cycle of length >= 3."""
+    if mask.bit_count() < 3:
+        return False
+    nbrs: dict[int, list[int]] = {}
+    for e in iter_edge_indices(mask):
+        u, v, _ = g.edges[e]
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if any(len(x) != 2 for x in nbrs.values()):
+        return False
+    start = next(iter(nbrs))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in nbrs[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(nbrs)
+
+
 def crafted_state(
     graph: Graph,
     rows: list[int],
@@ -113,7 +145,7 @@ def crafted_state(
     covers = count_covers(graph.edge_count, (rows[i] for i in sorted(retained_set)))
     basis = CycleBasis(graph, cycles, count_covers(graph.edge_count, rows))
     co = tuple(i for i in range(len(rows)) if i not in set(solution))
-    partition = SolutionPartition(solution, co, co, (co,) if co else ())
+    partition = SolutionPartition(solution, co)
     union = 0
     for e, c in enumerate(covers):
         if c >= 1:

@@ -4,18 +4,16 @@ from hypothesis import strategies as st
 
 from cycletrim import (
     NotConnected,
-    classify_vertices,
     count_covers,
     edges_with_cover,
     fundamental_basis,
-    gf2_sum,
-    is_simple_cycle,
 )
-from cycletrim.cycle_space import VERTEX_BOUNDARY, VERTEX_CUT
 from cycletrim.graphs import iter_edge_indices
 
 from helpers import (
     gf2_rank,
+    gf2_sum,
+    is_simple_cycle,
     k4_golden,
     make_graph,
     path_graph,
@@ -67,8 +65,9 @@ def test_basis_requires_connected():
 def test_basis_dimension_and_rank(g):
     b = fundamental_basis(g)
     assert b.dimension == g.edge_count - g.vertex_count + 1
-    assert gf2_rank(b.matrix) == b.dimension
-    assert count_covers(g.edge_count, b.matrix) == b.cover_counts
+    rows = [c.edges for c in b.cycles]
+    assert gf2_rank(rows) == b.dimension
+    assert count_covers(g.edge_count, rows) == b.cover_counts
 
 
 @given(connected_graphs())
@@ -123,24 +122,6 @@ def test_gf2_sum_matches_parity(g, data):
     for e in range(g.edge_count):
         parity = sum((r >> e) & 1 for r in rows) % 2
         assert ((total >> e) & 1) == parity
-
-
-def test_classify_triangle_all_cut():
-    g = triangle()
-    assert classify_vertices(g, fundamental_basis(g)) == (VERTEX_CUT,) * 3
-
-
-def test_classify_theta():
-    g = theta()
-    tags = classify_vertices(g, fundamental_basis(g))
-    assert tags == (VERTEX_BOUNDARY, VERTEX_BOUNDARY, VERTEX_CUT, VERTEX_CUT)
-
-
-def test_classify_k4_total_and_exclusive():
-    g = k4_golden()
-    tags = classify_vertices(g, fundamental_basis(g))
-    assert len(tags) == 4
-    assert all(t in ("cut", "boundary", "inside") for t in tags)
 
 
 def test_edges_with_cover():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,18 +8,15 @@ from cycletrim import (
     Graph,
     GraphError,
     NotConnected,
-    NotDegreeTwo,
     ParseError,
-    SmoothingWouldBreakSimplicity,
-    degree,
-    is_cycle_graph,
+    is_connected,
     parse_graph,
     serialize_graph,
-    smooth_out,
     tour_from_edge_mask,
     tour_weight,
 )
 from cycletrim.graphs import format_weight, mask_weight
+from cycletrim.removability import REDUCED_CYCLE_GRAPH, reduce_cluster
 
 from helpers import cycle_graph, k4_golden, make_graph, path_graph, star_graph, triangle
 from strategies import connected_graphs
@@ -53,6 +51,23 @@ def test_parse_vertex_gap():
         parse_graph("0 1 1\n1 3 1\n0 3 1")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 100000 1\n",  # one edge naming a huge id: gap of 99999 ids
+        "0 1 1\n1 0_2 1\n0 2 1\n",  # int() reads 0_2 as 2
+        "0 \u0661 1\n",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        "0 1 1\n1 2 1\n-0 2 1\n",  # int() reads -0 as 0
+        "0 " + "9" * 5000 + " 1\n",  # more digits than int() converts
+    ],
+    ids=["huge_id", "underscore", "non_ascii_digit", "minus_zero", "too_many_digits"],
+)
+def test_parse_rejects_hostile_ids_with_short_message(text):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert len(str(info.value)) < 200
+
+
 def test_parse_malformed_line():
     with pytest.raises(ParseError):
         parse_graph("0 1")
@@ -73,6 +88,8 @@ def test_parse_weights_exact():
     assert g.weights[2] == Fraction(-1, 10**6)
     with pytest.raises(ParseError, match="weight"):
         parse_graph("0 1 1.2345678\n1 2 1\n0 2 1")
+    with pytest.raises(ParseError, match="weight"):
+        parse_graph("0 1 \u0661.\u0665\n1 2 1\n0 2 1")  # Arabic-Indic 1.5
 
 
 def test_round_trip_golden():
@@ -97,62 +114,27 @@ def test_constructor_normalizes():
 
 
 def test_degree():
-    assert degree(triangle(), 0) == 2
-    k4 = k4_golden()
-    assert all(degree(k4, v) == 3 for v in range(4))
-    assert degree(star_graph(3), 0) == 3
-
-
-def test_smooth_out_square():
-    square = cycle_graph(4)
-    res = smooth_out(square, 1)
-    assert res.graph.vertex_count == 3
-    assert res.graph.edge_count == 3
-    # old ids 0 and 2 become 0 and 1; merged weight 1 + 1
-    assert res.new_edge == (0, 1)
-    assert res.graph.weights[res.graph.edge_index(0, 1)] == 2
-    assert res.replaced == ((0, 1), (1, 2))
-
-
-def test_smooth_out_triangle_blocked():
-    with pytest.raises(SmoothingWouldBreakSimplicity):
-        smooth_out(triangle(), 0)
-
-
-def test_smooth_out_not_degree_two():
-    with pytest.raises(NotDegreeTwo):
-        smooth_out(star_graph(3), 0)
-
-
-def test_smooth_out_five_cycle_weight_preserved():
-    c5 = cycle_graph(5)
-    before = sum(c5.weights)
-    res = smooth_out(c5, 2)
-    assert res.graph.vertex_count == 4
-    assert res.graph.edge_count == 4
-    assert sum(res.graph.weights) == before == 5
-
-
-@given(connected_graphs(min_vertices=4))
-def test_smooth_out_invariants(g):
-    for v in range(g.vertex_count):
-        if degree(g, v) != 2:
-            continue
-        (x, _), (y, _) = g.adjacency[v]
-        if g.has_edge(x, y):
-            continue
-        res = smooth_out(g, v)
-        assert res.graph.vertex_count == g.vertex_count - 1
-        assert res.graph.edge_count == g.edge_count - 1
-        assert sum(res.graph.weights) == sum(g.weights)
-        return
+    assert triangle().degrees[0] == 2
+    assert k4_golden().degrees == (3, 3, 3, 3)
+    assert star_graph(3).degrees[0] == 3
 
 
 def test_is_cycle_graph():
+    # a graph is one spanning cycle iff its full edge mask yields a tour
+    def is_cycle_graph(g):
+        return tour_from_edge_mask(g, (1 << g.edge_count) - 1) is not None
+
     assert is_cycle_graph(triangle())
     assert is_cycle_graph(cycle_graph(6))
     assert not is_cycle_graph(k4_golden())
     assert not is_cycle_graph(path_graph(4))
+
+
+def test_is_connected():
+    assert is_connected(1, [])
+    assert is_connected(4, [(0, 1), (1, 2), (3, 2)])
+    assert not is_connected(4, [(0, 1), (2, 3)])
+    assert not is_connected(3, [(0, 1)])
 
 
 def test_tour_from_edge_mask():
@@ -183,3 +165,18 @@ def test_format_weight():
     assert format_weight(Fraction(1, 10**6)) == "0.000001"
     with pytest.raises(GraphError):
         format_weight(Fraction(1, 3))
+
+
+def test_smooth_out_triangle_blocked():
+    # a triangle with a pendant edge: vertices 0 and 1 have degree 2, but
+    # smoothing either would double the edge between its adjacent neighbors,
+    # so only the pendant edge goes and the triangle survives whole
+    g = make_graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
+    expected = (("delete_edge", 2, 3),)
+    out = reduce_cluster(g)
+    assert out.tag == REDUCED_CYCLE_GRAPH
+    assert out.steps == expected
+    for seed in range(5):
+        out = reduce_cluster(g, rng=random.Random(seed))
+        assert out.tag == REDUCED_CYCLE_GRAPH
+        assert out.steps == expected

@@ -67,7 +67,7 @@ def test_random_connected_graph_deterministic():
     a = random_connected_graph(random.Random(42), 7, 0.5, 1, 100)
     b = random_connected_graph(random.Random(42), 7, 0.5, 1, 100)
     assert a == b
-    assert is_connected(a)
+    assert is_connected(a.vertex_count, [(u, v) for u, v, _ in a.edges])
     assert all(1 <= w <= 100 and w.denominator == 1 for _, _, w in a.edges)
 
 

@@ -5,10 +5,7 @@ from hypothesis import given, settings
 
 from cycletrim import (
     Graph,
-    build_diagonal_cluster,
-    degree_two_neighbor_count,
     find_diagonals,
-    is_candidate,
     is_hamiltonian,
     is_removable,
     reduce_cluster,
@@ -20,6 +17,7 @@ from cycletrim.removability import (
     REDUCED_ACYCLIC,
     REDUCED_CYCLE_GRAPH,
     REMOVABLE,
+    _cluster_members,
 )
 from cycletrim.solver import apply_deletion
 
@@ -34,15 +32,10 @@ from helpers import (
     star_graph,
     state_for,
     theta,
-    triangle,
     union_subgraph,
     wheel5,
 )
 from strategies import hamiltonian_graphs
-
-
-def full_mask(g: Graph) -> int:
-    return (1 << g.edge_count) - 1
 
 
 # --- candidate test -------------------------------------------------------
@@ -50,14 +43,14 @@ def full_mask(g: Graph) -> int:
 def test_theta_cycles_are_not_candidates():
     _, _, state = state_for(theta())
     # each triangle has two once-covered edges, so deleting it would drop two
-    assert not is_candidate(state, 0)
-    assert not is_candidate(state, 1)
+    assert is_removable(state, 0).verdict == NOT_CANDIDATE
+    assert is_removable(state, 1).verdict == NOT_CANDIDATE
 
 
 def test_k4_cycles_are_candidates():
     _, _, state = state_for(k4_golden())
     for c in range(3):
-        assert is_candidate(state, c)
+        assert is_removable(state, c).verdict != NOT_CANDIDATE
 
 
 def test_fully_shared_cycle_is_not_candidate():
@@ -73,24 +66,37 @@ def test_fully_shared_cycle_is_not_candidate():
     state = crafted_state(g, rows, solution=(1, 2, 3))
     # every edge of row 0 is covered twice
     assert all(state.cover_counts[i] == 2 for i in range(g.edge_count))
-    assert not is_candidate(state, 0)
+    assert is_removable(state, 0).verdict == NOT_CANDIDATE
 
 
 def test_is_candidate_requires_retained():
     _, _, state = state_for(k4_golden())
     with pytest.raises(ValueError):
-        is_candidate(state, 99)
+        is_removable(state, 99)
 
 
 # --- degree-2 neighbor counting -------------------------------------------
 
 def test_degree_two_neighbor_count():
-    tri = triangle()
-    assert degree_two_neighbor_count(tri, full_mask(tri), 0) == 2
-    star = star_graph(3)
-    assert degree_two_neighbor_count(star, full_mask(star), 0) == 0
-    k4 = k4_golden()
-    assert degree_two_neighbor_count(k4, full_mask(k4), 0) == 0
+    # K_{2,3} on {0, 1} x {2, 3, 4} plus the edge 0-1, which only the
+    # triangle 0-1-2 covers; deleting the triangle leaves K_{2,3}, where
+    # vertex 0 has three degree-2 neighbors
+    g = make_graph(
+        5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1)]
+    )
+    e = g.edge_index
+    rows = [
+        (1 << e(0, 2)) | (1 << e(1, 2)) | (1 << e(1, 3)) | (1 << e(0, 3)),
+        (1 << e(0, 3)) | (1 << e(1, 3)) | (1 << e(1, 4)) | (1 << e(0, 4)),
+        (1 << e(0, 1)) | (1 << e(1, 2)) | (1 << e(0, 2)),
+    ]
+    state = crafted_state(g, rows, solution=(0, 1))
+    ctx = is_removable(state, 2)
+    assert ctx.boundary_edge == e(0, 1)
+    assert ctx.verdict == BLOCKED_BY_NEIGHBORS
+    # in K4 the deletion leaves vertices 0 and 1 two degree-2 neighbors each
+    _, parts, state = state_for(k4_golden())
+    assert is_removable(state, parts[0].co_solution[0]).verdict == REMOVABLE
 
 
 # --- diagonals and clusters ------------------------------------------------
@@ -120,14 +126,28 @@ def test_k4_triangles_not_diagonal():
         assert find_diagonals(state, c) == ()
 
 
+def test_cycles_meeting_in_two_vertices_are_not_diagonal():
+    # two edge-disjoint 4-cycles meeting in the non-adjacent vertices 0 and 2
+    g = make_graph(
+        6,
+        [
+            (0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
+            (0, 4, 1), (4, 2, 1), (2, 5, 1), (5, 0, 1),
+        ],
+    )
+    a = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (0, 3)])
+    b = sum(1 << g.edge_index(u, v) for u, v in [(0, 4), (4, 2), (2, 5), (5, 0)])
+    state = crafted_state(g, [a, b], solution=(0,))
+    assert find_diagonals(state, 0) == ()
+    assert find_diagonals(state, 1) == ()
+
+
 def test_bowtie_cluster_is_single_triangle():
     g = bowtie()
     right = sum(1 << g.edge_index(u, v) for u, v in [(0, 3), (0, 4), (3, 4)])
     left = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (0, 2), (1, 2)])
     state = crafted_state(g, [left, right], solution=(0,))
-    cluster = build_diagonal_cluster(state, 1)
-    assert cluster.vertex_count == 3
-    assert cluster.edge_count == 3
+    assert _cluster_members(state, 1) == {1}
 
 
 def test_cluster_closure_is_transitive():
@@ -141,19 +161,16 @@ def test_cluster_closure_is_transitive():
     t2 = (1 << e(1, 2)) | (1 << e(1, 3)) | (1 << e(2, 3))
     t3 = (1 << e(2, 3)) | (1 << e(2, 4)) | (1 << e(3, 4))
     state = crafted_state(g, [t1, t2, t3], solution=(1,))
-    cluster = build_diagonal_cluster(state, 0)
-    assert cluster.vertex_count == 5
-    assert cluster.edge_count == 7
+    assert _cluster_members(state, 0) == {0, 1, 2}
 
     # dropping the middle cycle splits the chain
     state2 = crafted_state(g, [t1, t2, t3], solution=(1,), retained={0, 2})
-    assert build_diagonal_cluster(state2, 0).edge_count == 3
+    assert _cluster_members(state2, 0) == {0}
 
 
 def test_two_cycle_cluster():
     _, _, state = state_for(theta())
-    cluster = build_diagonal_cluster(state, 0)
-    assert cluster.edge_count == 5  # both triangles share the edge ab
+    assert _cluster_members(state, 0) == {0, 1}  # both triangles share the edge ab
 
 
 # --- the cluster reducer ----------------------------------------------------
@@ -183,6 +200,9 @@ def test_reduce_theta_deletes_forced_out_edge():
 def test_reduce_bowtie_acyclic():
     out = reduce_cluster(bowtie())
     assert out.tag == REDUCED_ACYCLIC
+    # each triangle's degree-2 pair is a run, but smoothing either vertex
+    # would double the edge to its already adjacent neighbors
+    assert out.steps == ()
 
 
 def test_reduce_double_square_acyclic_with_smoothing():
@@ -224,7 +244,7 @@ def test_k4_co_solution_cycle_removable():
     c = parts[0].co_solution[0]
     ctx = is_removable(state, c)
     assert ctx.verdict == REMOVABLE
-    assert ctx.diagonals == ()
+    assert find_diagonals(state, c) == ()
     assert ctx.boundary_edge == state.graph.edge_index(2, 3)
 
 
@@ -234,7 +254,7 @@ def test_wheel_rim_cycle_blocked_by_cluster():
     c = parts[0].co_solution[0]
     ctx = is_removable(state, c)
     assert ctx.verdict == BLOCKED_BY_CLUSTER
-    assert ctx.diagonals
+    assert find_diagonals(state, c)
 
 
 def test_wheel_state_blocked_by_neighbors():
@@ -243,7 +263,7 @@ def test_wheel_state_blocked_by_neighbors():
     g = wheel5()
     basis, parts, state = state_for(g)
     retained = frozenset(range(basis.dimension)) - {0}
-    state = crafted_state(g, list(basis.matrix), parts[0].solution, retained=set(retained))
+    state = crafted_state(g, [c.edges for c in basis.cycles], parts[0].solution, retained=set(retained))
     ctx = is_removable(state, 3)
     assert ctx.verdict == BLOCKED_BY_NEIGHBORS
 

@@ -2,21 +2,14 @@ import pytest
 from hypothesis import given, settings
 
 from cycletrim import (
-    classify_pair,
     enumerate_solutions,
     fundamental_basis,
     is_hamiltonian,
     is_solvable,
     solution_sum,
 )
-from cycletrim.solvability import (
-    PAIR_OTHER,
-    PAIR_TWO_VERTEX_NO_EDGE,
-    PAIR_TWO_VERTEX_ONE_EDGE,
-)
 
 from helpers import (
-    bowtie,
     cycle_graph,
     k4_golden,
     make_graph,
@@ -77,8 +70,7 @@ def test_partition_shape():
     b = fundamental_basis(k4_golden())
     part = enumerate_solutions(b)[0]
     assert sorted(part.solution + part.co_solution) == list(range(b.dimension))
-    assert part.pool == part.co_solution
-    assert part.groups == ((2,),)
+    assert part.co_solution == (2,)
     assert 1 <= len(part.solution) <= b.dimension
 
 
@@ -93,53 +85,6 @@ def test_enumerate_matches_naive_filter(g):
     target = g.vertex_count - 2
     for p in parts:
         assert solution_sum(b, p.solution) == target
-
-
-def test_classify_pair_theta():
-    g = theta()
-    b = fundamental_basis(g)
-    prof = classify_pair(g, b.cycles[0], b.cycles[1])
-    assert prof.tag == PAIR_TWO_VERTEX_ONE_EDGE
-    assert (prof.shared_vertices, prof.shared_edges) == (2, 1)
-
-
-def test_classify_pair_bowtie():
-    g = bowtie()
-    b = fundamental_basis(g)
-    prof = classify_pair(g, b.cycles[0], b.cycles[1])
-    assert prof.tag == PAIR_OTHER
-    assert prof.shared_vertices == 1
-
-
-def test_classify_pair_k4():
-    g = k4_golden()
-    b = fundamental_basis(g)
-    prof = classify_pair(g, b.cycles[0], b.cycles[1])
-    assert prof.tag == PAIR_TWO_VERTEX_ONE_EDGE
-
-
-def test_classify_pair_vertex_only():
-    # two 4-cycles meeting in two non-adjacent vertices
-    from cycletrim.cycle_space import Cycle
-
-    g = make_graph(
-        6,
-        [
-            (0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
-            (0, 4, 1), (4, 2, 1), (2, 5, 1), (5, 0, 1),
-        ],
-    )
-    a = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (0, 3)])
-    b = sum(1 << g.edge_index(u, v) for u, v in [(0, 4), (4, 2), (2, 5), (5, 0)])
-    prof = classify_pair(g, Cycle(a, 4), Cycle(b, 4))
-    assert prof.tag == PAIR_TWO_VERTEX_NO_EDGE
-    assert (prof.shared_vertices, prof.shared_edges) == (2, 0)
-
-
-def test_classify_pair_rejects_same_cycle():
-    b = fundamental_basis(theta())
-    with pytest.raises(ValueError):
-        classify_pair(theta(), b.cycles[0], b.cycles[0])
 
 
 def test_record_solvability_of_small_hamiltonian_graphs():

@@ -8,7 +8,6 @@ from cycletrim import (
     apply_deletion,
     boundary_mask,
     count_covers,
-    deletion_delta,
     enumerate_solutions,
     fundamental_basis,
     initial_state,
@@ -78,7 +77,7 @@ def test_deletion_delta_k4():
     parts = enumerate_solutions(basis)
     state = initial_state(basis, parts[0])
     c = parts[0].co_solution[0]
-    rec = deletion_delta(state, c)
+    rec = apply_deletion(state, c).trace[-1]
     g = state.graph
     assert rec.removed_edge == g.edge_index(2, 3)
     assert set(rec.newly_boundary) == {g.edge_index(0, 2), g.edge_index(0, 3)}
@@ -113,16 +112,27 @@ def test_deletion_delta_zero_when_nothing_becomes_boundary():
         shared | (1 << e(0, 3)),
     ]
     state = crafted_state(g, rows, solution=(1, 2, 3))
-    rec = deletion_delta(state, 0)
+    rec = apply_deletion(state, 0).trace[-1]
     assert rec.newly_boundary == ()
     assert rec.added_weight == 0
 
 
 def test_deletion_delta_rejects_non_removable():
-    basis = fundamental_basis(theta())
-    state = initial_state(basis, enumerate_solutions(basis)[0])
-    with pytest.raises(NotRemovable):
-        deletion_delta(state, 0)
+    # a co-solution cycle with two boundary edges, and one with none
+    g = theta()
+    e = g.edge_index
+    ab = 1 << e(0, 1)
+    rows = [
+        ab | (1 << e(0, 2)) | (1 << e(1, 2)),
+        ab | (1 << e(0, 3)) | (1 << e(1, 3)),
+    ]
+    state = crafted_state(g, rows, solution=())
+    with pytest.raises(NotRemovable, match="more than one boundary edge"):
+        apply_deletion(state, 0)
+    rows = [rows[0] ^ rows[1], rows[0], rows[1]]
+    state = crafted_state(g, rows, solution=(1, 2))
+    with pytest.raises(NotRemovable, match="no boundary edge"):
+        apply_deletion(state, 0)
 
 
 def test_select_deletion_tie_breaks():
