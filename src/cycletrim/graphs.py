@@ -1,10 +1,12 @@
 """Weighted simple-graph model and edge-list text I/O.
 
 Graphs are immutable: vertices are ``0..vertex_count-1`` and each edge is an
-unordered pair carrying an exact rational weight. The edge list is kept in
-canonical order (sorted by endpoints) and the position of an edge in
-:attr:`Graph.edges` is its edge index; edge subsets are passed around as
-integer bitmasks over those indices.
+unordered pair carrying an exact weight, stored by :func:`exact_weight` as
+``int`` when integral and as :class:`~fractions.Fraction` otherwise; mixed
+int/Fraction arithmetic is exact, so no other module picks a weight type.
+The edge list is kept in canonical order (sorted by endpoints) and the
+position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
+passed around as integer bitmasks over those indices.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-Weight = Fraction
+Weight = int | Fraction
 
 #: finest weight step representable in the text format
 WEIGHT_SCALE = 10**6
@@ -41,6 +43,15 @@ class NotConnected(GraphError):
     pass
 
 
+def exact_weight(w) -> Weight:
+    """``w`` as a weight: an ``int`` unchanged, anything else as a
+    :class:`~fractions.Fraction`, reduced to ``int`` when it is integral."""
+    if type(w) is int:  # the common case; edge_subgraph rebuilds graphs often
+        return w
+    w = Fraction(w)
+    return w.numerator if w.denominator == 1 else w
+
+
 _WEIGHT_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]{1,6})?")
 _VERTEX_ID_RE = re.compile(r"[0-9]+")
 
@@ -53,7 +64,7 @@ class Graph:
     """Simple undirected graph with exact edge weights.
 
     ``edges`` is normalised on construction: endpoints oriented ``u < v``,
-    weights coerced to :class:`~fractions.Fraction`, and the list sorted by
+    weights made exact by :func:`exact_weight`, and the list sorted by
     endpoint pair. Self-loops and duplicate pairs are rejected. Connectivity
     is *not* required here (reduction code works on arbitrary subgraphs);
     :func:`parse_graph` enforces it for external inputs.
@@ -76,7 +87,7 @@ class Graph:
             if (a, b) in seen:
                 raise GraphError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-            canon.append((a, b, Fraction(w)))
+            canon.append((a, b, exact_weight(w)))
         canon.sort(key=lambda e: (e[0], e[1]))
         object.__setattr__(self, "edges", tuple(canon))
 
@@ -142,7 +153,7 @@ def parse_weight(text: str) -> Weight:
         raise ParseError(
             f"bad weight {text!r} (decimal with at most 6 fractional digits)"
         )
-    return Fraction(text)
+    return exact_weight(text)
 
 
 def format_weight(w: Weight) -> str:
@@ -244,10 +255,7 @@ def mask_degrees(g: Graph, mask: int) -> list[int]:
 
 
 def mask_weight(g: Graph, mask: int) -> Weight:
-    total = Fraction(0)
-    for e in iter_edge_indices(mask):
-        total += g.weights[e]
-    return total
+    return sum(g.weights[e] for e in iter_edge_indices(mask))
 
 
 def edge_subgraph(g: Graph, mask: int) -> Graph:
@@ -301,7 +309,7 @@ def tour_weight(g: Graph, tour: tuple[int, ...]) -> Weight:
     n = g.vertex_count
     if len(tour) != n or set(tour) != set(range(n)):
         raise GraphError("tour must visit every vertex exactly once")
-    total = Fraction(0)
+    total = 0
     for i, u in enumerate(tour):
         v = tour[(i + 1) % n]
         if not g.has_edge(u, v):

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cycle_space import fundamental_basis
@@ -28,23 +27,8 @@ from .solver import STATUS_NOT_HAMILTONIAN, TourResult, solve
 #: how the Hamiltonicity front gate is implemented in this artifact
 FRONT_GATE = "exhaustive_backtracking"
 
-REPORT_FIELDS = (
-    "instance_id",
-    "seed",
-    "n",
-    "m",
-    "status",
-    "algo_weight",
-    "opt_weight",
-    "match",
-    "deletions",
-    "candidates_tested",
-    "reduce_calls",
-    "comparisons",
-    "elapsed_ms",
-    "solvable",
-    "solutions_tried",
-)
+#: edge-set draws random_connected_graph makes before it gives up
+MAX_DRAW_ATTEMPTS = 10_000
 
 
 class CampaignError(ValueError):
@@ -87,23 +71,14 @@ class ComparisonReport:
                 raise ValueError("solver reported a weight below the exact optimum")
 
     def to_json_obj(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "seed": self.seed,
-            "n": self.n,
-            "m": self.m,
-            "status": self.status,
-            "algo_weight": _weight_json(self.algo_weight),
-            "opt_weight": _weight_json(self.opt_weight),
-            "match": self.match,
-            "deletions": self.deletions,
-            "candidates_tested": self.candidates_tested,
-            "reduce_calls": self.reduce_calls,
-            "comparisons": self.comparisons,
-            "elapsed_ms": self.elapsed_ms,
-            "solvable": self.solvable,
-            "solutions_tried": self.solutions_tried,
-        }
+        obj = {name: getattr(self, name) for name in REPORT_FIELDS}
+        obj["algo_weight"] = _weight_json(self.algo_weight)
+        obj["opt_weight"] = _weight_json(self.opt_weight)
+        return obj
+
+
+#: JSONL record keys, in order
+REPORT_FIELDS = tuple(f.name for f in fields(ComparisonReport))
 
 
 @dataclass(frozen=True)
@@ -184,11 +159,9 @@ def random_connected_graph(
     edge_probability: float,
     weight_lo: int,
     weight_hi: int,
-    *,
-    max_attempts: int = 10_000,
 ) -> Graph:
     """Erdos-Renyi draw, rejected until connected; integer weights."""
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAW_ATTEMPTS):
         pairs = [
             (u, v)
             for u in range(n)
@@ -199,14 +172,10 @@ def random_connected_graph(
             continue
         if is_connected(n, pairs):
             return Graph(
-                n,
-                tuple(
-                    (u, v, Fraction(rng.randint(weight_lo, weight_hi)))
-                    for u, v in pairs
-                ),
+                n, tuple((u, v, rng.randint(weight_lo, weight_hi)) for u, v in pairs)
             )
     raise CampaignError(
-        f"no connected graph on {n} vertices after {max_attempts} draws at p={edge_probability}"
+        f"no connected graph on {n} vertices after {MAX_DRAW_ATTEMPTS} draws at p={edge_probability}"
     )
 
 

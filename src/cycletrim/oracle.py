@@ -9,8 +9,8 @@ faked with large weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph, Weight
 
@@ -99,7 +99,8 @@ def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
     Raises :class:`TooLarge` above 24 vertices. Runtime is O(n^2 * 2^n);
-    sizes near the cap take a long time in pure Python but stay exact.
+    sizes near the cap take a long time in pure Python but stay exact: one
+    path adds the graph's ``int`` and ``Fraction`` weights as stored.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -107,9 +108,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     if n < 3:
         return OracleAnswer(False, None, None)
 
-    weights: list = list(g.weights)
-    if all(w.denominator == 1 for w in weights):
-        weights = [w.numerator for w in weights]
+    weights = g.weights
     adjacency = g.adjacency
 
     # dp[mask][last] = (cost, previous vertex); masks always contain bit 0
@@ -150,7 +149,7 @@ def min_tour(g: Graph) -> OracleAnswer:
         mask &= ~(1 << cur)
         cur = prev
     tour = _canonical((0,) + tuple(reversed(seq)))
-    return OracleAnswer(True, Fraction(total), tour)
+    return OracleAnswer(True, total, tour)
 
 
 def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]]:
@@ -167,7 +166,7 @@ def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]
     adjacency = g.adjacency
     out: list[tuple[tuple[int, ...], Weight]] = []
     path = [0]
-    weight_stack = [Fraction(0)]
+    weight_stack = [0]
 
     def extend(current: int, visited: int) -> bool:
         if len(path) == n:
@@ -194,9 +193,13 @@ def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]
     return out
 
 
-def min_tour_by_enumeration(g: Graph, limit: int = 10**7) -> OracleAnswer:
-    """Optimum by exhaustive enumeration; the cross-check for the DP route."""
-    tours = enumerate_tours(g, limit)
+def min_tour_by_enumeration(g: Graph) -> OracleAnswer:
+    """Optimum by exhaustive enumeration; the cross-check for the DP route.
+
+    Enumerates up to (n-1)!/2 tours, the number of Hamilton cycles of K_n,
+    so no tour is ever cut off. Raises :class:`TooLarge` above 10 vertices.
+    """
+    tours = enumerate_tours(g, math.factorial(g.vertex_count - 1) // 2)
     if not tours:
         return OracleAnswer(False, None, None)
     best_weight, best_tour = min((w, t) for t, w in tours)

@@ -13,6 +13,9 @@ from typing import Sequence
 
 from .cycle_space import CycleBasis
 
+#: how many solution partitions the solver tries before it reports ``stuck``
+SOLUTION_CAP = 64
+
 
 @dataclass(frozen=True)
 class SolutionPartition:
@@ -38,7 +41,7 @@ def _make_partition(basis: CycleBasis, solution: tuple[int, ...]) -> SolutionPar
     return SolutionPartition(solution, co)
 
 
-def enumerate_solutions(basis: CycleBasis, *, cap: int = 64) -> tuple[SolutionPartition, ...]:
+def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[SolutionPartition, ...]:
     """All solution subsets, smallest first then lexicographic, up to ``cap``.
 
     Every cycle contributes at least 1 to the total, so solutions have at

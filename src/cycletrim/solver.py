@@ -159,7 +159,7 @@ def _record(state: SolverState, c: int) -> DeletionRecord:
             newly.append(e)
     if removed is None:
         raise NotRemovable(f"cycle {c} has no boundary edge")
-    added = sum((state.graph.weights[e] for e in newly), start=Weight(0))
+    added = sum(state.graph.weights[e] for e in newly)
     return DeletionRecord(c, removed, tuple(newly), added)
 
 
@@ -225,7 +225,7 @@ def _run_partition(state: SolverState) -> SolverState:
         state = apply_deletion(state, best.cycle)
 
 
-def solve(graph: Graph, *, solution_cap: int = 64) -> TourResult:
+def solve(graph: Graph) -> TourResult:
     """Search for a minimum-weight Hamilton cycle by greedy cycle deletion.
 
     Front gate: inputs that the exhaustive Hamiltonicity test rejects come
@@ -238,7 +238,7 @@ def solve(graph: Graph, *, solution_cap: int = 64) -> TourResult:
             STATUS_NOT_HAMILTONIAN, None, None, (), counters, False, 0, None, None
         )
     basis = fundamental_basis(graph)
-    partitions = enumerate_solutions(basis, cap=solution_cap)
+    partitions = enumerate_solutions(basis)
     if not partitions:
         return TourResult(
             STATUS_NO_SOLUTION, None, None, (), counters, False, 0, None, None

@@ -83,9 +83,10 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_weights_exact():
-    g = parse_graph("0 1 1.5\n1 2 -0.000001\n0 2 3")
-    assert g.weights[0] == Fraction(3, 2)
-    assert g.weights[2] == Fraction(-1, 10**6)
+    g = parse_graph("0 1 1.5\n1 2 -0.000001\n0 2 2.000")
+    assert g.weights == (Fraction(3, 2), 2, Fraction(-1, 10**6))
+    # integral weights are stored as int, the rest as Fraction
+    assert [type(w) for w in g.weights] == [Fraction, int, Fraction]
     with pytest.raises(ParseError, match="weight"):
         parse_graph("0 1 1.2345678\n1 2 1\n0 2 1")
     with pytest.raises(ParseError, match="weight"):
@@ -107,6 +108,9 @@ def test_round_trip_property(g):
 def test_constructor_normalizes():
     g = Graph(3, ((2, 0, Fraction(3)), (1, 0, Fraction(1)), (1, 2, Fraction(2))))
     assert g.edges == ((0, 1, 1), (0, 2, 3), (1, 2, 2))
+    assert all(type(w) is int for w in g.weights)
+    half = Graph(2, ((0, 1, Fraction(3, 2)),)).weights[0]
+    assert type(half) is Fraction and half == Fraction(3, 2)
     with pytest.raises(GraphError):
         Graph(0, ())
     with pytest.raises(GraphError):

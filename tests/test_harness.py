@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,14 +8,17 @@ from cycletrim import (
     CampaignConfig,
     CampaignError,
     compare_graph,
+    min_tour,
+    min_tour_by_enumeration,
     parse_graph,
     random_connected_graph,
     run_campaign,
+    solve,
 )
 from cycletrim.graphs import is_connected
 from cycletrim.harness import REPORT_FIELDS
 
-from helpers import k4_golden, petersen, theta, triangle
+from helpers import k4_golden, make_graph, petersen, theta, triangle
 
 
 def test_compare_k4_matches():
@@ -25,6 +29,17 @@ def test_compare_k4_matches():
     assert report.opt_weight == 14
     assert report.match is True
     assert report.n == 4 and report.m == 6
+
+
+def test_fractional_weights_end_to_end():
+    # k4_golden with every weight divided by 8: optimum 14/8, all on the 1e-6 grid
+    g = make_graph(4, [(u, v, Fraction(w, 8)) for u, v, w in k4_golden().edges])
+    assert solve(g).weight == Fraction(7, 4)
+    assert min_tour(g).optimum_weight == Fraction(7, 4)
+    assert min_tour_by_enumeration(g).optimum_weight == Fraction(7, 4)
+    obj = compare_graph(g, instance_id="k4/8", seed=0).report.to_json_obj()
+    assert obj["status"] == "ok" and obj["match"] is True
+    assert obj["algo_weight"] == obj["opt_weight"] == "1.75"
 
 
 def test_compare_triangle():

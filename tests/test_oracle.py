@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,16 @@ def test_enumerate_four_cycle():
 
 def test_enumerate_respects_limit():
     assert len(enumerate_tours(k4_golden(), 2)) == 2
+
+
+def test_complete_graph_tour_count_is_the_enumeration_bound():
+    # min_tour_by_enumeration enumerates with limit (n-1)!/2; on K_n that
+    # is every tour, so no graph on n vertices has a tour beyond the bound
+    for n in range(3, 8):
+        k_n = make_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+        bound = math.factorial(n - 1) // 2
+        assert len(enumerate_tours(k_n, bound)) == bound
+        assert len(enumerate_tours(k_n, bound + 1)) == bound
 
 
 def test_size_caps():

@@ -214,14 +214,16 @@ def test_scale_covariance():
         if is_hamiltonian(g):
             samples.append(g)
     for g in samples:
-        scaled = make_graph(
-            g.vertex_count, [(u, v, w * 9) for u, v, w in g.edges]
-        )
-        r1, r2 = solve(g), solve(scaled)
-        assert r1.status == r2.status
-        assert [rec.cycle for rec in r1.trace] == [rec.cycle for rec in r2.trace]
-        if r1.weight is not None:
-            assert r2.weight == r1.weight * 9
+        r1 = solve(g)
+        for factor in (9, Fraction(1, 8)):
+            scaled = make_graph(
+                g.vertex_count, [(u, v, w * factor) for u, v, w in g.edges]
+            )
+            r2 = solve(scaled)
+            assert r1.status == r2.status
+            assert [rec.cycle for rec in r1.trace] == [rec.cycle for rec in r2.trace]
+            if r1.weight is not None:
+                assert r2.weight == r1.weight * factor
 
 
 @given(hamiltonian_graphs(max_vertices=7))
