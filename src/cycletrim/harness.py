@@ -183,13 +183,18 @@ def report_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _bucket_means(rows: list[tuple], value_index: int) -> dict[str, float]:
-    sums: dict[str, list] = {}
-    for row in rows:
-        key = row[0]
-        sums.setdefault(key, []).append(row[value_index])
+#: per-instance counters averaged by (n, m) in the campaign summary
+MEAN_COUNTERS = ("candidates_tested", "reduce_calls", "comparisons", "deletions")
+
+
+def _means_by_key(rows: list[tuple[str, tuple[int, ...]]]) -> dict[str, tuple[float, ...]]:
+    # per key, in key order: the mean of each value column to 3 places
+    grouped: dict[str, list[tuple[int, ...]]] = {}
+    for key, values in rows:
+        grouped.setdefault(key, []).append(values)
     return {
-        key: round(sum(vals) / len(vals), 3) for key, vals in sorted(sums.items())
+        key: tuple(round(sum(col) / len(col), 3) for col in zip(*vals))
+        for key, vals in sorted(grouped.items())
     }
 
 
@@ -203,8 +208,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     config.validate()
     rng = random.Random(config.seed)
     reports: list[ComparisonReport] = []
-    row_ops_rows: list[tuple] = []   # (m-bucket, row_ops)
-    counter_rows: list[tuple] = []   # (nm-bucket, cand, reduce, cmp, del)
+    row_ops_rows: list[tuple] = []   # (m-bucket, (row_ops,))
+    counter_rows: list[tuple] = []   # (nm-bucket, MEAN_COUNTERS values)
     mismatch_paths: list[Path] = []
     skipped = 0
 
@@ -225,14 +230,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         reports.append(outcome.report)
         lines.append(report_line(outcome.report.to_json_obj()))
         counters = outcome.result.counters
-        row_ops_rows.append((str(graph.edge_count), counters.row_ops))
+        row_ops_rows.append((str(graph.edge_count), (counters.row_ops,)))
         counter_rows.append(
             (
                 f"n={graph.vertex_count},m={graph.edge_count}",
-                counters.candidates_tested,
-                counters.reduce_calls,
-                counters.comparisons,
-                counters.deletions,
+                tuple(getattr(counters, name) for name in MEAN_COUNTERS),
             )
         )
         if outcome.report.match is False:
@@ -271,25 +273,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         "status_counts": dict(sorted(status_counts.items())),
         "mismatches": [p.stem for p in mismatch_paths],
         "mean_counters_by_nm": {
-            key: {
-                "candidates_tested": round(
-                    sum(r[1] for r in rows) / len(rows), 3
-                ),
-                "reduce_calls": round(sum(r[2] for r in rows) / len(rows), 3),
-                "comparisons": round(sum(r[3] for r in rows) / len(rows), 3),
-                "deletions": round(sum(r[4] for r in rows) / len(rows), 3),
-            }
-            for key, rows in sorted(_group(counter_rows).items())
+            key: dict(zip(MEAN_COUNTERS, means))
+            for key, means in _means_by_key(counter_rows).items()
         },
-        "mean_row_ops_by_m": _bucket_means(row_ops_rows, 1),
+        "mean_row_ops_by_m": {
+            key: mean for key, (mean,) in _means_by_key(row_ops_rows).items()
+        },
     }
     lines.append(report_line(summary))
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return CampaignResult(tuple(reports), summary, report_path, tuple(mismatch_paths))
-
-
-def _group(rows: list[tuple]) -> dict[str, list[tuple]]:
-    grouped: dict[str, list[tuple]] = {}
-    for row in rows:
-        grouped.setdefault(row[0], []).append(row)
-    return grouped

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, edge_subgraph, iter_edge_indices, mask_degrees
+from .graphs import Graph, Weight, edge_subgraph, iter_edge_indices, mask_degrees
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolverState
@@ -34,17 +34,36 @@ REDUCED_CYCLE_GRAPH = "cycle_graph"
 REDUCED_ACYCLIC = "acyclic"
 
 
+class NotRemovable(Exception):
+    """Raised when a deletion is requested for a cycle that cannot go."""
+
+
+@dataclass(frozen=True)
+class DeletionRecord:
+    """One applied (or proposed) deletion.
+
+    ``removed_edge`` is the cycle's unique boundary edge, which leaves the
+    union; ``newly_boundary`` are the edges whose cover drops from 2 to 1,
+    and ``added_weight`` is the exact sum of their weights.
+    """
+
+    cycle: int
+    removed_edge: int
+    newly_boundary: tuple[int, ...]
+    added_weight: Weight
+
+
 @dataclass(frozen=True)
 class RemovabilityContext:
     """Verdict of a single removability decision.
 
-    ``boundary_edge`` is the target's unique once-covered edge, the one the
-    deletion drops from the union; it is None for ``not_candidate``.
+    ``record`` is what deleting the target would do; it is None for
+    ``not_candidate``.
     """
 
     target: int
     verdict: str
-    boundary_edge: int | None
+    record: DeletionRecord | None
 
 
 @dataclass(frozen=True)
@@ -61,14 +80,30 @@ class ReductionOutcome:
     steps: tuple[tuple, ...]
 
 
-def _candidate_boundary(state: SolverState, c: int) -> int | None:
-    # the unique once-covered edge of c, or None when c is not a candidate;
-    # c's other edges are covered at least twice, so after the deletion they
-    # stay in the union and no vertex of c is left isolated
+def deletion_record(state: SolverState, c: int) -> DeletionRecord:
+    """What deleting ``c`` does to the union, from one scan of its row.
+
+    A cycle is a candidate exactly when one of its edges is covered once;
+    that edge leaves the union. Its other edges are covered at least twice,
+    so they stay in the union and no vertex of ``c`` is left isolated.
+    Raises :class:`NotRemovable` for any other cycle.
+    """
     row = state.basis.cycles[c].edges
     state.counters.row_ops += 1
-    boundary = [e for e in iter_edge_indices(row) if state.cover_counts[e] == 1]
-    return boundary[0] if len(boundary) == 1 else None
+    removed = None
+    newly = []
+    for e in iter_edge_indices(row):
+        cover = state.cover_counts[e]
+        if cover == 1:
+            if removed is not None:
+                raise NotRemovable(f"cycle {c} has more than one boundary edge")
+            removed = e
+        elif cover == 2:
+            newly.append(e)
+    if removed is None:
+        raise NotRemovable(f"cycle {c} has no boundary edge")
+    added = sum(state.graph.weights[e] for e in newly)
+    return DeletionRecord(c, removed, tuple(newly), added)
 
 
 def find_diagonals(state: SolverState, c: int) -> tuple[int, ...]:
@@ -90,7 +125,11 @@ def find_diagonals(state: SolverState, c: int) -> tuple[int, ...]:
 
 
 def _cluster_members(state: SolverState, seed: int) -> frozenset[int]:
-    # transitive closure of edge sharing among retained cycles
+    # transitive closure of edge sharing among retained cycles; every member
+    # has the same closure, so one walk answers for all of them on this state
+    known = state.cluster_closures.get(seed)
+    if known is not None:
+        return known
     members = {seed}
     frontier = [seed]
     while frontier:
@@ -103,7 +142,10 @@ def _cluster_members(state: SolverState, seed: int) -> frozenset[int]:
             if row & state.basis.cycles[other].edges:
                 members.add(other)
                 frontier.append(other)
-    return frozenset(members)
+    closure = frozenset(members)
+    for m in closure:
+        state.cluster_closures[m] = closure
+    return closure
 
 
 def _single_cycle(adj: dict[int, set[int]]) -> bool:
@@ -201,9 +243,10 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """Full removability verdict for retained cycle ``c``.
 
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
-    the post-deletion union, then the diagonal clusters. Verdicts are cached
-    per (retained set, cycle) and cluster reductions per member set, since
-    identical questions recur across passes and solution partitions.
+    the post-deletion union, then the diagonal clusters. Verdicts, with the
+    deletion record, are cached per (retained set, cycle) and cluster
+    reductions per member set, since identical questions recur across passes
+    and solution partitions; cluster closures are kept per state.
     """
     if c not in state.retained:
         raise ValueError(f"cycle {c} is not retained")
@@ -218,11 +261,12 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
 
 def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
     g = state.graph
-    removed = _candidate_boundary(state, c)
-    if removed is None:
+    try:
+        record = deletion_record(state, c)
+    except NotRemovable:
         return RemovabilityContext(c, NOT_CANDIDATE, None)
 
-    union_after = state.union_edges & ~(1 << removed)
+    union_after = state.union_edges & ~(1 << record.removed_edge)
     degrees = mask_degrees(g, union_after)
     for v in range(g.vertex_count):
         count = 0
@@ -230,14 +274,10 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
             if (union_after >> eidx) & 1 and degrees[nb] == 2:
                 count += 1
         if count >= 3:
-            return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, removed)
+            return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, record)
 
-    seen_clusters: set[frozenset[int]] = set()
     for d in find_diagonals(state, c):
         members = _cluster_members(state, d)
-        if members in seen_clusters:
-            continue
-        seen_clusters.add(members)
         outcome_tag = state.cluster_cache.get(members)
         if outcome_tag is None:
             mask = 0
@@ -249,5 +289,5 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
             state.cluster_cache[members] = outcome_tag
             state.counters.reduce_calls += 1
         if outcome_tag == REDUCED_ACYCLIC:
-            return RemovabilityContext(c, BLOCKED_BY_CLUSTER, removed)
-    return RemovabilityContext(c, REMOVABLE, removed)
+            return RemovabilityContext(c, BLOCKED_BY_CLUSTER, record)
+    return RemovabilityContext(c, REMOVABLE, record)

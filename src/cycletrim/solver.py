@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
 from .graphs import Graph, Weight, iter_edge_indices, mask_weight, tour_from_edge_mask
-from .oracle import is_hamiltonian
-from .removability import REMOVABLE, RemovabilityContext, is_removable
+from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
+from .removability import (
+    REMOVABLE,
+    DeletionRecord,
+    NotRemovable,
+    deletion_record,
+    is_removable,
+)
 from .solvability import SolutionPartition, enumerate_solutions
 
 Status = Literal["ok", "not_hamiltonian_input", "no_solution", "stuck"]
@@ -32,16 +39,13 @@ STATUS_NO_SOLUTION: Status = "no_solution"
 STATUS_STUCK: Status = "stuck"
 
 
-class NotRemovable(Exception):
-    """Raised when a deletion is requested for a cycle that cannot go."""
-
-
 @dataclass
 class Counters:
     """Work accounting for one solver run.
 
-    ``row_ops`` counts basis-row scans and combinations (the matrix-level
-    work); ``reduce_calls`` counts cluster reductions actually executed.
+    ``row_ops`` counts one per basis-row scan actually performed (the
+    matrix-level work); ``reduce_calls`` counts cluster reductions actually
+    executed.
     """
 
     candidates_tested: int = 0
@@ -53,27 +57,14 @@ class Counters:
 
 
 @dataclass(frozen=True)
-class DeletionRecord:
-    """One applied (or proposed) deletion.
-
-    ``removed_edge`` is the cycle's unique boundary edge, which leaves the
-    union; ``newly_boundary`` are the edges whose cover drops from 2 to 1,
-    and ``added_weight`` is the exact sum of their weights.
-    """
-
-    cycle: int
-    removed_edge: int
-    newly_boundary: tuple[int, ...]
-    added_weight: Weight
-
-
-@dataclass(frozen=True)
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
     ``cover_counts`` and ``union_edges`` are always consistent with the
     retained rows. Counters and memo caches ride along by reference and are
     excluded from equality, so structurally identical states compare equal.
+    ``cluster_closures`` is not a field: ``dataclasses.replace`` starts the
+    next state without it, so it never outlives its retained set.
     """
 
     graph: Graph
@@ -86,6 +77,11 @@ class SolverState:
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
     cluster_cache: dict = field(default_factory=dict, compare=False, repr=False)
     verdict_cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def cluster_closures(self) -> dict[int, frozenset[int]]:
+        """Cluster closures taken on this retained set, by member cycle."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -108,22 +104,10 @@ class TourResult:
     final_state: SolverState | None
 
 
-def initial_state(
-    basis: CycleBasis,
-    partition: SolutionPartition,
-    *,
-    counters: Counters | None = None,
-    cluster_cache: dict | None = None,
-    verdict_cache: dict | None = None,
-) -> SolverState:
-    """Fresh state retaining the whole basis."""
-    counters = counters if counters is not None else Counters()
-    covers = basis.cover_counts
-    # row_ops charges the starting cover counts one op per basis row on
-    # every partition, so reports do not depend on where they are computed
-    counters.row_ops += basis.dimension
+def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
+    """Fresh state retaining the whole basis, with new counters and caches."""
     union = 0
-    for e, c in enumerate(covers):
+    for e, c in enumerate(basis.cover_counts):
         if c >= 1:
             union |= 1 << e
     return SolverState(
@@ -131,36 +115,16 @@ def initial_state(
         basis=basis,
         partition=partition,
         retained=frozenset(range(basis.dimension)),
-        cover_counts=covers,
+        cover_counts=basis.cover_counts,
         union_edges=union,
-        trace=(),
-        counters=counters,
-        cluster_cache=cluster_cache if cluster_cache is not None else {},
-        verdict_cache=verdict_cache if verdict_cache is not None else {},
+        # one row op per basis row, for the cover counts the basis carries
+        counters=Counters(row_ops=basis.dimension),
     )
 
 
 def boundary_mask(state: SolverState) -> int:
     """Edges covered exactly once by the retained cycles."""
     return edges_with_cover(state.cover_counts, 1)
-
-
-def _record(state: SolverState, c: int) -> DeletionRecord:
-    row = state.basis.cycles[c].edges
-    state.counters.row_ops += 1
-    removed = None
-    newly = []
-    for e in iter_edge_indices(row):
-        if state.cover_counts[e] == 1:
-            if removed is not None:
-                raise NotRemovable(f"cycle {c} has more than one boundary edge")
-            removed = e
-        elif state.cover_counts[e] == 2:
-            newly.append(e)
-    if removed is None:
-        raise NotRemovable(f"cycle {c} has no boundary edge")
-    added = sum(state.graph.weights[e] for e in newly)
-    return DeletionRecord(c, removed, tuple(newly), added)
 
 
 def select_deletion(state: SolverState, records: list[DeletionRecord]) -> DeletionRecord:
@@ -187,7 +151,7 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
         raise NotRemovable(f"cycle {c} is not retained")
     if c not in state.partition.co_solution:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
-    rec = _record(state, c)
+    rec = deletion_record(state, c)
     row = state.basis.cycles[c].edges
     covers = list(state.cover_counts)
     for e in iter_edge_indices(row):
@@ -215,10 +179,8 @@ def _run_partition(state: SolverState) -> SolverState:
         counters.max_candidates_per_pass = max(
             counters.max_candidates_per_pass, len(pool)
         )
-        contexts: list[RemovabilityContext] = [is_removable(state, c) for c in pool]
-        records = [
-            _record(state, ctx.target) for ctx in contexts if ctx.verdict == REMOVABLE
-        ]
+        contexts = [is_removable(state, c) for c in pool]
+        records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
         if not records:
             return state
         best = select_deletion(state, records)
@@ -228,35 +190,29 @@ def _run_partition(state: SolverState) -> SolverState:
 def solve(graph: Graph) -> TourResult:
     """Search for a minimum-weight Hamilton cycle by greedy cycle deletion.
 
-    Front gate: inputs that the exhaustive Hamiltonicity test rejects come
-    back as ``not_hamiltonian_input``. Failures never raise; they surface as
-    statuses with the trace of the last attempted partition.
+    Raises :class:`TooLarge` above 24 vertices, the oracle's cap, before the
+    front gate runs. Front gate: inputs that the exhaustive Hamiltonicity
+    test rejects come back as ``not_hamiltonian_input``. Other failures never
+    raise; they surface as statuses with the trace of the last attempted
+    partition. Counters and caches are shared by every partition tried.
     """
-    counters = Counters()
+    n = graph.vertex_count
+    if n > HELD_KARP_MAX_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the solver cap of {HELD_KARP_MAX_VERTICES}")
     if not is_hamiltonian(graph):
         return TourResult(
-            STATUS_NOT_HAMILTONIAN, None, None, (), counters, False, 0, None, None
+            STATUS_NOT_HAMILTONIAN, None, None, (), Counters(), False, 0, None, None
         )
     basis = fundamental_basis(graph)
     partitions = enumerate_solutions(basis)
     if not partitions:
         return TourResult(
-            STATUS_NO_SOLUTION, None, None, (), counters, False, 0, None, None
+            STATUS_NO_SOLUTION, None, None, (), Counters(), False, 0, None, None
         )
-    cluster_cache: dict = {}
-    verdict_cache: dict = {}
-    state = None
-    tried = 0
-    for partition in partitions:
-        tried += 1
-        state = initial_state(
-            basis,
-            partition,
-            counters=counters,
-            cluster_cache=cluster_cache,
-            verdict_cache=verdict_cache,
-        )
-        state = _run_partition(state)
+    start = initial_state(basis, partitions[0])
+    counters = start.counters
+    for tried, partition in enumerate(partitions, 1):
+        state = _run_partition(dataclasses.replace(start, partition=partition))
         mask = boundary_mask(state)
         tour = tour_from_edge_mask(graph, mask)
         if tour is not None:
@@ -271,7 +227,6 @@ def solve(graph: Graph) -> TourResult:
                 partition,
                 state,
             )
-    assert state is not None
     return TourResult(
         STATUS_STUCK,
         None,

@@ -133,6 +133,19 @@ def is_simple_cycle(g: Graph, mask: int) -> bool:
     return len(seen) == len(nbrs)
 
 
+def cluster_members_reference(state: SolverState, seed: int) -> frozenset[int]:
+    """Unmemoised transitive closure of edge sharing among retained cycles."""
+    members = {seed}
+    frontier = [seed]
+    while frontier:
+        row = state.basis.cycles[frontier.pop()].edges
+        for other in state.retained:
+            if other not in members and row & state.basis.cycles[other].edges:
+                members.add(other)
+                frontier.append(other)
+    return frozenset(members)
+
+
 def crafted_state(
     graph: Graph,
     rows: list[int],

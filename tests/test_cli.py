@@ -3,7 +3,7 @@ import json
 from cycletrim import serialize_graph
 from cycletrim.cli import main
 
-from helpers import k4_golden, petersen, theta
+from helpers import cycle_graph, k4_golden, petersen, theta
 
 
 def write_graph(tmp_path, g, name="g.edges"):
@@ -50,6 +50,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     disconnected = tmp_path / "two.edges"
     disconnected.write_text("0 1 1\n2 3 1\n")
     assert main(["solve", str(disconnected)]) == 2
+
+
+def test_oversized_input_fails_fast(tmp_path, capsys):
+    # 25 vertices is above the oracle's cap; the solver refuses before its
+    # exhaustive front gate instead of searching
+    path = write_graph(tmp_path, cycle_graph(25))
+    for command in ("solve", "compare", "oracle"):
+        assert main([command, path]) == 1
+        assert "instance too large" in capsys.readouterr().err
 
 
 def test_usage_exit_code(capsys):

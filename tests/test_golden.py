@@ -3,6 +3,11 @@
 Refactors of the core must leave both byte-identical: the report carries
 statuses, weights and the per-instance counters (``mean_row_ops_by_m`` too),
 the trace digest carries every deletion record of every solver run.
+``row_ops`` counts one per basis-row scan the solver actually performs: the
+basis rows once per solve, the deletion-record scan of each evaluated
+candidate, the diagonal and cluster-closure scans, the rows merged into each
+reduced cluster, and the record and cover updates of each deletion. Cached
+verdicts and memoised closures cost nothing.
 """
 
 import hashlib
@@ -12,7 +17,7 @@ import random
 from cycletrim import CampaignConfig, random_connected_graph, run_campaign, solve
 from cycletrim.cli import _result_json
 
-REPORT_SHA256 = "4fe8de7d209081a236fdcc90ca62885547f6fa32a874e415d13dcdb5a20e11f9"
+REPORT_SHA256 = "a1291619b9bd7c3a460d9c3de1032895963ecc1db4784d6888adae2418379dc5"
 TRACE_SHA256 = "6d82c75d78a323176b084b1d4971bc00ccac835023b2c33c9b70b63f2080c014"
 
 

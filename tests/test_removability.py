@@ -1,14 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycletrim import (
     Graph,
     find_diagonals,
+    fundamental_basis,
+    initial_state,
     is_hamiltonian,
     is_removable,
     reduce_cluster,
+    solve,
 )
 from cycletrim.removability import (
     BLOCKED_BY_CLUSTER,
@@ -23,6 +28,7 @@ from cycletrim.solver import apply_deletion
 
 from helpers import (
     bowtie,
+    cluster_members_reference,
     crafted_state,
     cycle_graph,
     double_square,
@@ -35,7 +41,7 @@ from helpers import (
     union_subgraph,
     wheel5,
 )
-from strategies import hamiltonian_graphs
+from strategies import connected_graphs, hamiltonian_graphs
 
 
 # --- candidate test -------------------------------------------------------
@@ -92,7 +98,7 @@ def test_degree_two_neighbor_count():
     ]
     state = crafted_state(g, rows, solution=(0, 1))
     ctx = is_removable(state, 2)
-    assert ctx.boundary_edge == e(0, 1)
+    assert ctx.record.removed_edge == e(0, 1)
     assert ctx.verdict == BLOCKED_BY_NEIGHBORS
     # in K4 the deletion leaves vertices 0 and 1 two degree-2 neighbors each
     _, parts, state = state_for(k4_golden())
@@ -173,6 +179,22 @@ def test_two_cycle_cluster():
     assert _cluster_members(state, 0) == {0, 1}  # both triangles share the edge ab
 
 
+@given(connected_graphs(max_vertices=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_memoised_closure_matches_reference(g, data):
+    rows = [c.edges for c in fundamental_basis(g).cycles]
+    retained = data.draw(st.sets(st.sampled_from(range(len(rows)))) if rows else st.just(set()))
+    for order in (sorted(retained), sorted(retained, reverse=True)):
+        state = crafted_state(g, rows, solution=(), retained=retained)
+        for c in order:
+            assert _cluster_members(state, c) == cluster_members_reference(state, c)
+        # every closure is now memoised: asking again scans no row
+        spent = state.counters.row_ops
+        for c in order:
+            _cluster_members(state, c)
+        assert state.counters.row_ops == spent
+
+
 # --- the cluster reducer ----------------------------------------------------
 
 def test_reduce_pure_cycles_zero_steps():
@@ -245,7 +267,7 @@ def test_k4_co_solution_cycle_removable():
     ctx = is_removable(state, c)
     assert ctx.verdict == REMOVABLE
     assert find_diagonals(state, c) == ()
-    assert ctx.boundary_edge == state.graph.edge_index(2, 3)
+    assert ctx.record.removed_edge == state.graph.edge_index(2, 3)
 
 
 def test_wheel_rim_cycle_blocked_by_cluster():
@@ -303,3 +325,35 @@ def test_removable_unions_stay_hamiltonian(g):
         if not is_hamiltonian(union_subgraph(after)):
             print(f"\ncounterexample union after deleting {c}: {g.edges}")
         break
+
+
+@given(hamiltonian_graphs(max_vertices=8))
+@settings(max_examples=40, deadline=None)
+def test_cached_verdicts_match_fresh_ones(g):
+    # replay the solver's trace with the caches it filled; at every state each
+    # retained co-solution cycle gets the verdict a cache-free state gives, and
+    # no closure memoised on an earlier retained set is reused
+    result = solve(g)
+    if result.partition is None:
+        return
+    state = dataclasses.replace(
+        initial_state(fundamental_basis(g), result.partition),
+        verdict_cache=result.final_state.verdict_cache,
+        cluster_cache=result.final_state.cluster_cache,
+    )
+    for step in range(len(result.trace) + 1):
+        for c in state.partition.co_solution:
+            if c not in state.retained:
+                continue
+            cached = is_removable(state, c)
+            fresh = is_removable(
+                dataclasses.replace(state, verdict_cache={}, cluster_cache={}), c
+            )
+            assert cached == fresh
+            if cached.verdict == REMOVABLE:
+                assert cached.record == apply_deletion(state, c).trace[-1]
+        for c in state.retained:
+            assert _cluster_members(state, c) == cluster_members_reference(state, c)
+        if step < len(result.trace):
+            state = apply_deletion(state, result.trace[step].cycle)
+    assert state == result.final_state

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from cycletrim import (
     NotRemovable,
+    TooLarge,
     apply_deletion,
     boundary_mask,
     count_covers,
@@ -62,6 +63,35 @@ def test_solve_petersen():
     result = solve(petersen())
     assert result.status == STATUS_NOT_HAMILTONIAN
     assert result.tour is None
+
+
+def test_solve_rejects_oversized_input_before_the_front_gate(monkeypatch):
+    # K_{12,13}: 25 vertices, and a gate search that does not end in practice
+    import cycletrim.solver
+
+    def gate(graph):
+        raise AssertionError("the front gate ran")
+
+    monkeypatch.setattr(cycletrim.solver, "is_hamiltonian", gate)
+    k_12_13 = make_graph(25, [(u, v, 1) for u in range(12) for v in range(12, 25)])
+    with pytest.raises(TooLarge):
+        solve(k_12_13)
+
+
+def test_solve_builds_one_initial_state(monkeypatch):
+    import cycletrim.solver
+
+    built = []
+    real = cycletrim.solver.initial_state
+
+    def counted(basis, partition):
+        built.append(partition)
+        return real(basis, partition)
+
+    monkeypatch.setattr(cycletrim.solver, "initial_state", counted)
+    result = solve(wheel5())
+    assert result.solutions_tried > 1
+    assert len(built) == 1
 
 
 def test_solve_wheel_gets_stuck():
