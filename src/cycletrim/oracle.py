@@ -5,6 +5,13 @@ other: a Held-Karp subset dynamic program for the exact optimum, and plain
 backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
+
+The DP keeps one flat list with a slot per visited set (vertex 0 left out,
+so 2^(n-1) slots); each slot is ``None`` or a row of ``n`` exact path costs,
+and an unreached entry holds a sentinel above every path cost. The tour is
+read back from those costs, taking the largest predecessor among equal
+costs and the smallest closing vertex among equal totals, so equal-weight
+optima always resolve to the same tour. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -36,12 +43,41 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
     return tour
 
 
+def _unequal_sides(adj_mask: list[int]) -> bool:
+    """True iff the component of vertex 0 is bipartite with sides of unequal size.
+
+    A Hamilton cycle alternates the sides of a bipartite graph, so such a
+    graph has none; nor has a graph with vertices outside that component.
+    BFS levels alternate sides, and an edge inside one level closes an odd
+    cycle.
+    """
+    sides = [0, 0]
+    seen = frontier = 1
+    level = 0
+    while frontier:
+        sides[level & 1] |= frontier
+        reach = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            nbrs = adj_mask[low.bit_length() - 1]
+            if nbrs & frontier:
+                return False
+            reach |= nbrs
+            rest ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        level += 1
+    return sides[0].bit_count() != sides[1].bit_count()
+
+
 def is_hamiltonian(g: Graph) -> bool:
     """Backtracking Hamilton-cycle existence test.
 
-    Prunes on degree (every unvisited vertex needs two usable edges) and on
-    connectivity of the unvisited remainder. Sound and complete; exponential
-    worst case, fine at oracle scale.
+    Rejects up front a vertex of degree below 2 and a bipartite graph with
+    sides of unequal size. Then prunes on degree (every unvisited vertex
+    needs two usable edges) and on connectivity of the unvisited remainder.
+    Sound and complete; exponential worst case, fine at oracle scale.
     """
     n = g.vertex_count
     if n < 3 or any(d < 2 for d in g.degrees):
@@ -51,6 +87,8 @@ def is_hamiltonian(g: Graph) -> bool:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     full = (1 << n) - 1
+    if _unequal_sides(adj_mask):
+        return False
 
     def feasible(current: int, visited: int) -> bool:
         remaining = full & ~visited
@@ -98,56 +136,82 @@ def is_hamiltonian(g: Graph) -> bool:
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
-    Raises :class:`TooLarge` above 24 vertices. Runtime is O(n^2 * 2^n);
-    sizes near the cap take a long time in pure Python but stay exact: one
-    path adds the graph's ``int`` and ``Fraction`` weights as stored.
+    Raises :class:`TooLarge` above 24 vertices and returns a non-Hamiltonian
+    answer at once when a vertex has degree below 2. Runtime is
+    O(n^2 * 2^n). The index of visited sets holds 2^(n-1) slots (64 MiB of
+    pointers at n = 24) plus one row of n costs per reached set, so sizes
+    near the cap are slow and large in pure Python but stay exact: one path
+    adds the graph's ``int`` and ``Fraction`` weights as stored.
+
+    ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
+    at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
+    starts every path and is never in ``s``). A row is ``None`` until its
+    set is first reached; an unreached entry holds ``inf``, one more than
+    the sum of absolute weights, so it is above every path cost. No
+    predecessors are stored: the tour is read back from the costs by exact
+    equality. Among equal costs it takes the largest predecessor, and the
+    closing vertex is the smallest among equal totals.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
-    if n < 3:
+    if n < 3 or any(d < 2 for d in g.degrees):
         return OracleAnswer(False, None, None)
 
     weights = g.weights
     adjacency = g.adjacency
-
-    # dp[mask][last] = (cost, previous vertex); masks always contain bit 0
-    dp: dict[int, dict[int, tuple]] = {}
+    inf = 1 + sum(abs(w) for w in weights)
+    # per vertex: (set bit, neighbour, weight) for each neighbour other than 0
+    steps = [
+        tuple((1 << (nb - 1), nb, weights[eidx]) for nb, eidx in adjacency[v] if nb)
+        for v in range(n)
+    ]
+    size = 1 << (n - 1)
+    cost: list[list | None] = [None] * size
     for nb, eidx in adjacency[0]:
-        dp.setdefault(1 | (1 << nb), {})[nb] = (weights[eidx], 0)
-    full = (1 << n) - 1
-    for mask in range(3, full + 1, 2):
-        states = dp.get(mask)
-        if not states:
+        row = [inf] * n
+        row[nb] = weights[eidx]
+        cost[1 << (nb - 1)] = row
+    for mask in range(1, size):
+        row = cost[mask]
+        if row is None:
             continue
-        for last, (cost, _) in states.items():
-            for nb, eidx in adjacency[last]:
-                if nb == 0 or mask & (1 << nb):
+        for last, c in enumerate(row):
+            if c is inf:  # unreached entries all hold this one object
+                continue
+            for bit, nb, w in steps[last]:
+                if mask & bit:
                     continue
-                entry = dp.setdefault(mask | (1 << nb), {})
-                ncost = cost + weights[eidx]
-                cur = entry.get(nb)
-                if cur is None or ncost < cur[0]:
-                    entry[nb] = (ncost, last)
+                w += c
+                nxt = cost[mask | bit]
+                if nxt is None:
+                    nxt = cost[mask | bit] = [inf] * n
+                if w < nxt[nb]:
+                    nxt[nb] = w
 
-    finals = dp.get(full, {})
+    full = size - 1
+    final = cost[full]
     best = None
-    for last, (cost, _) in finals.items():
-        if g.has_edge(last, 0):
-            total = cost + weights[g.edge_index(last, 0)]
-            if best is None or (total, last) < best:
-                best = (total, last)
+    if final is not None:
+        for nb, eidx in adjacency[0]:
+            if final[nb] is not inf:
+                total = final[nb] + weights[eidx]
+                if best is None or total < best[0]:
+                    best = (total, nb)
     if best is None:
         return OracleAnswer(False, None, None)
-    total, last = best
-    seq = []
+    total, cur = best
+    seq = [cur]
     mask = full
-    cur = last
-    while cur != 0:
-        seq.append(cur)
-        _, prev = dp[mask][cur]
-        mask &= ~(1 << cur)
+    while mask != 1 << (cur - 1):
+        target = cost[mask][cur]
+        mask ^= 1 << (cur - 1)
+        row = cost[mask]
+        for bit, prev, w in reversed(steps[cur]):  # ties go to the largest predecessor
+            if mask & bit and row[prev] + w == target:
+                break
         cur = prev
+        seq.append(cur)
     tour = _canonical((0,) + tuple(reversed(seq)))
     return OracleAnswer(True, total, tour)
 

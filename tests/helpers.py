@@ -17,6 +17,7 @@ from cycletrim import (
 )
 from cycletrim.cycle_space import Cycle
 from cycletrim.graphs import iter_edge_indices
+from cycletrim.oracle import HELD_KARP_MAX_VERTICES, OracleAnswer, TooLarge, _canonical
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -66,6 +67,11 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return make_graph(leaves + 1, [(0, i, 1) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    # sides 0..a-1 and a..a+b-1
+    return make_graph(a + b, [(u, v, 1) for u in range(a) for v in range(a, a + b)])
 
 
 def double_square() -> Graph:
@@ -195,3 +201,60 @@ def union_subgraph(state: SolverState) -> Graph:
 
 def boundary_edges(state: SolverState) -> int:
     return edges_with_cover(state.cover_counts, 1)
+
+
+def min_tour_reference(g: Graph) -> OracleAnswer:
+    """Held-Karp over a dict of per-mask dicts storing ``(cost, previous)``.
+
+    The independent reference for :func:`cycletrim.min_tour`: masks include
+    vertex 0, rows fill in decreasing ``last`` order and a strict ``<`` keeps
+    the first predecessor found, so ties go to the largest one.
+    """
+    n = g.vertex_count
+    if n > HELD_KARP_MAX_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
+    if n < 3:
+        return OracleAnswer(False, None, None)
+
+    weights = g.weights
+    adjacency = g.adjacency
+
+    # dp[mask][last] = (cost, previous vertex); masks always contain bit 0
+    dp: dict[int, dict[int, tuple]] = {}
+    for nb, eidx in adjacency[0]:
+        dp.setdefault(1 | (1 << nb), {})[nb] = (weights[eidx], 0)
+    full = (1 << n) - 1
+    for mask in range(3, full + 1, 2):
+        states = dp.get(mask)
+        if not states:
+            continue
+        for last, (cost, _) in states.items():
+            for nb, eidx in adjacency[last]:
+                if nb == 0 or mask & (1 << nb):
+                    continue
+                entry = dp.setdefault(mask | (1 << nb), {})
+                ncost = cost + weights[eidx]
+                cur = entry.get(nb)
+                if cur is None or ncost < cur[0]:
+                    entry[nb] = (ncost, last)
+
+    finals = dp.get(full, {})
+    best = None
+    for last, (cost, _) in finals.items():
+        if g.has_edge(last, 0):
+            total = cost + weights[g.edge_index(last, 0)]
+            if best is None or (total, last) < best:
+                best = (total, last)
+    if best is None:
+        return OracleAnswer(False, None, None)
+    total, last = best
+    seq = []
+    mask = full
+    cur = last
+    while cur != 0:
+        seq.append(cur)
+        _, prev = dp[mask][cur]
+        mask &= ~(1 << cur)
+        cur = prev
+    tour = _canonical((0,) + tuple(reversed(seq)))
+    return OracleAnswer(True, total, tour)

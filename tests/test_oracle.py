@@ -1,29 +1,36 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycletrim import (
+    Graph,
     TooLarge,
     enumerate_tours,
     is_hamiltonian,
     min_tour,
     min_tour_by_enumeration,
+    random_connected_graph,
     tour_weight,
 )
 
 from helpers import (
+    complete_bipartite,
     cycle_graph,
     k4_golden,
     make_graph,
+    min_tour_reference,
     path_graph,
     petersen,
     star_graph,
     theta,
     triangle,
 )
-from strategies import connected_graphs
+from strategies import connected_graphs, hamiltonian_graphs
 
 
 def test_is_hamiltonian_basics():
@@ -34,6 +41,15 @@ def test_is_hamiltonian_basics():
     assert not is_hamiltonian(star_graph(3))
     assert not is_hamiltonian(petersen())
     assert not is_hamiltonian(make_graph(2, [(0, 1, 1)]))
+    two_triangles = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
+    assert not is_hamiltonian(make_graph(6, two_triangles))
+
+
+def test_is_hamiltonian_unbalanced_bipartite():
+    # without the side-size check the backtracking never finishes on K_{11,12}
+    assert not is_hamiltonian(complete_bipartite(11, 12))
+    assert not is_hamiltonian(complete_bipartite(7, 8))
+    assert is_hamiltonian(complete_bipartite(6, 6))
 
 
 def test_min_tour_triangle():
@@ -60,6 +76,20 @@ def test_min_tour_non_hamiltonian():
     assert not answer.hamiltonian
     assert answer.optimum_weight is None
     assert answer.optimum_tour is None
+
+
+def test_min_tour_low_degree_allocates_nothing():
+    # the DP's index alone would be 2^23 slots, 64 MiB, on a 24-vertex path
+    g = path_graph(24)
+    g.degrees  # cached on the graph, not part of the DP
+    tracemalloc.start()
+    try:
+        answer = min_tour(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not answer.hamiltonian
+    assert peak < 64 * 1024
 
 
 def test_min_tour_fractional_weights():
@@ -126,3 +156,27 @@ def test_held_karp_never_beats_a_real_tour(g):
     for tour, weight in enumerate_tours(g, 500):
         assert dp.optimum_weight <= weight
         assert tour_weight(g, tour) == weight
+
+
+WEIGHT_VALUES = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+@given(st.one_of(connected_graphs(max_vertices=9), hamiltonian_graphs(max_vertices=9)), st.data())
+@settings(max_examples=150)
+def test_min_tour_matches_reference_dp(g, data):
+    assert min_tour(g) == min_tour_reference(g)
+    # weights from a palette of one to three values, so equal-cost paths and
+    # equal-weight optima are common and the tie-breaks decide the tour
+    palette = data.draw(st.lists(st.sampled_from(WEIGHT_VALUES), min_size=1, max_size=3))
+    weights = data.draw(
+        st.lists(st.sampled_from(palette), min_size=g.edge_count, max_size=g.edge_count)
+    )
+    reweighted = Graph(g.vertex_count, tuple((u, v, w) for (u, v, _), w in zip(g.edges, weights)))
+    assert min_tour(reweighted) == min_tour_reference(reweighted)
+
+
+def test_min_tour_matches_reference_dp_at_scale():
+    rng = random.Random(5)
+    for n, p, hi in ((13, 0.5, 100), (14, 0.5, 3), (15, 0.5, 2)):
+        g = random_connected_graph(rng, n, p, 1, hi)
+        assert min_tour(g) == min_tour_reference(g)
