@@ -16,11 +16,11 @@ down to a single representative, pruning isolated vertices as it goes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, Weight, edge_subgraph, iter_edge_indices, mask_degrees
+from .graphs import Graph, Weight, edge_subgraph, iter_edge_indices
+from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolverState
@@ -163,24 +163,13 @@ def _single_cycle(adj: dict[int, set[int]]) -> bool:
     return len(seen) == len(adj)
 
 
-def _p_count(adj: dict[int, set[int]], v: int) -> int:
-    return sum(1 for nb in adj[v] if len(adj[nb]) == 2)
-
-
 def _deletion_moves(adj: dict[int, set[int]]) -> list[tuple]:
     # an endpoint with exactly two degree-2 neighbors has both tour edges
     # forced; its edges to other neighbors cannot survive
-    moves = []
-    edges = sorted(
-        (min(u, v), max(u, v)) for u in adj for v in adj[u] if u < v
-    )
-    for u, v in edges:
-        du, dv = len(adj[u]), len(adj[v])
-        if (_p_count(adj, u) == 2 and du > 2 and dv != 2) or (
-            _p_count(adj, v) == 2 and dv > 2 and du != 2
-        ):
-            moves.append(("delete_edge", u, v))
-    return moves
+    two = {v for v, nbrs in adj.items() if len(nbrs) == 2}
+    forced = {v for v, nbrs in adj.items() if len(nbrs) > 2 and len(nbrs & two) == 2}
+    edges = {(min(u, v), max(u, v)) for u in forced for v in adj[u] if v not in two}
+    return [("delete_edge", u, v) for u, v in sorted(edges)]
 
 
 def _smoothing_moves(adj: dict[int, set[int]]) -> list[tuple]:
@@ -200,12 +189,11 @@ def _smoothing_moves(adj: dict[int, set[int]]) -> list[tuple]:
     return moves
 
 
-def reduce_cluster(subgraph: Graph, *, rng: random.Random | None = None) -> ReductionOutcome:
+def reduce_cluster(subgraph: Graph) -> ReductionOutcome:
     """Reduce a cluster subgraph to a fixpoint and classify the result.
 
-    Moves are applied lowest-first for determinism; passing ``rng`` picks
-    uniformly among all applicable moves instead, which lets callers probe
-    whether the outcome depends on move order. Inputs may be disconnected.
+    Edge deletions go before smoothings, and each kind lowest-first, so the
+    steps are deterministic. Inputs may be disconnected.
     """
     adj: dict[int, set[int]] = {v: set() for v in range(subgraph.vertex_count)}
     for u, v, _ in subgraph.edges:
@@ -218,13 +206,10 @@ def reduce_cluster(subgraph: Graph, *, rng: random.Random | None = None) -> Redu
                 del adj[v]
         if _single_cycle(adj):
             return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
-        if rng is None:
-            moves = _deletion_moves(adj)[:1] or _smoothing_moves(adj)[:1]
-        else:
-            moves = _deletion_moves(adj) + _smoothing_moves(adj)
+        moves = _deletion_moves(adj) or _smoothing_moves(adj)
         if not moves:
             return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
-        move = moves[0] if rng is None else rng.choice(moves)
+        move = moves[0]
         if move[0] == "delete_edge":
             _, u, v = move
             adj[u].discard(v)
@@ -243,10 +228,12 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """Full removability verdict for retained cycle ``c``.
 
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
-    the post-deletion union, then the diagonal clusters. Verdicts, with the
-    deletion record, are cached per (retained set, cycle) and cluster
-    reductions per member set, since identical questions recur across passes
-    and solution partitions; cluster closures are kept per state.
+    the post-deletion union (popcounts over the state's neighbour bitmasks),
+    then the diagonal clusters. Verdicts, with the deletion record, are
+    cached per (retained set, cycle), and :func:`~cycletrim.solver.apply_deletion`
+    takes its record from that cache; cluster reductions are cached per
+    member set and cluster closures per state. ``solve`` asks each verdict on
+    its start state once and shares the answer among all partitions.
     """
     if c not in state.retained:
         raise ValueError(f"cycle {c} is not retained")
@@ -266,15 +253,18 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
     except NotRemovable:
         return RemovabilityContext(c, NOT_CANDIDATE, None)
 
-    union_after = state.union_edges & ~(1 << record.removed_edge)
-    degrees = mask_degrees(g, union_after)
-    for v in range(g.vertex_count):
-        count = 0
-        for nb, eidx in g.adjacency[v]:
-            if (union_after >> eidx) & 1 and degrees[nb] == 2:
-                count += 1
-        if count >= 3:
-            return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, record)
+    # the union after the deletion, as neighbour bitmasks: only the removed
+    # edge's two endpoints change
+    after = list(state.union_adjacency)
+    u, v, _ = g.edges[record.removed_edge]
+    after[u] &= ~(1 << v)
+    after[v] &= ~(1 << u)
+    degree_two = 0
+    for x, nbrs in enumerate(after):
+        if nbrs.bit_count() == 2:
+            degree_two |= 1 << x
+    if any((nbrs & degree_two).bit_count() >= 3 for nbrs in after):
+        return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, record)
 
     for d in find_diagonals(state, c):
         members = _cluster_members(state, d)

@@ -60,11 +60,12 @@ class Counters:
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
-    ``cover_counts`` and ``union_edges`` are always consistent with the
-    retained rows. Counters and memo caches ride along by reference and are
-    excluded from equality, so structurally identical states compare equal.
-    ``cluster_closures`` is not a field: ``dataclasses.replace`` starts the
-    next state without it, so it never outlives its retained set.
+    ``cover_counts``, ``union_edges`` and ``union_adjacency`` (one bitmask of
+    union neighbours per vertex) are always consistent with the retained
+    rows. Counters and memo caches ride along by reference and are excluded
+    from equality, so structurally identical states compare equal.
+    ``cluster_closures`` is not a field: every new state starts without it,
+    so it never outlives its retained set.
     """
 
     graph: Graph
@@ -73,6 +74,7 @@ class SolverState:
     retained: frozenset[int]
     cover_counts: tuple[int, ...]
     union_edges: int
+    union_adjacency: tuple[int, ...]
     trace: tuple[DeletionRecord, ...] = ()
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
     cluster_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -106,17 +108,23 @@ class TourResult:
 
 def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
     """Fresh state retaining the whole basis, with new counters and caches."""
+    graph = basis.graph
     union = 0
+    adjacency = [0] * graph.vertex_count
     for e, c in enumerate(basis.cover_counts):
         if c >= 1:
             union |= 1 << e
+            u, v, _ = graph.edges[e]
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
     return SolverState(
-        graph=basis.graph,
+        graph=graph,
         basis=basis,
         partition=partition,
         retained=frozenset(range(basis.dimension)),
         cover_counts=basis.cover_counts,
         union_edges=union,
+        union_adjacency=tuple(adjacency),
         # one row op per basis row, for the cover counts the basis carries
         counters=Counters(row_ops=basis.dimension),
     )
@@ -145,46 +153,60 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     """Delete co-solution cycle ``c`` from the retained set.
 
     The union loses exactly the cycle's boundary edge; cover counts drop on
-    the cycle's edges; the deletion is appended to the trace.
+    the cycle's edges; the deletion is appended to the trace. A verdict on
+    ``c`` cached for this retained set already carries the deletion record,
+    so the deletion then scans the cycle's row once, for the cover counts.
     """
     if c not in state.retained:
         raise NotRemovable(f"cycle {c} is not retained")
     if c not in state.partition.co_solution:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
-    rec = deletion_record(state, c)
-    row = state.basis.cycles[c].edges
+    known = state.verdict_cache.get((state.retained, c))  # is_removable's key
+    if known is not None and known.record is not None:
+        rec = known.record
+    else:
+        rec = deletion_record(state, c)
     covers = list(state.cover_counts)
-    for e in iter_edge_indices(row):
+    for e in iter_edge_indices(state.basis.cycles[c].edges):
         covers[e] -= 1
-    state.counters.row_ops += 1
-    state.counters.deletions += 1
-    return dataclasses.replace(
-        state,
+    u, v, _ = state.graph.edges[rec.removed_edge]
+    adjacency = list(state.union_adjacency)
+    adjacency[u] &= ~(1 << v)
+    adjacency[v] &= ~(1 << u)
+    counters = state.counters
+    counters.row_ops += 1
+    counters.deletions += 1
+    return SolverState(
+        graph=state.graph,
+        basis=state.basis,
+        partition=state.partition,
         retained=state.retained - {c},
         cover_counts=tuple(covers),
         union_edges=state.union_edges & ~(1 << rec.removed_edge),
+        union_adjacency=tuple(adjacency),
         trace=state.trace + (rec,),
+        counters=counters,
+        cluster_cache=state.cluster_cache,
+        verdict_cache=state.verdict_cache,
     )
 
 
-def _run_partition(state: SolverState) -> SolverState:
-    # S1 collect removable co-solution cycles; S2 delete the cheapest;
-    # S3 repeat until the pool empties or nothing is removable
-    counters = state.counters
-    while True:
+def _count_pass(counters: Counters, pool_size: int) -> None:
+    counters.candidates_tested += pool_size
+    counters.max_candidates_per_pass = max(counters.max_candidates_per_pass, pool_size)
+
+
+def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverState:
+    # S2 delete the cheapest removable cycle; S1 collect the removable
+    # co-solution cycles left; S3 repeat until the pool empties or nothing is
+    # removable. ``records`` is the first pass, answered on the start state.
+    while records:
+        state = apply_deletion(state, select_deletion(state, records).cycle)
         pool = [c for c in state.partition.co_solution if c in state.retained]
-        if not pool:
-            return state
-        counters.candidates_tested += len(pool)
-        counters.max_candidates_per_pass = max(
-            counters.max_candidates_per_pass, len(pool)
-        )
+        _count_pass(state.counters, len(pool))
         contexts = [is_removable(state, c) for c in pool]
         records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
-        if not records:
-            return state
-        best = select_deletion(state, records)
-        state = apply_deletion(state, best.cycle)
+    return state
 
 
 def solve(graph: Graph) -> TourResult:
@@ -194,7 +216,8 @@ def solve(graph: Graph) -> TourResult:
     front gate runs. Front gate: inputs that the exhaustive Hamiltonicity
     test rejects come back as ``not_hamiltonian_input``. Other failures never
     raise; they surface as statuses with the trace of the last attempted
-    partition. Counters and caches are shared by every partition tried.
+    partition. Counters and caches are shared by every partition tried, and
+    so are the verdicts on the start state, asked once per solve.
     """
     n = graph.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -211,30 +234,47 @@ def solve(graph: Graph) -> TourResult:
         )
     start = initial_state(basis, partitions[0])
     counters = start.counters
+    # Every partition starts from the full basis, so its first pass asks
+    # verdicts on the one start state. Each is asked once per solve: bit c of
+    # ``asked`` is set once cycle c's verdict is known, and of
+    # ``removable_at_start`` when that verdict is removable.
+    asked = removable_at_start = 0
+    start_mask = boundary_mask(start)
+    start_tour = tour_from_edge_mask(graph, start_mask)
     for tried, partition in enumerate(partitions, 1):
-        state = _run_partition(dataclasses.replace(start, partition=partition))
-        mask = boundary_mask(state)
-        tour = tour_from_edge_mask(graph, mask)
+        pool = partition.co_solution
+        _count_pass(counters, len(pool))
+        first = []
+        for c in pool:
+            if not (asked >> c) & 1:
+                asked |= 1 << c
+                if is_removable(start, c).verdict == REMOVABLE:
+                    removable_at_start |= 1 << c
+            if (removable_at_start >> c) & 1:
+                first.append(is_removable(start, c).record)
+        if first:
+            state = _run_partition(dataclasses.replace(start, partition=partition), first)
+            mask = boundary_mask(state)
+            tour = tour_from_edge_mask(graph, mask)
+        else:
+            # nothing goes: the partition ends on the start state
+            state, mask, tour = None, start_mask, start_tour
         if tour is not None:
-            return TourResult(
-                STATUS_OK,
-                tour,
-                mask_weight(graph, mask),
-                state.trace,
-                counters,
-                True,
-                tried,
-                partition,
-                state,
-            )
+            break
+    if state is None:
+        state = dataclasses.replace(start, partition=partition)
+    if tour is None:
+        return TourResult(
+            STATUS_STUCK, None, None, state.trace, counters, True, tried, partition, state
+        )
     return TourResult(
-        STATUS_STUCK,
-        None,
-        None,
+        STATUS_OK,
+        tour,
+        mask_weight(graph, mask),
         state.trace,
         counters,
         True,
         tried,
-        state.partition,
+        partition,
         state,
     )

@@ -2,22 +2,49 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 from cycletrim import (
     CycleBasis,
     Graph,
+    ReductionOutcome,
     SolutionPartition,
     SolverState,
+    TourResult,
     count_covers,
     edges_with_cover,
+    enumerate_solutions,
     fundamental_basis,
+    initial_state,
+    is_hamiltonian,
+    is_removable,
     solution_sum,
 )
 from cycletrim.cycle_space import Cycle
-from cycletrim.graphs import iter_edge_indices
+from cycletrim.graphs import iter_edge_indices, mask_degrees, mask_weight, tour_from_edge_mask
 from cycletrim.oracle import HELD_KARP_MAX_VERTICES, OracleAnswer, TooLarge, _canonical
+from cycletrim.removability import (
+    REDUCED_ACYCLIC,
+    REDUCED_CYCLE_GRAPH,
+    REMOVABLE,
+    DeletionRecord,
+    _deletion_moves,
+    _single_cycle,
+    _smoothing_moves,
+)
+from cycletrim.solver import (
+    STATUS_NO_SOLUTION,
+    STATUS_NOT_HAMILTONIAN,
+    STATUS_OK,
+    STATUS_STUCK,
+    Counters,
+    apply_deletion,
+    boundary_mask,
+    select_deletion,
+)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -152,6 +179,15 @@ def cluster_members_reference(state: SolverState, seed: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def _union_adjacency(graph: Graph, union: int) -> tuple[int, ...]:
+    adjacency = [0] * graph.vertex_count
+    for e in iter_edge_indices(union):
+        u, v, _ = graph.edges[e]
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    return tuple(adjacency)
+
+
 def crafted_state(
     graph: Graph,
     rows: list[int],
@@ -176,13 +212,115 @@ def crafted_state(
         retained=retained_set,
         cover_counts=covers,
         union_edges=union,
+        union_adjacency=_union_adjacency(graph, union),
     )
+
+
+def check_state(state: SolverState) -> None:
+    """Assert that the incremental fields match a recount of the retained rows."""
+    rows = [state.basis.cycles[i].edges for i in sorted(state.retained)]
+    covers = count_covers(state.graph.edge_count, rows)
+    assert state.cover_counts == covers
+    union = 0
+    for row in rows:
+        union |= row
+    assert state.union_edges == union
+    assert state.union_adjacency == _union_adjacency(state.graph, union)
+
+
+def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -> bool:
+    """The neighbour cap by degree count and a scan of every adjacency list.
+
+    True when deleting ``record.cycle`` leaves some vertex with three or more
+    union neighbours of union degree 2.
+    """
+    g = state.graph
+    union_after = state.union_edges & ~(1 << record.removed_edge)
+    degrees = mask_degrees(g, union_after)
+    for v in range(g.vertex_count):
+        count = 0
+        for nb, eidx in g.adjacency[v]:
+            if (union_after >> eidx) & 1 and degrees[nb] == 2:
+                count += 1
+        if count >= 3:
+            return True
+    return False
+
+
+def solve_reference(graph: Graph) -> TourResult:
+    """The solver loop that runs every partition from a copy of the start state.
+
+    Each partition asks its first pass through the verdict cache again and
+    decodes its own boundary; ``solve`` must give the same result in every
+    field, and the same counters apart from ``row_ops``.
+    """
+    if not is_hamiltonian(graph):
+        return TourResult(STATUS_NOT_HAMILTONIAN, None, None, (), Counters(), False, 0, None, None)
+    basis = fundamental_basis(graph)
+    partitions = enumerate_solutions(basis)
+    if not partitions:
+        return TourResult(STATUS_NO_SOLUTION, None, None, (), Counters(), False, 0, None, None)
+    start = initial_state(basis, partitions[0])
+    counters = start.counters
+    for tried, partition in enumerate(partitions, 1):
+        state = dataclasses.replace(start, partition=partition)
+        while True:
+            pool = [c for c in partition.co_solution if c in state.retained]
+            if not pool:
+                break
+            counters.candidates_tested += len(pool)
+            counters.max_candidates_per_pass = max(counters.max_candidates_per_pass, len(pool))
+            contexts = [is_removable(state, c) for c in pool]
+            records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
+            if not records:
+                break
+            state = apply_deletion(state, select_deletion(state, records).cycle)
+        mask = boundary_mask(state)
+        tour = tour_from_edge_mask(graph, mask)
+        if tour is not None:
+            weight = mask_weight(graph, mask)
+            return TourResult(STATUS_OK, tour, weight, state.trace, counters, True, tried, partition, state)
+    return TourResult(STATUS_STUCK, None, None, state.trace, counters, True, tried, partition, state)
+
+
+def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutcome:
+    """``reduce_cluster`` with each move drawn uniformly from all applicable ones.
+
+    The fixed order takes edge deletions before smoothings, lowest first; a
+    differential test against this reference checks that the outcome tag
+    does not depend on move order.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in range(subgraph.vertex_count)}
+    for u, v, _ in subgraph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    steps: list[tuple] = []
+    while True:
+        for v in sorted(adj):
+            if not adj[v]:
+                del adj[v]
+        if _single_cycle(adj):
+            return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
+        moves = _deletion_moves(adj) + _smoothing_moves(adj)
+        if not moves:
+            return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
+        move = rng.choice(moves)
+        if move[0] == "delete_edge":
+            _, u, v = move
+            adj[u].discard(v)
+            adj[v].discard(u)
+        else:
+            _, v, x, y = move
+            adj[x].discard(v)
+            adj[y].discard(v)
+            adj[x].add(y)
+            adj[y].add(x)
+            del adj[v]
+        steps.append(move)
 
 
 def state_for(graph: Graph, partition_index: int = 0):
     """(basis, partitions, initial state) for a real graph."""
-    from cycletrim import enumerate_solutions, initial_state
-
     basis = fundamental_basis(graph)
     partitions = enumerate_solutions(basis)
     state = initial_state(basis, partitions[partition_index])

@@ -18,7 +18,15 @@ from cycletrim import (
 from cycletrim.graphs import format_weight, mask_weight
 from cycletrim.removability import REDUCED_CYCLE_GRAPH, reduce_cluster
 
-from helpers import cycle_graph, k4_golden, make_graph, path_graph, star_graph, triangle
+from helpers import (
+    cycle_graph,
+    k4_golden,
+    make_graph,
+    path_graph,
+    reduce_cluster_random,
+    star_graph,
+    triangle,
+)
 from strategies import connected_graphs
 
 
@@ -181,6 +189,6 @@ def test_smooth_out_triangle_blocked():
     assert out.tag == REDUCED_CYCLE_GRAPH
     assert out.steps == expected
     for seed in range(5):
-        out = reduce_cluster(g, rng=random.Random(seed))
+        out = reduce_cluster_random(g, random.Random(seed))
         assert out.tag == REDUCED_CYCLE_GRAPH
         assert out.steps == expected

@@ -27,7 +27,9 @@ from cycletrim.removability import (
 from cycletrim.solver import apply_deletion
 
 from helpers import (
+    blocked_by_neighbors_reference,
     bowtie,
+    check_state,
     cluster_members_reference,
     crafted_state,
     cycle_graph,
@@ -35,6 +37,7 @@ from helpers import (
     k4_golden,
     make_graph,
     path_graph,
+    reduce_cluster_random,
     star_graph,
     state_for,
     theta,
@@ -255,8 +258,51 @@ def test_reduce_steps_bounded_and_order_independent():
         out = reduce_cluster(g)
         edge_steps = [s for s in out.steps if s[0] in ("delete_edge", "smooth")]
         assert len(edge_steps) <= g.edge_count
-        shuffled = reduce_cluster(g, rng=rng)
+        shuffled = reduce_cluster_random(g, rng)
         assert shuffled.tag == out.tag
+
+
+def _edge_subset(g: Graph, keep: list[bool]) -> Graph:
+    return Graph(g.vertex_count, tuple(edge for edge, kept in zip(g.edges, keep) if kept))
+
+
+@given(connected_graphs(max_vertices=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduction_outcome_does_not_depend_on_move_order(g, data):
+    # the fixed order against random orders, on connected graphs and on the
+    # disconnected or acyclic leftovers of dropping some of their edges
+    keep = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    for h in (g, _edge_subset(g, keep)):
+        fixed = reduce_cluster(h)
+        for seed in range(8):
+            assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
+
+
+def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
+    # every cluster subgraph the solver reduces on the seed-1 campaign draws
+    from cycletrim import random_connected_graph
+    from cycletrim.graphs import edge_subgraph
+
+    rng = random.Random(1)
+    clusters = set()
+    for _ in range(120):
+        g = random_connected_graph(rng, rng.randint(5, 9), 0.5, 1, 100)
+        if not is_hamiltonian(g):
+            continue
+        result = solve(g)
+        if result.final_state is None:
+            continue
+        for members in result.final_state.cluster_cache:
+            mask = 0
+            for m in members:
+                mask |= result.final_state.basis.cycles[m].edges
+            clusters.add((g, mask))
+    assert clusters
+    for g, mask in clusters:
+        h = edge_subgraph(g, mask)
+        fixed = reduce_cluster(h)
+        for seed in range(4):
+            assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
 
 
 # --- full removability -------------------------------------------------------
@@ -330,9 +376,11 @@ def test_removable_unions_stay_hamiltonian(g):
 @given(hamiltonian_graphs(max_vertices=8))
 @settings(max_examples=40, deadline=None)
 def test_cached_verdicts_match_fresh_ones(g):
-    # replay the solver's trace with the caches it filled; at every state each
-    # retained co-solution cycle gets the verdict a cache-free state gives, and
-    # no closure memoised on an earlier retained set is reused
+    # replay the solver's trace with the caches it filled; at every state the
+    # incremental fields match a recount, each retained co-solution cycle gets
+    # the verdict a cache-free state gives, the neighbour cap agrees with a
+    # scan of every adjacency list, and no closure memoised on an earlier
+    # retained set is reused
     result = solve(g)
     if result.partition is None:
         return
@@ -342,16 +390,23 @@ def test_cached_verdicts_match_fresh_ones(g):
         cluster_cache=result.final_state.cluster_cache,
     )
     for step in range(len(result.trace) + 1):
+        check_state(state)
         for c in state.partition.co_solution:
             if c not in state.retained:
                 continue
             cached = is_removable(state, c)
-            fresh = is_removable(
-                dataclasses.replace(state, verdict_cache={}, cluster_cache={}), c
-            )
-            assert cached == fresh
+            fresh_state = dataclasses.replace(state, verdict_cache={}, cluster_cache={})
+            assert cached == is_removable(fresh_state, c)
+            if cached.record is not None:
+                assert (cached.verdict == BLOCKED_BY_NEIGHBORS) == blocked_by_neighbors_reference(
+                    state, cached.record
+                )
             if cached.verdict == REMOVABLE:
-                assert cached.record == apply_deletion(state, c).trace[-1]
+                # the record apply_deletion takes from the cache is the one a
+                # fresh row scan builds
+                scanned = apply_deletion(dataclasses.replace(state, verdict_cache={}), c)
+                assert apply_deletion(state, c) == scanned
+                assert cached.record == scanned.trace[-1]
         for c in state.retained:
             assert _cluster_members(state, c) == cluster_members_reference(state, c)
         if step < len(result.trace):

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,16 @@ from hypothesis import given, settings
 from cycletrim import (
     NotRemovable,
     TooLarge,
+    TourResult,
     apply_deletion,
     boundary_mask,
     count_covers,
     enumerate_solutions,
     fundamental_basis,
     initial_state,
+    is_hamiltonian,
     min_tour,
+    random_connected_graph,
     select_deletion,
     solve,
     tour_weight,
@@ -21,10 +26,12 @@ from cycletrim.cycle_space import edges_with_cover
 from cycletrim.solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
 from helpers import (
+    check_state,
     crafted_state,
     k4_golden,
     make_graph,
     petersen,
+    solve_reference,
     theta,
     triangle,
     wheel5,
@@ -220,11 +227,43 @@ def test_trace_replay_reproduces_final_state():
         basis = fundamental_basis(g)
         state = initial_state(basis, result.partition)
         solution = set(result.partition.solution)
+        check_state(state)
         for rec in result.trace:
             state = apply_deletion(state, rec.cycle)
+            check_state(state)
             assert solution <= state.retained  # solution cycles survive every step
         assert state == result.final_state
         assert state.trace == result.trace
+
+
+def _assert_same_as_reference(g):
+    got, want = solve(g), solve_reference(g)
+    for f in dataclasses.fields(TourResult):
+        if f.name != "counters":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert dataclasses.replace(got.counters, row_ops=0) == dataclasses.replace(
+        want.counters, row_ops=0
+    )
+    # the start state's cluster closures are shared by every partition
+    assert got.counters.row_ops <= want.counters.row_ops
+
+
+@given(hamiltonian_graphs(max_vertices=8))
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_the_every_partition_reference(g):
+    _assert_same_as_reference(g)
+
+
+def test_solve_matches_the_every_partition_reference_on_campaign_draws():
+    rng = random.Random(1)
+    for g in (triangle(), theta(), k4_golden(), wheel5(), petersen()):
+        _assert_same_as_reference(g)
+    compared = 0
+    while compared < 80:
+        g = random_connected_graph(rng, rng.randint(5, 10), 0.5, 1, 100)
+        if is_hamiltonian(g):
+            _assert_same_as_reference(g)
+            compared += 1
 
 
 def test_determinism():
