@@ -9,7 +9,6 @@ the true optimum and where it does not.
 """
 
 from .cycle_space import (
-    Cycle,
     CycleBasis,
     count_covers,
     edges_with_cover,
@@ -54,7 +53,6 @@ from .removability import (
 from .solvability import (
     SolutionPartition,
     enumerate_solutions,
-    is_solvable,
     solution_sum,
 )
 from .solver import (

@@ -38,7 +38,8 @@ EXIT_PARSE = 2
 EXIT_NOT_HAMILTONIAN = 3
 EXIT_UNFINISHED = 4
 
-_WEIGHT_MODEL_RE = re.compile(r"^uniform:(-?\d+):(-?\d+)$")
+# bounds are ASCII integers of at most 18 digits, far inside what int() converts
+_WEIGHT_MODEL_RE = re.compile(r"uniform:(-?[0-9]{1,18}):(-?[0-9]{1,18})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,9 +155,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    m = _WEIGHT_MODEL_RE.match(args.weights)
+    m = _WEIGHT_MODEL_RE.fullmatch(args.weights)
     if not m:
-        raise _UsageError(f"--weights must look like uniform:LO:HI, got {args.weights!r}")
+        raise _UsageError(
+            "--weights must look like uniform:LO:HI with integers of at most 18 digits,"
+            f" got {args.weights[:40]!r}"
+        )
     config = CampaignConfig(
         count=args.count,
         n_min=args.n_min,

@@ -19,17 +19,11 @@ from .graphs import Graph, NotConnected, iter_edge_indices, mask_vertices
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """A simple cycle stored as an edge bitmask with its edge count."""
-
-    edges: int
-    length: int
-
-
-@dataclass(frozen=True)
 class CycleBasis:
+    """A cycle basis of ``graph``: one edge bitmask per cycle, in chord order."""
+
     graph: Graph
-    cycles: tuple[Cycle, ...]
+    cycles: tuple[int, ...]
     cover_counts: tuple[int, ...]
 
     @property
@@ -38,7 +32,7 @@ class CycleBasis:
 
     @cached_property
     def cycle_vertices(self) -> tuple[frozenset[int], ...]:
-        return tuple(mask_vertices(self.graph, c.edges) for c in self.cycles)
+        return tuple(mask_vertices(self.graph, c) for c in self.cycles)
 
 
 def count_covers(edge_count: int, rows: Iterable[int]) -> tuple[int, ...]:
@@ -105,7 +99,7 @@ def fundamental_basis(g: Graph) -> CycleBasis:
             mask ^= 1 << parent_edge[b]
             a = parent[a]
             b = parent[b]
-        cycles.append(Cycle(mask, mask.bit_count()))
+        cycles.append(mask)
 
-    covers = count_covers(g.edge_count, (c.edges for c in cycles))
+    covers = count_covers(g.edge_count, cycles)
     return CycleBasis(g, tuple(cycles), covers)

@@ -46,7 +46,7 @@ class NotConnected(GraphError):
 def exact_weight(w) -> Weight:
     """``w`` as a weight: an ``int`` unchanged, anything else as a
     :class:`~fractions.Fraction`, reduced to ``int`` when it is integral."""
-    if type(w) is int:  # the common case; edge_subgraph rebuilds graphs often
+    if type(w) is int:  # the common case; each cluster reduction builds a graph
         return w
     w = Fraction(w)
     return w.numerator if w.denominator == 1 else w
@@ -256,23 +256,6 @@ def mask_degrees(g: Graph, mask: int) -> list[int]:
 
 def mask_weight(g: Graph, mask: int) -> Weight:
     return sum(g.weights[e] for e in iter_edge_indices(mask))
-
-
-def edge_subgraph(g: Graph, mask: int) -> Graph:
-    """Materialize the edges in ``mask`` as a graph of their own.
-
-    Touched vertices are relabeled to ``0..k-1`` in ascending original id.
-    Weights are inherited. Raises :class:`GraphError` on an empty mask.
-    """
-    if mask == 0:
-        raise GraphError("cannot materialize an empty edge set")
-    old_ids = sorted(mask_vertices(g, mask))
-    new_id = {old: i for i, old in enumerate(old_ids)}
-    edges = tuple(
-        (new_id[g.edges[e][0]], new_id[g.edges[e][1]], g.edges[e][2])
-        for e in iter_edge_indices(mask)
-    )
-    return Graph(len(old_ids), edges)
 
 
 def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:

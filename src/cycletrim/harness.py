@@ -18,11 +18,9 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .cycle_space import fundamental_basis
 from .graphs import Graph, Weight, format_weight, is_connected, serialize_graph
 from .oracle import OracleAnswer, is_hamiltonian, min_tour
-from .solvability import is_solvable
-from .solver import STATUS_NOT_HAMILTONIAN, TourResult, solve
+from .solver import TourResult, solve
 
 #: how the Hamiltonicity front gate is implemented in this artifact
 FRONT_GATE = "exhaustive_backtracking"
@@ -129,10 +127,6 @@ def compare_graph(
     algo = result.weight
     opt = answer.optimum_weight
     match = (algo == opt) if algo is not None and opt is not None else None
-    if result.status == STATUS_NOT_HAMILTONIAN:
-        solvable = is_solvable(fundamental_basis(graph))
-    else:
-        solvable = result.solvable
     report = ComparisonReport(
         instance_id=instance_id,
         seed=seed,
@@ -147,7 +141,7 @@ def compare_graph(
         reduce_calls=result.counters.reduce_calls,
         comparisons=result.counters.comparisons,
         elapsed_ms=elapsed_ms,
-        solvable=solvable,
+        solvable=result.solvable,
         solutions_tried=result.solutions_tried,
     )
     return CompareOutcome(report, result, answer)

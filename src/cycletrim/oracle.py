@@ -31,9 +31,14 @@ class TooLarge(Exception):
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    hamiltonian: bool
+    """The exact optimum, or two ``None`` when the graph has no Hamilton cycle."""
+
     optimum_weight: Weight | None
     optimum_tour: tuple[int, ...] | None
+
+    @property
+    def hamiltonian(self) -> bool:
+        return self.optimum_tour is not None
 
 
 def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,7 +161,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
     if n < 3 or any(d < 2 for d in g.degrees):
-        return OracleAnswer(False, None, None)
+        return OracleAnswer(None, None)
 
     weights = g.weights
     adjacency = g.adjacency
@@ -199,7 +204,7 @@ def min_tour(g: Graph) -> OracleAnswer:
                 if best is None or total < best[0]:
                     best = (total, nb)
     if best is None:
-        return OracleAnswer(False, None, None)
+        return OracleAnswer(None, None)
     total, cur = best
     seq = [cur]
     mask = full
@@ -213,7 +218,7 @@ def min_tour(g: Graph) -> OracleAnswer:
         cur = prev
         seq.append(cur)
     tour = _canonical((0,) + tuple(reversed(seq)))
-    return OracleAnswer(True, total, tour)
+    return OracleAnswer(total, tour)
 
 
 def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]]:
@@ -265,7 +270,7 @@ def min_tour_by_enumeration(g: Graph) -> OracleAnswer:
     """
     tours = enumerate_tours(g, math.factorial(g.vertex_count - 1) // 2)
     if not tours:
-        return OracleAnswer(False, None, None)
+        return OracleAnswer(None, None)
     best_weight, best_tour = min((w, t) for t, w in tours)
-    return OracleAnswer(True, best_weight, _canonical(best_tour))
+    return OracleAnswer(best_weight, _canonical(best_tour))
 

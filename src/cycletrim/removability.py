@@ -8,10 +8,11 @@ every *diagonal cluster* of the cycle still reduces to a single cycle graph.
 A diagonal of cycle ``c`` is a retained cycle that is edge-disjoint from
 ``c`` and meets it in exactly one vertex. Its cluster is the transitive
 closure of retained cycles connected to it by edge sharing, materialized as
-a subgraph. The cluster reducer repeatedly (a) removes edges that cannot lie
-on a spanning cycle because one endpoint already has two degree-2 neighbors
-forcing its tour edges, and (b) contracts runs of adjacent degree-2 vertices
-down to a single representative, pruning isolated vertices as it goes.
+a subgraph on the parent graph's vertex ids. The cluster reducer repeatedly
+(a) removes edges that cannot lie on a spanning cycle because one endpoint
+already has two degree-2 neighbors forcing its tour edges, and (b) contracts
+runs of adjacent degree-2 vertices down to a single representative, pruning
+isolated vertices as it goes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, Weight, edge_subgraph, iter_edge_indices
+from .graphs import Graph, Weight, iter_edge_indices
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,11 +58,10 @@ class DeletionRecord:
 class RemovabilityContext:
     """Verdict of a single removability decision.
 
-    ``record`` is what deleting the target would do; it is None for
+    ``record`` is what deleting the cycle would do; it is None for
     ``not_candidate``.
     """
 
-    target: int
     verdict: str
     record: DeletionRecord | None
 
@@ -88,7 +88,7 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
     so they stay in the union and no vertex of ``c`` is left isolated.
     Raises :class:`NotRemovable` for any other cycle.
     """
-    row = state.basis.cycles[c].edges
+    row = state.basis.cycles[c]
     state.counters.row_ops += 1
     removed = None
     newly = []
@@ -102,7 +102,7 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
             newly.append(e)
     if removed is None:
         raise NotRemovable(f"cycle {c} has no boundary edge")
-    added = sum(state.graph.weights[e] for e in newly)
+    added = sum(state.basis.graph.weights[e] for e in newly)
     return DeletionRecord(c, removed, tuple(newly), added)
 
 
@@ -110,14 +110,14 @@ def find_diagonals(state: SolverState, c: int) -> tuple[int, ...]:
     """Retained cycles edge-disjoint from ``c`` sharing exactly one vertex."""
     if c not in state.retained:
         raise ValueError(f"cycle {c} is not retained")
-    row = state.basis.cycles[c].edges
+    row = state.basis.cycles[c]
     verts = state.basis.cycle_vertices[c]
     out = []
     for d in sorted(state.retained):
         if d == c:
             continue
         state.counters.row_ops += 1
-        if row & state.basis.cycles[d].edges:
+        if row & state.basis.cycles[d]:
             continue
         if len(verts & state.basis.cycle_vertices[d]) == 1:
             out.append(d)
@@ -134,12 +134,12 @@ def _cluster_members(state: SolverState, seed: int) -> frozenset[int]:
     frontier = [seed]
     while frontier:
         cur = frontier.pop()
-        row = state.basis.cycles[cur].edges
+        row = state.basis.cycles[cur]
         for other in state.retained:
             if other in members:
                 continue
             state.counters.row_ops += 1
-            if row & state.basis.cycles[other].edges:
+            if row & state.basis.cycles[other]:
                 members.add(other)
                 frontier.append(other)
     closure = frozenset(members)
@@ -193,7 +193,8 @@ def reduce_cluster(subgraph: Graph) -> ReductionOutcome:
     """Reduce a cluster subgraph to a fixpoint and classify the result.
 
     Edge deletions go before smoothings, and each kind lowest-first, so the
-    steps are deterministic. Inputs may be disconnected.
+    steps are deterministic. Inputs may be disconnected, and isolated
+    vertices are dropped first, so a cluster keeps its parent's vertex ids.
     """
     adj: dict[int, set[int]] = {v: set() for v in range(subgraph.vertex_count)}
     for u, v, _ in subgraph.edges:
@@ -224,6 +225,11 @@ def reduce_cluster(subgraph: Graph) -> ReductionOutcome:
         steps.append(move)
 
 
+def verdict_key(state: SolverState, c: int) -> tuple[frozenset[int], int]:
+    """Where ``state.verdict_cache`` keeps the verdict on ``c``: one per retained set and cycle."""
+    return (state.retained, c)
+
+
 def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """Full removability verdict for retained cycle ``c``.
 
@@ -237,7 +243,7 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """
     if c not in state.retained:
         raise ValueError(f"cycle {c} is not retained")
-    key = (state.retained, c)
+    key = verdict_key(state, c)
     cached = state.verdict_cache.get(key)
     if cached is not None:
         return cached
@@ -247,11 +253,11 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
 
 
 def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
-    g = state.graph
+    g = state.basis.graph
     try:
         record = deletion_record(state, c)
     except NotRemovable:
-        return RemovabilityContext(c, NOT_CANDIDATE, None)
+        return RemovabilityContext(NOT_CANDIDATE, None)
 
     # the union after the deletion, as neighbour bitmasks: only the removed
     # edge's two endpoints change
@@ -264,7 +270,7 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
         if nbrs.bit_count() == 2:
             degree_two |= 1 << x
     if any((nbrs & degree_two).bit_count() >= 3 for nbrs in after):
-        return RemovabilityContext(c, BLOCKED_BY_NEIGHBORS, record)
+        return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
 
     for d in find_diagonals(state, c):
         members = _cluster_members(state, d)
@@ -272,12 +278,12 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
         if outcome_tag is None:
             mask = 0
             for m in members:
-                mask |= state.basis.cycles[m].edges
-            cluster_graph = edge_subgraph(g, mask)
+                mask |= state.basis.cycles[m]
+            cluster = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_edge_indices(mask)))
             state.counters.row_ops += len(members)
-            outcome_tag = reduce_cluster(cluster_graph).tag
+            outcome_tag = reduce_cluster(cluster).tag
             state.cluster_cache[members] = outcome_tag
             state.counters.reduce_calls += 1
         if outcome_tag == REDUCED_ACYCLIC:
-            return RemovabilityContext(c, BLOCKED_BY_CLUSTER, record)
-    return RemovabilityContext(c, REMOVABLE, record)
+            return RemovabilityContext(BLOCKED_BY_CLUSTER, record)
+    return RemovabilityContext(REMOVABLE, record)

@@ -1,6 +1,6 @@
 """Selecting basis subsets that can carry a spanning cycle.
 
-A subset of basis cycles is a *solution* when its total (length - 2) equals
+A subset of basis cycles is a *solution* when its total (edge count - 2) equals
 ``vertex_count - 2``; this is the Grinberg-style counting identity that a
 chained cycle decomposition of a Hamilton cycle satisfies. The complement of
 a solution is its *co-solution*: the cycles the solver is allowed to delete.
@@ -29,10 +29,10 @@ class SolutionPartition:
 
 
 def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
-    """Total (length - 2) over the chosen cycles."""
+    """Total (edge count - 2) over the chosen cycles."""
     if len(set(indices)) != len(indices):
         raise ValueError("cycle indices must be distinct")
-    return sum(basis.cycles[i].length - 2 for i in indices)
+    return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
 def _make_partition(basis: CycleBasis, solution: tuple[int, ...]) -> SolutionPartition:
@@ -51,7 +51,7 @@ def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[
     if cap < 1:
         raise ValueError("cap must be at least 1")
     target = basis.graph.vertex_count - 2
-    values = [c.length - 2 for c in basis.cycles]
+    values = [c.bit_count() - 2 for c in basis.cycles]
     dim = len(values)
     max_value = max(values, default=0)
     found: list[tuple[int, ...]] = []
@@ -80,7 +80,3 @@ def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[
         if extend(0, 0, size):
             break
     return tuple(_make_partition(basis, sol) for sol in found)
-
-
-def is_solvable(basis: CycleBasis) -> bool:
-    return bool(enumerate_solutions(basis, cap=1))

@@ -28,6 +28,7 @@ from .removability import (
     NotRemovable,
     deletion_record,
     is_removable,
+    verdict_key,
 )
 from .solvability import SolutionPartition, enumerate_solutions
 
@@ -60,20 +61,19 @@ class Counters:
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
-    ``cover_counts``, ``union_edges`` and ``union_adjacency`` (one bitmask of
-    union neighbours per vertex) are always consistent with the retained
-    rows. Counters and memo caches ride along by reference and are excluded
-    from equality, so structurally identical states compare equal.
-    ``cluster_closures`` is not a field: every new state starts without it,
-    so it never outlives its retained set.
+    ``cover_counts`` and ``union_adjacency`` (one bitmask of union
+    neighbours per vertex) are always consistent with the retained rows; the
+    union is the set of edges with a nonzero cover count, and the graph is
+    ``basis.graph``. Counters and memo caches ride along by reference and
+    are excluded from equality, so structurally identical states compare
+    equal. ``cluster_closures`` is not a field: every new state starts
+    without it, so it never outlives its retained set.
     """
 
-    graph: Graph
     basis: CycleBasis
     partition: SolutionPartition
     retained: frozenset[int]
     cover_counts: tuple[int, ...]
-    union_edges: int
     union_adjacency: tuple[int, ...]
     trace: tuple[DeletionRecord, ...] = ()
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
@@ -93,37 +93,49 @@ class TourResult:
     ``tour`` is the vertex sequence (start repeated implicitly) and
     ``weight`` its exact edge-weight sum, both present only for status
     ``ok``. ``solutions_tried`` counts the partitions attempted.
+    ``final_state`` is the last attempted partition's end state, present
+    whenever a partition was tried; ``trace``, ``counters``, ``partition``
+    and ``solvable`` are read from it.
     """
 
     status: Status
     tour: tuple[int, ...] | None
     weight: Weight | None
-    trace: tuple[DeletionRecord, ...]
-    counters: Counters
-    solvable: bool
     solutions_tried: int
-    partition: SolutionPartition | None
     final_state: SolverState | None
+
+    @property
+    def trace(self) -> tuple[DeletionRecord, ...]:
+        return () if self.final_state is None else self.final_state.trace
+
+    @property
+    def counters(self) -> Counters:
+        return Counters() if self.final_state is None else self.final_state.counters
+
+    @property
+    def partition(self) -> SolutionPartition | None:
+        return None if self.final_state is None else self.final_state.partition
+
+    @property
+    def solvable(self) -> bool:
+        """True when the solver had a solution partition to try."""
+        return self.final_state is not None
 
 
 def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
     """Fresh state retaining the whole basis, with new counters and caches."""
     graph = basis.graph
-    union = 0
     adjacency = [0] * graph.vertex_count
     for e, c in enumerate(basis.cover_counts):
         if c >= 1:
-            union |= 1 << e
             u, v, _ = graph.edges[e]
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
     return SolverState(
-        graph=graph,
         basis=basis,
         partition=partition,
         retained=frozenset(range(basis.dimension)),
         cover_counts=basis.cover_counts,
-        union_edges=union,
         union_adjacency=tuple(adjacency),
         # one row op per basis row, for the cover counts the basis carries
         counters=Counters(row_ops=basis.dimension),
@@ -145,7 +157,7 @@ def select_deletion(state: SolverState, records: list[DeletionRecord]) -> Deleti
     state.counters.comparisons += len(records) - 1
     return min(
         records,
-        key=lambda r: (r.added_weight, state.graph.weights[r.removed_edge], r.cycle),
+        key=lambda r: (r.added_weight, state.basis.graph.weights[r.removed_edge], r.cycle),
     )
 
 
@@ -161,15 +173,15 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
         raise NotRemovable(f"cycle {c} is not retained")
     if c not in state.partition.co_solution:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
-    known = state.verdict_cache.get((state.retained, c))  # is_removable's key
+    known = state.verdict_cache.get(verdict_key(state, c))
     if known is not None and known.record is not None:
         rec = known.record
     else:
         rec = deletion_record(state, c)
     covers = list(state.cover_counts)
-    for e in iter_edge_indices(state.basis.cycles[c].edges):
+    for e in iter_edge_indices(state.basis.cycles[c]):
         covers[e] -= 1
-    u, v, _ = state.graph.edges[rec.removed_edge]
+    u, v, _ = state.basis.graph.edges[rec.removed_edge]
     adjacency = list(state.union_adjacency)
     adjacency[u] &= ~(1 << v)
     adjacency[v] &= ~(1 << u)
@@ -177,12 +189,10 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     counters.row_ops += 1
     counters.deletions += 1
     return SolverState(
-        graph=state.graph,
         basis=state.basis,
         partition=state.partition,
         retained=state.retained - {c},
         cover_counts=tuple(covers),
-        union_edges=state.union_edges & ~(1 << rec.removed_edge),
         union_adjacency=tuple(adjacency),
         trace=state.trace + (rec,),
         counters=counters,
@@ -223,15 +233,11 @@ def solve(graph: Graph) -> TourResult:
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the solver cap of {HELD_KARP_MAX_VERTICES}")
     if not is_hamiltonian(graph):
-        return TourResult(
-            STATUS_NOT_HAMILTONIAN, None, None, (), Counters(), False, 0, None, None
-        )
+        return TourResult(STATUS_NOT_HAMILTONIAN, None, None, 0, None)
     basis = fundamental_basis(graph)
     partitions = enumerate_solutions(basis)
     if not partitions:
-        return TourResult(
-            STATUS_NO_SOLUTION, None, None, (), Counters(), False, 0, None, None
-        )
+        return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
     start = initial_state(basis, partitions[0])
     counters = start.counters
     # Every partition starts from the full basis, so its first pass asks
@@ -264,17 +270,5 @@ def solve(graph: Graph) -> TourResult:
     if state is None:
         state = dataclasses.replace(start, partition=partition)
     if tour is None:
-        return TourResult(
-            STATUS_STUCK, None, None, state.trace, counters, True, tried, partition, state
-        )
-    return TourResult(
-        STATUS_OK,
-        tour,
-        mask_weight(graph, mask),
-        state.trace,
-        counters,
-        True,
-        tried,
-        partition,
-        state,
-    )
+        return TourResult(STATUS_STUCK, None, None, tried, state)
+    return TourResult(STATUS_OK, tour, mask_weight(graph, mask), tried, state)

@@ -23,8 +23,7 @@ from cycletrim import (
     is_removable,
     solution_sum,
 )
-from cycletrim.cycle_space import Cycle
-from cycletrim.graphs import iter_edge_indices, mask_degrees, mask_weight, tour_from_edge_mask
+from cycletrim.graphs import iter_edge_indices, mask_degrees, mask_vertices, mask_weight, tour_from_edge_mask
 from cycletrim.oracle import HELD_KARP_MAX_VERTICES, OracleAnswer, TooLarge, _canonical
 from cycletrim.removability import (
     REDUCED_ACYCLIC,
@@ -40,7 +39,6 @@ from cycletrim.solver import (
     STATUS_NOT_HAMILTONIAN,
     STATUS_OK,
     STATUS_STUCK,
-    Counters,
     apply_deletion,
     boundary_mask,
     select_deletion,
@@ -171,12 +169,21 @@ def cluster_members_reference(state: SolverState, seed: int) -> frozenset[int]:
     members = {seed}
     frontier = [seed]
     while frontier:
-        row = state.basis.cycles[frontier.pop()].edges
+        row = state.basis.cycles[frontier.pop()]
         for other in state.retained:
-            if other not in members and row & state.basis.cycles[other].edges:
+            if other not in members and row & state.basis.cycles[other]:
                 members.add(other)
                 frontier.append(other)
     return frozenset(members)
+
+
+def union_mask(state: SolverState) -> int:
+    """The retained union, recounted from the cover counts."""
+    mask = 0
+    for e, c in enumerate(state.cover_counts):
+        if c:
+            mask |= 1 << e
+    return mask
 
 
 def _union_adjacency(graph: Graph, union: int) -> tuple[int, ...]:
@@ -195,37 +202,33 @@ def crafted_state(
     retained: set[int] | None = None,
 ) -> SolverState:
     """Build a solver state from hand-picked basis rows (unit-test rigging)."""
-    cycles = tuple(Cycle(r, r.bit_count()) for r in rows)
     retained_set = frozenset(retained if retained is not None else range(len(rows)))
     covers = count_covers(graph.edge_count, (rows[i] for i in sorted(retained_set)))
-    basis = CycleBasis(graph, cycles, count_covers(graph.edge_count, rows))
+    basis = CycleBasis(graph, tuple(rows), count_covers(graph.edge_count, rows))
     co = tuple(i for i in range(len(rows)) if i not in set(solution))
     partition = SolutionPartition(solution, co)
     union = 0
-    for e, c in enumerate(covers):
-        if c >= 1:
-            union |= 1 << e
+    for i in retained_set:
+        union |= rows[i]
     return SolverState(
-        graph=graph,
         basis=basis,
         partition=partition,
         retained=retained_set,
         cover_counts=covers,
-        union_edges=union,
         union_adjacency=_union_adjacency(graph, union),
     )
 
 
 def check_state(state: SolverState) -> None:
     """Assert that the incremental fields match a recount of the retained rows."""
-    rows = [state.basis.cycles[i].edges for i in sorted(state.retained)]
-    covers = count_covers(state.graph.edge_count, rows)
+    rows = [state.basis.cycles[i] for i in sorted(state.retained)]
+    covers = count_covers(state.basis.graph.edge_count, rows)
     assert state.cover_counts == covers
     union = 0
     for row in rows:
         union |= row
-    assert state.union_edges == union
-    assert state.union_adjacency == _union_adjacency(state.graph, union)
+    assert union_mask(state) == union
+    assert state.union_adjacency == _union_adjacency(state.basis.graph, union)
 
 
 def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -> bool:
@@ -234,8 +237,8 @@ def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -
     True when deleting ``record.cycle`` leaves some vertex with three or more
     union neighbours of union degree 2.
     """
-    g = state.graph
-    union_after = state.union_edges & ~(1 << record.removed_edge)
+    g = state.basis.graph
+    union_after = union_mask(state) & ~(1 << record.removed_edge)
     degrees = mask_degrees(g, union_after)
     for v in range(g.vertex_count):
         count = 0
@@ -255,11 +258,11 @@ def solve_reference(graph: Graph) -> TourResult:
     field, and the same counters apart from ``row_ops``.
     """
     if not is_hamiltonian(graph):
-        return TourResult(STATUS_NOT_HAMILTONIAN, None, None, (), Counters(), False, 0, None, None)
+        return TourResult(STATUS_NOT_HAMILTONIAN, None, None, 0, None)
     basis = fundamental_basis(graph)
     partitions = enumerate_solutions(basis)
     if not partitions:
-        return TourResult(STATUS_NO_SOLUTION, None, None, (), Counters(), False, 0, None, None)
+        return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
     start = initial_state(basis, partitions[0])
     counters = start.counters
     for tried, partition in enumerate(partitions, 1):
@@ -279,8 +282,8 @@ def solve_reference(graph: Graph) -> TourResult:
         tour = tour_from_edge_mask(graph, mask)
         if tour is not None:
             weight = mask_weight(graph, mask)
-            return TourResult(STATUS_OK, tour, weight, state.trace, counters, True, tried, partition, state)
-    return TourResult(STATUS_STUCK, None, None, state.trace, counters, True, tried, partition, state)
+            return TourResult(STATUS_OK, tour, weight, tried, state)
+    return TourResult(STATUS_STUCK, None, None, tried, state)
 
 
 def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutcome:
@@ -329,12 +332,19 @@ def state_for(graph: Graph, partition_index: int = 0):
 
 def union_subgraph(state: SolverState) -> Graph:
     """The retained union as a standalone graph (original vertex ids kept)."""
-    edges = [
-        state.graph.edges[e]
-        for e in range(state.graph.edge_count)
-        if (state.union_edges >> e) & 1
-    ]
-    return Graph(state.graph.vertex_count, tuple(edges))
+    g = state.basis.graph
+    return Graph(g.vertex_count, tuple(g.edges[e] for e in iter_edge_indices(union_mask(state))))
+
+
+def edge_subgraph_reference(g: Graph, mask: int) -> Graph:
+    """The edges in ``mask`` as a graph of their own, touched vertices relabelled
+    to ``0..k-1`` in ascending original id; weights are inherited."""
+    new_id = {old: i for i, old in enumerate(sorted(mask_vertices(g, mask)))}
+    edges = tuple(
+        (new_id[g.edges[e][0]], new_id[g.edges[e][1]], g.edges[e][2])
+        for e in iter_edge_indices(mask)
+    )
+    return Graph(len(new_id), edges)
 
 
 def boundary_edges(state: SolverState) -> int:
@@ -352,7 +362,7 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
     if n < 3:
-        return OracleAnswer(False, None, None)
+        return OracleAnswer(None, None)
 
     weights = g.weights
     adjacency = g.adjacency
@@ -384,7 +394,7 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
             if best is None or (total, last) < best:
                 best = (total, last)
     if best is None:
-        return OracleAnswer(False, None, None)
+        return OracleAnswer(None, None)
     total, last = best
     seq = []
     mask = full
@@ -395,4 +405,4 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
         mask &= ~(1 << cur)
         cur = prev
     tour = _canonical((0,) + tuple(reversed(seq)))
-    return OracleAnswer(True, total, tour)
+    return OracleAnswer(total, tour)

@@ -111,6 +111,24 @@ def test_mine_bad_weights_spec(tmp_path):
     )
 
 
+def test_mine_weights_take_ascii_digits_only(tmp_path, capsys):
+    # Arabic-Indic one and nine: \d would take them as 1 and 9
+    code = main(["mine", "--weights", "uniform:\u0661:\u0669", "--report", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_mine_weight_bound_length_is_capped(tmp_path, capsys):
+    # far beyond the digits int() converts; refused before any conversion
+    code = main(["mine", "--weights", "uniform:1:" + "9" * 5000, "--report", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
 def test_mine_bad_config(tmp_path):
     assert (
         main(

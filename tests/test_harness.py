@@ -53,7 +53,29 @@ def test_compare_non_hamiltonian():
     assert report.status == "not_hamiltonian_input"
     assert report.match is None
     assert report.algo_weight is None and report.opt_weight is None
-    assert report.solvable in (True, False)  # still computed for the record
+    assert report.solvable is False  # the gate stops the solver before any partition
+
+
+def test_compare_non_hamiltonian_builds_no_basis(monkeypatch):
+    import sys
+
+    from cycletrim import cycle_space
+
+    calls = []
+    original = cycle_space.fundamental_basis
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    # rebind the name wherever a cycletrim module imported it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cycletrim") and getattr(module, "fundamental_basis", None) is original:
+            monkeypatch.setattr(module, "fundamental_basis", counted)
+    compare_graph(petersen(), instance_id="pet", seed=0)
+    assert calls == []
+    compare_graph(k4_golden(), instance_id="k4", seed=0)
+    assert len(calls) == 1  # the counter does see the solver's one basis
 
 
 def test_report_json_field_order():

@@ -34,6 +34,7 @@ from helpers import (
     solve_reference,
     theta,
     triangle,
+    union_mask,
     wheel5,
 )
 from strategies import hamiltonian_graphs
@@ -115,7 +116,7 @@ def test_deletion_delta_k4():
     state = initial_state(basis, parts[0])
     c = parts[0].co_solution[0]
     rec = apply_deletion(state, c).trace[-1]
-    g = state.graph
+    g = state.basis.graph
     assert rec.removed_edge == g.edge_index(2, 3)
     assert set(rec.newly_boundary) == {g.edge_index(0, 2), g.edge_index(0, 3)}
     assert rec.added_weight == 5
@@ -124,7 +125,7 @@ def test_deletion_delta_k4():
     before = edges_with_cover(state.cover_counts, 1)
     after_covers = count_covers(
         g.edge_count,
-        (basis.cycles[i].edges for i in sorted(state.retained - {c})),
+        (basis.cycles[i] for i in sorted(state.retained - {c})),
     )
     after = edges_with_cover(after_covers, 1)
     gained = after & ~before
@@ -196,13 +197,13 @@ def test_apply_deletion_contract():
     state = initial_state(basis, parts[0])
     c = parts[0].co_solution[0]
     after = apply_deletion(state, c)
-    assert after.union_edges.bit_count() == state.union_edges.bit_count() - 1
+    assert union_mask(after).bit_count() == union_mask(state).bit_count() - 1
     assert after.retained == state.retained - {c}
     assert len(after.trace) == 1
     # cover counts stay consistent with the retained rows
     assert after.cover_counts == count_covers(
-        state.graph.edge_count,
-        (basis.cycles[i].edges for i in sorted(after.retained)),
+        state.basis.graph.edge_count,
+        (basis.cycles[i] for i in sorted(after.retained)),
     )
     with pytest.raises(NotRemovable):
         apply_deletion(after, c)
