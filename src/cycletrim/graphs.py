@@ -12,8 +12,8 @@ Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
 blank lines are ignored. Vertex ids are plain ASCII decimal digits and must
 cover ``0..n-1`` with no gaps.
-Weights are decimals with at most six fractional digits (the documented
- 10^-6 scale); they are parsed exactly and may be negative.
+Weights are decimals with at most 18 integer and six fractional digits (the
+documented 10^-6 scale); they are parsed exactly and may be negative.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ def exact_weight(w) -> Weight:
     return w.numerator if w.denominator == 1 else w
 
 
-_WEIGHT_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]{1,6})?")
+# at most 18 integer digits, far inside what int() converts
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]{1,18}(?:\.[0-9]{1,6})?")
+#: longest bad weight a parse error quotes in full
+_WEIGHT_SHOWN = 30
 _VERTEX_ID_RE = re.compile(r"[0-9]+")
 
 #: how many missing vertex ids a parse error lists
@@ -150,8 +153,9 @@ def is_connected(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> bool:
 
 def parse_weight(text: str) -> Weight:
     if not _WEIGHT_RE.fullmatch(text):
+        shown = text if len(text) <= _WEIGHT_SHOWN else text[:_WEIGHT_SHOWN] + "..."
         raise ParseError(
-            f"bad weight {text!r} (decimal with at most 6 fractional digits)"
+            f"bad weight {shown!r} (decimal with at most 18 integer and 6 fractional digits)"
         )
     return exact_weight(text)
 

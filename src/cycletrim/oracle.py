@@ -11,7 +11,18 @@ so 2^(n-1) slots); each slot is ``None`` or a row of ``n`` exact path costs,
 and an unreached entry holds a sentinel above every path cost. The tour is
 read back from those costs, taking the largest predecessor among equal
 costs and the smallest closing vertex among equal totals, so equal-weight
-optima always resolve to the same tour. See :func:`min_tour`.
+optima always resolve to the same tour.
+
+The DP expands only visited sets whose unvisited vertices can still all be
+threaded. The rest of a tour runs from the last vertex through every
+unvisited vertex to 0, so each unvisited vertex needs two tour neighbours
+among the unvisited vertices, 0 and the last vertex, and only one of them
+can take the last vertex. A set where some unvisited vertex has no other
+such neighbour, or two have one each, is dead and never expanded; with one
+such vertex, only the last vertices next to it are expanded. Every state on
+a Hamilton cycle passes, so answers and tours are those of the full DP. The
+DP raises :class:`TooLarge` once it would allocate more than
+``HELD_KARP_MAX_ROWS`` rows. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ from dataclasses import dataclass
 from .graphs import Graph, Weight
 
 HELD_KARP_MAX_VERTICES = 24
+#: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
+HELD_KARP_MAX_ROWS = 1 << 19
 ENUMERATION_MAX_VERTICES = 10
 
 
@@ -46,6 +59,15 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
     if tour[1] > tour[-1]:
         return (tour[0],) + tuple(reversed(tour[1:]))
     return tour
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Per vertex, the bitmask of its neighbours."""
+    masks = [0] * g.vertex_count
+    for u, v, _ in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def _unequal_sides(adj_mask: list[int]) -> bool:
@@ -87,10 +109,7 @@ def is_hamiltonian(g: Graph) -> bool:
     n = g.vertex_count
     if n < 3 or any(d < 2 for d in g.degrees):
         return False
-    adj_mask = [0] * n
-    for u, v, _ in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = _neighbour_masks(g)
     full = (1 << n) - 1
     if _unequal_sides(adj_mask):
         return False
@@ -141,12 +160,14 @@ def is_hamiltonian(g: Graph) -> bool:
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
-    Raises :class:`TooLarge` above 24 vertices and returns a non-Hamiltonian
-    answer at once when a vertex has degree below 2. Runtime is
-    O(n^2 * 2^n). The index of visited sets holds 2^(n-1) slots (64 MiB of
-    pointers at n = 24) plus one row of n costs per reached set, so sizes
-    near the cap are slow and large in pure Python but stay exact: one path
-    adds the graph's ``int`` and ``Fraction`` weights as stored.
+    Raises :class:`TooLarge` above 24 vertices, and once the DP would
+    allocate more than ``HELD_KARP_MAX_ROWS`` rows, every visited set at
+    n <= 20; returns a non-Hamiltonian answer at once when a vertex has
+    degree below 2. Runtime is O(n^2 * 2^n). The index of visited sets holds
+    2^(n-1) slots (64 MiB of pointers at n = 24) plus one row of n costs per
+    reached set, so sizes near the cap are slow and large in pure Python but
+    stay exact: one path adds the graph's ``int`` and ``Fraction`` weights
+    as stored.
 
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
@@ -156,6 +177,31 @@ def min_tour(g: Graph) -> OracleAnswer:
     predecessors are stored: the tour is read back from the costs by exact
     equality. Among equal costs it takes the largest predecessor, and the
     closing vertex is the smallest among equal totals.
+
+    Completability test: for a reached set ``s``, let ``visited`` be its
+    vertices and ``d(x)`` the number of neighbours of an unvisited ``x``
+    that are unvisited or 0. The rest of a tour runs from the last vertex
+    ``v`` through every unvisited vertex to 0, so each ``x`` needs two tour
+    neighbours among the unvisited vertices, 0 and ``v``, and only one ``x``
+    can take ``v``. The set is dead, and its row is not expanded, if some
+    ``d(x) == 0`` or two vertices have ``d(x) == 1``. If exactly one ``x``
+    has ``d(x) == 1``, only ends ``v`` next to ``x`` are alive: the other
+    entries of the row are reset to ``inf`` before it is expanded. Since
+    ``d(x)`` is at least the degree of ``x`` minus the size of ``s``, only
+    vertices of degree at most ``|s| + 1`` are tested (``fragile``).
+
+    Why answers and tours are those of the DP without the test: a state
+    (``s``, ``v``) is on a Hamilton cycle when some path from 0 through
+    ``s`` to ``v`` extends to one. Such a state passes the test, and every
+    path into it, joined to that extension, is a Hamilton cycle, so every
+    prefix of such a path is on a Hamilton cycle and passes too. The cost
+    of a state on a Hamilton cycle is therefore the exact minimum over all
+    paths into it; every other entry holds ``inf`` or a cost no lower than
+    without the test. Closing and read-back look only at states on a
+    Hamilton cycle: the closing entries next to 0 of the full set and, for
+    each state on the optimum tour, its reached predecessors, each of which
+    closes a tour through that state. So they see exactly the costs of the
+    DP without the test, and the tie-breaks pick the same tour.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -171,16 +217,46 @@ def min_tour(g: Graph) -> OracleAnswer:
         tuple((1 << (nb - 1), nb, weights[eidx]) for nb, eidx in adjacency[v] if nb)
         for v in range(n)
     ]
+    nbrs = _neighbour_masks(g)
+    # fragile[k]: (bit, neighbours) of each vertex that can fail the
+    # completability test once k vertices besides 0 are visited, that is of
+    # each vertex of degree at most k + 1
+    degrees = g.degrees
+    fragile = [
+        tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
+        for k in range(n)
+    ]
     size = 1 << (n - 1)
     cost: list[list | None] = [None] * size
     for nb, eidx in adjacency[0]:
         row = [inf] * n
         row[nb] = weights[eidx]
         cost[1 << (nb - 1)] = row
+    rows = len(adjacency[0])
     for mask in range(1, size):
         row = cost[mask]
         if row is None:
             continue
+        visited = mask << 1
+        forced = 0  # neighbours of the one unvisited vertex with one free neighbour
+        for bit, around in fragile[mask.bit_count()]:
+            if bit & visited:
+                continue
+            free = around & ~visited
+            if free & (free - 1):
+                continue  # two free neighbours or more
+            if not free or forced:
+                forced = -1
+                break
+            forced = around
+        if forced:
+            if forced < 0:
+                continue  # dead set: no Hamilton cycle finishes from here
+            rest = visited & ~forced  # last vertices that cannot take that vertex
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row[low.bit_length() - 1] = inf
         for last, c in enumerate(row):
             if c is inf:  # unreached entries all hold this one object
                 continue
@@ -190,6 +266,11 @@ def min_tour(g: Graph) -> OracleAnswer:
                 w += c
                 nxt = cost[mask | bit]
                 if nxt is None:
+                    rows += 1
+                    if rows > HELD_KARP_MAX_ROWS:
+                        raise TooLarge(
+                            f"the Held-Karp DP needs more than {HELD_KARP_MAX_ROWS} rows"
+                        )
                     nxt = cost[mask | bit] = [inf] * n
                 if w < nxt[nb]:
                     nxt[nb] = w

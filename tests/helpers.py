@@ -406,3 +406,44 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
         cur = prev
     tour = _canonical((0,) + tuple(reversed(seq)))
     return OracleAnswer(total, tour)
+
+
+def completable_rows_reference(g: Graph) -> int:
+    """How many visited sets :func:`cycletrim.min_tour` allocates a row for.
+
+    A state is a visited set ``s`` (vertex 0 left out) and a last vertex
+    ``v``; the states reached are those the DP reaches from 0 expanding only
+    completable states. Every unvisited vertex needs two tour neighbours
+    among the unvisited vertices, 0 and ``v``, and only one of them can take
+    ``v``, so a state is completable when every unvisited vertex has two
+    neighbours that are unvisited or 0, or exactly one has one such
+    neighbour and ``v`` is next to it. Written per state over sets, apart
+    from the row-wide bitmask test in ``min_tour``.
+    """
+    n = g.vertex_count
+    nbrs = [set() for _ in range(n)]
+    for u, v, _ in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    others = frozenset(range(1, n))
+
+    def completable(s: frozenset, v: int) -> bool:
+        open_ends = (others - s) | {0}
+        short = [x for x in others - s if len(nbrs[x] & open_ends) < 2]
+        if not short:
+            return True
+        (x, *more) = short
+        return not more and len(nbrs[x] & open_ends) == 1 and v in nbrs[x]
+
+    reached = {(frozenset([v]), v) for v in nbrs[0]}
+    stack = list(reached)
+    while stack:
+        s, v = stack.pop()
+        if not completable(s, v):
+            continue
+        for nb in nbrs[v] - s - {0}:
+            state = (s | {nb}, nb)
+            if state not in reached:
+                reached.add(state)
+                stack.append(state)
+    return len({s for s, _ in reached})

@@ -52,6 +52,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["solve", str(disconnected)]) == 2
 
 
+def test_overlong_weight_is_a_parse_error(tmp_path, capsys):
+    # far beyond the digits int() converts; refused before any conversion
+    bad = tmp_path / "huge.edges"
+    bad.write_text("0 1 " + "9" * 5000 + "\n1 2 1\n0 2 1\n")
+    for command in ("solve", "oracle", "compare"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert len(err) < 200
+
+
 def test_oversized_input_fails_fast(tmp_path, capsys):
     # 25 vertices is above the oracle's cap; the solver refuses before its
     # exhaustive front gate instead of searching

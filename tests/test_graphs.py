@@ -76,6 +76,16 @@ def test_parse_rejects_hostile_ids_with_short_message(text):
     assert len(str(info.value)) < 200
 
 
+def test_parse_caps_weight_integer_digits():
+    # 18 integer digits parse exactly; more are refused before any conversion
+    g = parse_graph("0 1 -999999999999999999.5\n1 2 1\n0 2 1\n")
+    assert g.weights[0] == Fraction(-1999999999999999999, 2)
+    for weight in ("9" * 19, "1" + "0" * 18 + ".5", "9" * 5000):
+        with pytest.raises(ParseError, match="weight") as info:
+            parse_graph(f"0 1 {weight}\n1 2 1\n0 2 1\n")
+        assert len(str(info.value)) < 200
+
+
 def test_parse_malformed_line():
     with pytest.raises(ParseError):
         parse_graph("0 1")

@@ -17,9 +17,11 @@ from cycletrim import (
     random_connected_graph,
     tour_weight,
 )
+from cycletrim import oracle
 
 from helpers import (
     complete_bipartite,
+    completable_rows_reference,
     cycle_graph,
     k4_golden,
     make_graph,
@@ -180,3 +182,53 @@ def test_min_tour_matches_reference_dp_at_scale():
     for n, p, hi in ((13, 0.5, 100), (14, 0.5, 3), (15, 0.5, 2)):
         g = random_connected_graph(rng, n, p, 1, hi)
         assert min_tour(g) == min_tour_reference(g)
+
+
+def hamiltonian_draw(rng, n, p):
+    while True:
+        g = random_connected_graph(rng, n, p, 1, 100)
+        if is_hamiltonian(g):
+            return g
+
+
+SPARSE_PALETTES = ((1,), (1, 2), (-1, 0, Fraction(1, 2)))
+
+
+def test_min_tour_matches_reference_dp_on_sparse_draws(monkeypatch):
+    # at edge probability 0.2 most visited sets are dead: the answer, tour
+    # included, must still be the reference's, also when few distinct
+    # weights make the tie-breaks decide, and min_tour must allocate a row
+    # for exactly the visited sets that completable states reach
+    rng = random.Random(16)
+    for n in (16, 17, 18):
+        g = hamiltonian_draw(rng, n, 0.2)
+        assert min_tour(g) == min_tour_reference(g)
+        for palette in SPARSE_PALETTES:
+            weights = [rng.choice(palette) for _ in g.edges]
+            tied = Graph(n, tuple((u, v, w) for (u, v, _), w in zip(g.edges, weights)))
+            assert min_tour(tied) == min_tour_reference(tied)
+        rows = completable_rows_reference(g)
+        monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows)
+        assert min_tour(g).hamiltonian
+        monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows - 1)
+        with pytest.raises(TooLarge):
+            min_tour(g)
+        monkeypatch.undo()
+
+
+def test_min_tour_row_budget(monkeypatch):
+    # every visited set at n <= 20 fits, so the measured n = 20 case runs
+    assert oracle.HELD_KARP_MAX_ROWS >= 1 << 19
+    g = hamiltonian_draw(random.Random(14), 14, 0.5)
+    g.degrees, g.adjacency  # cached on the graph, not part of the DP
+    assert min_tour(g).hamiltonian  # about 2 MB of rows under the real budget
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="256 rows"):
+            min_tour(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the index of 2^13 slots takes 64 KiB; 256 rows of 14 costs about as much
+    assert peak < 256 * 1024
