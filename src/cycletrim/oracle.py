@@ -20,9 +20,18 @@ among the unvisited vertices, 0 and the last vertex, and only one of them
 can take the last vertex. A set where some unvisited vertex has no other
 such neighbour, or two have one each, is dead and never expanded; with one
 such vertex, only the last vertices next to it are expanded. Every state on
-a Hamilton cycle passes, so answers and tours are those of the full DP. The
-DP raises :class:`TooLarge` once it would allocate more than
-``HELD_KARP_MAX_ROWS`` rows. See :func:`min_tour`.
+a Hamilton cycle passes, so answers and tours are those of the full DP.
+
+The DP is also bounded by a tour it finds first. A depth-first search with
+a node budget looks for some Hamilton cycle, and 2-opt and or-opt moves
+lower its weight: that weight is the upper bound. A path that ends at ``v``
+still needs one edge at ``v``, one at 0 and two at each unvisited vertex,
+so half the sum of the lightest such edge weights is a lower bound on the
+rest of the tour. A state whose cost plus lower bound is above the upper
+bound is neither expanded nor written; every state on an optimum tour
+passes, so answers and tours are again those of the full DP. The DP raises
+:class:`TooLarge` once it would allocate more than ``HELD_KARP_MAX_ROWS``
+rows. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -30,12 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, Weight
+from .graphs import Graph, Weight, tour_weight
 
 HELD_KARP_MAX_VERTICES = 24
 #: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
 HELD_KARP_MAX_ROWS = 1 << 19
 ENUMERATION_MAX_VERTICES = 10
+#: search nodes per vertex that ``min_tour`` spends looking for a first tour
+WITNESS_NODES_PER_VERTEX = 8
 
 
 class TooLarge(Exception):
@@ -157,6 +168,129 @@ def is_hamiltonian(g: Graph) -> bool:
     return extend(0, 1, 1)
 
 
+def _weight_table(g: Graph) -> list:
+    """Edge weights as a flat ``n * n`` list, ``None`` where there is no edge."""
+    n = g.vertex_count
+    table: list = [None] * (n * n)
+    for u, v, w in g.edges:
+        table[u * n + v] = table[v * n + u] = w
+    return table
+
+
+def _witness(nbrs: list[int], table: list) -> list[int] | None:
+    """Some Hamilton cycle from 0, found by a depth-first search with a node budget.
+
+    The search goes first to the neighbour with the fewest unvisited
+    neighbours, then along the lightest edge (Warnsdorff's order), and backs
+    up as soon as an unvisited vertex has fewer than two usable edges left,
+    as :func:`is_hamiltonian` does. It gives up after
+    ``WITNESS_NODES_PER_VERTEX`` nodes per vertex, so ``None`` does not mean
+    that the graph has no Hamilton cycle.
+    """
+    n = len(nbrs)
+    full = (1 << n) - 1
+    budget = WITNESS_NODES_PER_VERTEX * n
+    path = [0]
+
+    def extend(current: int, visited: int) -> bool:
+        nonlocal budget
+        if len(path) == n:
+            return bool(nbrs[current] & 1)
+        budget -= 1
+        if budget < 0:
+            return False
+        remaining = full & ~visited
+        allowed = remaining | (1 << current) | 1
+        m = remaining
+        while m:
+            low = m & -m
+            m ^= low
+            if (nbrs[low.bit_length() - 1] & allowed).bit_count() < 2:
+                return False
+        options = []
+        m = nbrs[current] & remaining
+        while m:
+            low = m & -m
+            m ^= low
+            nxt = low.bit_length() - 1
+            options.append(((nbrs[nxt] & remaining).bit_count(), table[current * n + nxt], nxt))
+        for _, _, nxt in sorted(options):
+            path.append(nxt)
+            if extend(nxt, visited | 1 << nxt):
+                return True
+            path.pop()
+            if budget < 0:
+                break
+        return False
+
+    return path if extend(0, 1) else None
+
+
+def _two_opt(tour: list[int], table: list) -> bool:
+    """Make the first 2-opt move that lowers the weight; False if there is none."""
+    n = len(tour)
+    for i in range(n - 2):
+        a, b = tour[i], tour[i + 1]
+        ab = table[a * n + b]
+        for j in range(i + 2, n if i else n - 1):
+            c, d = tour[j], tour[(j + 1) % n]
+            ac = table[a * n + c]
+            bd = table[b * n + d]
+            if ac is not None and bd is not None and ac + bd < ab + table[c * n + d]:
+                tour[i + 1 : j + 1] = tour[j:i:-1]
+                return True
+    return False
+
+
+def _or_opt(tour: list[int], table: list) -> bool:
+    """Make the first or-opt move that lowers the weight; False if there is none."""
+    n = len(tour)
+    for length in range(1, min(3, n - 3) + 1):
+        for i in range(n):
+            cycle = tour[i:] + tour[:i]
+            segment, rest = cycle[:length], cycle[length:]
+            first, last, before, after = segment[0], segment[-1], rest[-1], rest[0]
+            joined = table[before * n + after]
+            if joined is None:
+                continue
+            saved = table[before * n + first] + table[last * n + after] - joined
+            ends = ((first, last),) if length == 1 else ((first, last), (last, first))
+            for k in range(len(rest) - 1):
+                x, y = rest[k], rest[k + 1]
+                for head, tail in ends:
+                    xh = table[x * n + head]
+                    ty = table[tail * n + y]
+                    if xh is not None and ty is not None and xh + ty - table[x * n + y] < saved:
+                        if head != first:
+                            segment.reverse()
+                        tour[:] = rest[: k + 1] + segment + rest[k + 1 :]
+                        return True
+    return False
+
+
+def _improve(tour: list[int], table: list) -> None:
+    """Lower the weight of ``tour`` in place by 2-opt and or-opt moves.
+
+    A 2-opt move reverses a stretch of the cycle (Croes 1958); an or-opt
+    move takes out a stretch of one to three vertices and puts it back,
+    either way round, between two neighbours elsewhere on the cycle. A move
+    is made only when every edge it adds exists and it strictly lowers the
+    weight, so the search ends.
+    """
+    while _two_opt(tour, table) or _or_opt(tour, table):
+        pass
+
+
+def _subset_sums(values: list, base: Weight) -> list:
+    """``sums[m]`` is ``base`` plus ``values[i]`` for every bit ``i`` of ``m``;
+    one addition per entry."""
+    sums = [base] * (1 << len(values))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
@@ -202,6 +336,42 @@ def min_tour(g: Graph) -> OracleAnswer:
     each state on the optimum tour, its reached predecessors, each of which
     closes a tour through that state. So they see exactly the costs of the
     DP without the test, and the tie-breaks pick the same tour.
+
+    Bounds: ``_witness`` looks for a Hamilton cycle within a budget of
+    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
+    lowers its weight by 2-opt and or-opt moves along existing edges. That
+    weight is the upper bound ``UB``; without a witness ``UB`` is ``inf``,
+    above every tour weight. Let ``a1(x) <= a2(x)`` be the two lightest edge
+    weights at ``x`` and ``R`` the unvisited vertices of ``s``. The rest of
+    a tour from ``v`` runs through ``R`` to 0, using two distinct edges at
+    each vertex of ``R`` and one at ``v`` and at 0, and its weight is half
+    the sum of those edges at their ends, so it is at least ``LB(s, v)``
+    with ``2 * LB = sum over R of (a1 + a2) + a1(v) + a1(0)``. This holds
+    for negative and fractional weights, and doubled values keep every
+    comparison exact. With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1
+    + a2)``, read from two tables over the low and high bits of ``s``, the
+    entry (``s``, ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and
+    a path of cost ``w`` into (``s | x``, ``x``) is not written when ``2w >
+    limit(s) + a2(x)``, which is the first check at that state. A write
+    that is skipped allocates no row.
+
+    Why the bounds change no answer or tour: take a state on an optimum
+    tour and a minimum-cost path into it. Joined to the rest of that tour,
+    the path is an optimum tour, so each of its prefixes is a state on an
+    optimum tour, and its cost plus lower bound is at most its cost plus
+    the weight of the rest of that tour, ``OPT <= UB``. Both checks are
+    strict, so no prefix is cut, and every state on an optimum tour holds
+    its exact minimum cost. The bound is not consistent, though: a cheaper
+    path into some other state may be cut at a prefix whose lower bound is
+    higher, so states off every optimum tour can hold costs above their
+    minimum, or none. That is harmless. Every entry is the cost of a real
+    path, never below the minimum. Closing compares totals with the optimum
+    weight, and an entry whose total equals it ends an optimum tour, so is
+    exact. Read-back picks a predecessor whose cost plus the edge equals
+    the exact cost of a state on an optimum tour; such a predecessor closes
+    an optimum tour too, so its cost is exact, and it is picked exactly
+    when the DP without the bounds would pick it. The tie-breaks therefore
+    pick the same tour.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -212,12 +382,33 @@ def min_tour(g: Graph) -> OracleAnswer:
     weights = g.weights
     adjacency = g.adjacency
     inf = 1 + sum(abs(w) for w in weights)
-    # per vertex: (set bit, neighbour, weight) for each neighbour other than 0
+    nbrs = _neighbour_masks(g)
+    table = _weight_table(g)
+    tour = _witness(nbrs, table)
+    if tour is None:
+        bound = inf
+    else:
+        _improve(tour, table)
+        bound = tour_weight(g, tuple(tour))
+    # a1 <= a2: the two lightest edge weights at each vertex
+    a1, a2 = zip(*(sorted(weights[eidx] for _, eidx in adjacency[v])[:2] for v in range(n)))
+    # limit[s] = 2 * bound - a1(0) - sum of a1(x) + a2(x) over unvisited x,
+    # read from two tables over the low and high bits of s
+    pair = [a1[x] + a2[x] for x in range(1, n)]
+    half = (n - 1) // 2
+    low_bits = (1 << half) - 1
+    low_limit = _subset_sums(pair[:half], 2 * bound - a1[0] - sum(pair))
+    high_limit = _subset_sums(pair[half:], 0)
+    # per vertex: (set bit, neighbour, weight, 2 * weight - a2(neighbour)) for
+    # each neighbour other than 0
     steps = [
-        tuple((1 << (nb - 1), nb, weights[eidx]) for nb, eidx in adjacency[v] if nb)
+        tuple(
+            (1 << (nb - 1), nb, weights[eidx], 2 * weights[eidx] - a2[nb])
+            for nb, eidx in adjacency[v]
+            if nb
+        )
         for v in range(n)
     ]
-    nbrs = _neighbour_masks(g)
     # fragile[k]: (bit, neighbours) of each vertex that can fail the
     # completability test once k vertices besides 0 are visited, that is of
     # each vertex of degree at most k + 1
@@ -257,11 +448,15 @@ def min_tour(g: Graph) -> OracleAnswer:
                 low = rest & -rest
                 rest ^= low
                 row[low.bit_length() - 1] = inf
+        limit = low_limit[mask & low_bits] + high_limit[mask >> half]
         for last, c in enumerate(row):
             if c is inf:  # unreached entries all hold this one object
                 continue
-            for bit, nb, w in steps[last]:
-                if mask & bit:
+            room = limit - c - c
+            if a1[last] > room:
+                continue  # 2c + a1(last) > limit: cost plus lower bound above the bound
+            for bit, nb, w, need in steps[last]:
+                if mask & bit or need > room:
                     continue
                 w += c
                 nxt = cost[mask | bit]
@@ -293,7 +488,7 @@ def min_tour(g: Graph) -> OracleAnswer:
         target = cost[mask][cur]
         mask ^= 1 << (cur - 1)
         row = cost[mask]
-        for bit, prev, w in reversed(steps[cur]):  # ties go to the largest predecessor
+        for bit, prev, w, _ in reversed(steps[cur]):  # ties go to the largest predecessor
             if mask & bit and row[prev] + w == target:
                 break
         cur = prev

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -194,26 +195,92 @@ def hamiltonian_draw(rng, n, p):
 SPARSE_PALETTES = ((1,), (1, 2), (-1, 0, Fraction(1, 2)))
 
 
+def reweighted(g, rng, palette):
+    weights = [rng.choice(palette) for _ in g.edges]
+    return Graph(g.vertex_count, tuple((u, v, w) for (u, v, _), w in zip(g.edges, weights)))
+
+
 def test_min_tour_matches_reference_dp_on_sparse_draws(monkeypatch):
     # at edge probability 0.2 most visited sets are dead: the answer, tour
     # included, must still be the reference's, also when few distinct
-    # weights make the tie-breaks decide, and min_tour must allocate a row
-    # for exactly the visited sets that completable states reach
+    # weights make the tie-breaks decide. With unit weights every state has
+    # cost plus lower bound equal to n, the weight of every tour, so the
+    # strict bound prunes nothing and min_tour must allocate a row for
+    # exactly the visited sets that completable states reach; with other
+    # weights the bound may only prune more
     rng = random.Random(16)
     for n in (16, 17, 18):
         g = hamiltonian_draw(rng, n, 0.2)
         assert min_tour(g) == min_tour_reference(g)
         for palette in SPARSE_PALETTES:
-            weights = [rng.choice(palette) for _ in g.edges]
-            tied = Graph(n, tuple((u, v, w) for (u, v, _), w in zip(g.edges, weights)))
+            tied = reweighted(g, rng, palette)
             assert min_tour(tied) == min_tour_reference(tied)
+        unit = Graph(n, tuple((u, v, 1) for u, v, _ in g.edges))
         rows = completable_rows_reference(g)
         monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows)
         assert min_tour(g).hamiltonian
+        assert min_tour(unit).hamiltonian
         monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows - 1)
         with pytest.raises(TooLarge):
-            min_tour(g)
+            min_tour(unit)
         monkeypatch.undo()
+
+
+def test_min_tour_matches_reference_dp_on_dense_draws():
+    # dense draws give the bounds the most to prune; few distinct weights
+    # make a first tour of optimum weight common, so states whose cost plus
+    # lower bound equals it must survive, and negative weights lower the bound
+    rng = random.Random(21)
+    for n in (12, 13, 14, 15):
+        g = hamiltonian_draw(rng, n, 0.5)
+        assert min_tour(g) == min_tour_reference(g)
+        for palette in SPARSE_PALETTES:
+            tied = reweighted(g, rng, palette)
+            assert min_tour(tied) == min_tour_reference(tied)
+
+
+def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
+    rng = random.Random(23)
+    for n, p in ((8, 0.5), (12, 0.3), (14, 0.5), (16, 0.8)):
+        g = hamiltonian_draw(rng, n, p)
+        for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
+            # tour_weight raises unless the tour is a Hamilton cycle of graph
+            table = oracle._weight_table(graph)
+            tour = oracle._witness(oracle._neighbour_masks(graph), table)
+            assert tour is not None
+            weight = tour_weight(graph, tuple(tour))
+            while oracle._two_opt(tour, table) or oracle._or_opt(tour, table):
+                lowered = tour_weight(graph, tuple(tour))
+                assert lowered < weight
+                weight = lowered
+            assert weight >= min_tour(graph).optimum_weight
+
+
+def test_first_tour_search_keeps_its_budget(monkeypatch):
+    # Petersen passes the degree and bipartite tests but has no Hamilton
+    # cycle (test_min_tour_non_hamiltonian); the search gives up after its
+    # budget and leaves the verdict to the DP
+    g = petersen()
+    nbrs, table = oracle._neighbour_masks(g), oracle._weight_table(g)
+
+    def searched() -> int:
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_name == "extend"
+
+        sys.setprofile(count)
+        try:
+            assert oracle._witness(nbrs, table) is None
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
+    assert searched() <= budget + 1
+    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 1000)
+    assert searched() > budget + 1  # the budget, not the search space, stopped it
 
 
 def test_min_tour_row_budget(monkeypatch):
