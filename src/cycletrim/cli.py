@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .graphs import GraphError, Graph, format_weight, parse_graph
+from .graphs import GraphError, Graph, format_weight, iter_bits, parse_graph
 from .harness import (
     FRONT_GATE,
     CampaignConfig,
@@ -91,7 +91,7 @@ def _result_json(result: TourResult) -> dict:
             {
                 "cycle": rec.cycle,
                 "removed_edge": rec.removed_edge,
-                "newly_boundary": list(rec.newly_boundary),
+                "newly_boundary": list(iter_bits(rec.newly_boundary)),
                 "added_weight": _weight_text(rec.added_weight),
             }
             for rec in result.trace

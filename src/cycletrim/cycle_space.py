@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NotConnected, iter_edge_indices, mask_vertices
+from .graphs import Graph, NotConnected, iter_bits, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class CycleBasis:
         return len(self.cycles)
 
     @cached_property
-    def cycle_vertices(self) -> tuple[frozenset[int], ...]:
+    def cycle_vertices(self) -> tuple[int, ...]:
         return tuple(mask_vertices(self.graph, c) for c in self.cycles)
 
 
@@ -39,7 +39,7 @@ def count_covers(edge_count: int, rows: Iterable[int]) -> tuple[int, ...]:
     """Per-edge count of rows containing the edge."""
     counts = [0] * edge_count
     for row in rows:
-        for e in iter_edge_indices(row):
+        for e in iter_bits(row):
             counts[e] += 1
     return tuple(counts)
 

@@ -6,7 +6,8 @@ unordered pair carrying an exact weight, stored by :func:`exact_weight` as
 int/Fraction arithmetic is exact, so no other module picks a weight type.
 The edge list is kept in canonical order (sorted by endpoints) and the
 position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
-passed around as integer bitmasks over those indices.
+passed around as integer bitmasks over those indices, and vertex subsets as
+integer bitmasks over vertex ids.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
@@ -230,28 +231,29 @@ def serialize_graph(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# edge bitmask helpers
+# bitmask helpers
 # ---------------------------------------------------------------------------
 
-def iter_edge_indices(mask: int) -> Iterator[int]:
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
-def mask_vertices(g: Graph, mask: int) -> frozenset[int]:
-    out = set()
-    for e in iter_edge_indices(mask):
+def mask_vertices(g: Graph, mask: int) -> int:
+    """Bitmask of the vertices the edges in ``mask`` touch."""
+    out = 0
+    for e in iter_bits(mask):
         u, v, _ = g.edges[e]
-        out.add(u)
-        out.add(v)
-    return frozenset(out)
+        out |= (1 << u) | (1 << v)
+    return out
 
 
 def mask_degrees(g: Graph, mask: int) -> list[int]:
     deg = [0] * g.vertex_count
-    for e in iter_edge_indices(mask):
+    for e in iter_bits(mask):
         u, v, _ = g.edges[e]
         deg[u] += 1
         deg[v] += 1
@@ -259,7 +261,7 @@ def mask_degrees(g: Graph, mask: int) -> list[int]:
 
 
 def mask_weight(g: Graph, mask: int) -> Weight:
-    return sum(g.weights[e] for e in iter_edge_indices(mask))
+    return sum(g.weights[e] for e in iter_bits(mask))
 
 
 def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:
@@ -272,7 +274,7 @@ def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:
     if n < 3 or mask.bit_count() != n:
         return None
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for e in iter_edge_indices(mask):
+    for e in iter_bits(mask):
         u, v, _ = g.edges[e]
         nbrs[u].append(v)
         nbrs[v].append(u)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, Weight, iter_edge_indices
+from .graphs import Graph, Weight, iter_bits
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,13 +44,13 @@ class DeletionRecord:
     """One applied (or proposed) deletion.
 
     ``removed_edge`` is the cycle's unique boundary edge, which leaves the
-    union; ``newly_boundary`` are the edges whose cover drops from 2 to 1,
-    and ``added_weight`` is the exact sum of their weights.
+    union; ``newly_boundary`` is the bitmask of the edges whose cover drops
+    from 2 to 1, and ``added_weight`` is the exact sum of their weights.
     """
 
     cycle: int
     removed_edge: int
-    newly_boundary: tuple[int, ...]
+    newly_boundary: int
     added_weight: Weight
 
 
@@ -91,61 +91,56 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
     row = state.basis.cycles[c]
     state.counters.row_ops += 1
     removed = None
-    newly = []
-    for e in iter_edge_indices(row):
+    newly = added = 0
+    for e in iter_bits(row):
         cover = state.cover_counts[e]
         if cover == 1:
             if removed is not None:
                 raise NotRemovable(f"cycle {c} has more than one boundary edge")
             removed = e
         elif cover == 2:
-            newly.append(e)
+            newly |= 1 << e
+            added += state.basis.graph.weights[e]
     if removed is None:
         raise NotRemovable(f"cycle {c} has no boundary edge")
-    added = sum(state.basis.graph.weights[e] for e in newly)
-    return DeletionRecord(c, removed, tuple(newly), added)
+    return DeletionRecord(c, removed, newly, added)
 
 
-def find_diagonals(state: SolverState, c: int) -> tuple[int, ...]:
-    """Retained cycles edge-disjoint from ``c`` sharing exactly one vertex."""
-    if c not in state.retained:
+def find_diagonals(state: SolverState, c: int) -> int:
+    """Bitmask of the retained cycles edge-disjoint from ``c`` sharing exactly one vertex."""
+    if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
     row = state.basis.cycles[c]
     verts = state.basis.cycle_vertices[c]
-    out = []
-    for d in sorted(state.retained):
-        if d == c:
-            continue
+    out = 0
+    for d in iter_bits(state.retained & ~(1 << c)):
         state.counters.row_ops += 1
         if row & state.basis.cycles[d]:
             continue
-        if len(verts & state.basis.cycle_vertices[d]) == 1:
-            out.append(d)
-    return tuple(out)
+        if (verts & state.basis.cycle_vertices[d]).bit_count() == 1:
+            out |= 1 << d
+    return out
 
 
-def _cluster_members(state: SolverState, seed: int) -> frozenset[int]:
-    # transitive closure of edge sharing among retained cycles; every member
-    # has the same closure, so one walk answers for all of them on this state
+def _cluster_members(state: SolverState, seed: int) -> int:
+    # transitive closure of edge sharing among retained cycles, as a bitmask;
+    # every member has the same closure, so one walk answers for all of them
+    # on this state
     known = state.cluster_closures.get(seed)
     if known is not None:
         return known
-    members = {seed}
+    members = 1 << seed
     frontier = [seed]
     while frontier:
-        cur = frontier.pop()
-        row = state.basis.cycles[cur]
-        for other in state.retained:
-            if other in members:
-                continue
+        row = state.basis.cycles[frontier.pop()]
+        for other in iter_bits(state.retained & ~members):
             state.counters.row_ops += 1
             if row & state.basis.cycles[other]:
-                members.add(other)
+                members |= 1 << other
                 frontier.append(other)
-    closure = frozenset(members)
-    for m in closure:
-        state.cluster_closures[m] = closure
-    return closure
+    for m in iter_bits(members):
+        state.cluster_closures[m] = members
+    return members
 
 
 def _single_cycle(adj: dict[int, set[int]]) -> bool:
@@ -225,8 +220,9 @@ def reduce_cluster(subgraph: Graph) -> ReductionOutcome:
         steps.append(move)
 
 
-def verdict_key(state: SolverState, c: int) -> tuple[frozenset[int], int]:
-    """Where ``state.verdict_cache`` keeps the verdict on ``c``: one per retained set and cycle."""
+def verdict_key(state: SolverState, c: int) -> tuple[int, int]:
+    """Where ``state.verdict_cache`` keeps the verdict on ``c``: one per retained
+    bitmask and cycle."""
     return (state.retained, c)
 
 
@@ -236,12 +232,12 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
     the post-deletion union (popcounts over the state's neighbour bitmasks),
     then the diagonal clusters. Verdicts, with the deletion record, are
-    cached per (retained set, cycle), and :func:`~cycletrim.solver.apply_deletion`
+    cached per (retained bitmask, cycle), and :func:`~cycletrim.solver.apply_deletion`
     takes its record from that cache; cluster reductions are cached per
-    member set and cluster closures per state. ``solve`` asks each verdict on
+    member bitmask and cluster closures per state. ``solve`` asks each verdict on
     its start state once and shares the answer among all partitions.
     """
-    if c not in state.retained:
+    if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
     key = verdict_key(state, c)
     cached = state.verdict_cache.get(key)
@@ -272,15 +268,15 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
     if any((nbrs & degree_two).bit_count() >= 3 for nbrs in after):
         return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
 
-    for d in find_diagonals(state, c):
+    for d in iter_bits(find_diagonals(state, c)):
         members = _cluster_members(state, d)
         outcome_tag = state.cluster_cache.get(members)
         if outcome_tag is None:
             mask = 0
-            for m in members:
+            for m in iter_bits(members):
                 mask |= state.basis.cycles[m]
-            cluster = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_edge_indices(mask)))
-            state.counters.row_ops += len(members)
+            cluster = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
+            state.counters.row_ops += members.bit_count()
             outcome_tag = reduce_cluster(cluster).tag
             state.cluster_cache[members] = outcome_tag
             state.counters.reduce_calls += 1

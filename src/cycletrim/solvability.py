@@ -21,11 +21,12 @@ SOLUTION_CAP = 64
 class SolutionPartition:
     """A solution subset together with its co-solution complement.
 
-    ``co_solution`` lists, ascending, the cycles the solver may delete.
+    ``solution`` lists the solution cycles ascending; ``co_solution`` is the
+    bitmask of the cycles the solver may delete.
     """
 
     solution: tuple[int, ...]
-    co_solution: tuple[int, ...]
+    co_solution: int
 
 
 def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
@@ -35,48 +36,52 @@ def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
     return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
-def _make_partition(basis: CycleBasis, solution: tuple[int, ...]) -> SolutionPartition:
-    chosen = set(solution)
-    co = tuple(i for i in range(basis.dimension) if i not in chosen)
-    return SolutionPartition(solution, co)
-
-
 def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[SolutionPartition, ...]:
     """All solution subsets, smallest first then lexicographic, up to ``cap``.
 
     Every cycle contributes at least 1 to the total, so solutions have at
-    most ``vertex_count - 2`` members; the search prunes on that bound. An
-    empty result means the identity has no solutions under this basis.
+    most ``vertex_count - 2`` members. ``sums[i][k]`` is the bitmask of the
+    totals, up to the target, that ``k`` cycles from index ``i`` on can
+    reach; the search enters a cycle only when the rest of the target is
+    reachable after it, so every call leads to a solution and there are at
+    most ``cap * (vertex_count - 1)`` calls. An empty result means the
+    identity has no solutions under this basis.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     target = basis.graph.vertex_count - 2
     values = [c.bit_count() - 2 for c in basis.cycles]
     dim = len(values)
-    max_value = max(values, default=0)
+    most = min(dim, target)
+    if most < 1:
+        return ()
+    keep = (1 << (target + 1)) - 1
+    sums = [[1] + [0] * most for _ in range(dim + 1)]
+    for i in range(dim - 1, -1, -1):
+        for k in range(1, most + 1):
+            sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(start: int, acc: int, remaining: int) -> bool:
+    def extend(start: int, rest: int, remaining: int) -> bool:
         if remaining == 0:
-            if acc == target:
-                found.append(tuple(chosen))
-                return len(found) >= cap
-            return False
+            found.append(tuple(chosen))
+            return len(found) >= cap
         for i in range(start, dim - remaining + 1):
-            nacc = acc + values[i]
-            if nacc + (remaining - 1) > target:
-                continue
-            if nacc + (remaining - 1) * max_value < target:
+            need = rest - values[i]
+            if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
                 continue
             chosen.append(i)
-            stop = extend(i + 1, nacc, remaining - 1)
+            stop = extend(i + 1, need, remaining - 1)
             chosen.pop()
             if stop:
                 return True
         return False
 
-    for size in range(1, min(dim, target) + 1):
-        if extend(0, 0, size):
+    for size in range(1, most + 1):
+        if (sums[0][size] >> target) & 1 and extend(0, target, size):
             break
-    return tuple(_make_partition(basis, sol) for sol in found)
+    everything = (1 << dim) - 1
+    return tuple(
+        SolutionPartition(sol, everything & ~sum(1 << i for i in sol)) for sol in found
+    )

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Literal
 
 from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
-from .graphs import Graph, Weight, iter_edge_indices, mask_weight, tour_from_edge_mask
+from .graphs import Graph, Weight, iter_bits, mask_weight, tour_from_edge_mask
 from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
 from .removability import (
     REMOVABLE,
@@ -61,18 +61,19 @@ class Counters:
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
-    ``cover_counts`` and ``union_adjacency`` (one bitmask of union
-    neighbours per vertex) are always consistent with the retained rows; the
-    union is the set of edges with a nonzero cover count, and the graph is
-    ``basis.graph``. Counters and memo caches ride along by reference and
-    are excluded from equality, so structurally identical states compare
-    equal. ``cluster_closures`` is not a field: every new state starts
-    without it, so it never outlives its retained set.
+    ``retained`` is the bitmask of the retained cycles. ``cover_counts`` and
+    ``union_adjacency`` (one bitmask of union neighbours per vertex) are
+    always consistent with the retained rows; the union is the set of edges
+    with a nonzero cover count, and the graph is ``basis.graph``. Counters
+    and memo caches ride along by reference and are excluded from equality,
+    so structurally identical states compare equal. ``cluster_closures`` is
+    not a field: every new state starts without it, so it never outlives its
+    retained set.
     """
 
     basis: CycleBasis
     partition: SolutionPartition
-    retained: frozenset[int]
+    retained: int
     cover_counts: tuple[int, ...]
     union_adjacency: tuple[int, ...]
     trace: tuple[DeletionRecord, ...] = ()
@@ -81,8 +82,8 @@ class SolverState:
     verdict_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def cluster_closures(self) -> dict[int, frozenset[int]]:
-        """Cluster closures taken on this retained set, by member cycle."""
+    def cluster_closures(self) -> dict[int, int]:
+        """Cluster closures (member bitmasks) taken on this retained set, by member cycle."""
         return {}
 
 
@@ -134,7 +135,7 @@ def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverStat
     return SolverState(
         basis=basis,
         partition=partition,
-        retained=frozenset(range(basis.dimension)),
+        retained=(1 << basis.dimension) - 1,
         cover_counts=basis.cover_counts,
         union_adjacency=tuple(adjacency),
         # one row op per basis row, for the cover counts the basis carries
@@ -169,9 +170,9 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     ``c`` cached for this retained set already carries the deletion record,
     so the deletion then scans the cycle's row once, for the cover counts.
     """
-    if c not in state.retained:
+    if not (state.retained >> c) & 1:
         raise NotRemovable(f"cycle {c} is not retained")
-    if c not in state.partition.co_solution:
+    if not (state.partition.co_solution >> c) & 1:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
     known = state.verdict_cache.get(verdict_key(state, c))
     if known is not None and known.record is not None:
@@ -179,7 +180,7 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     else:
         rec = deletion_record(state, c)
     covers = list(state.cover_counts)
-    for e in iter_edge_indices(state.basis.cycles[c]):
+    for e in iter_bits(state.basis.cycles[c]):
         covers[e] -= 1
     u, v, _ = state.basis.graph.edges[rec.removed_edge]
     adjacency = list(state.union_adjacency)
@@ -191,7 +192,7 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     return SolverState(
         basis=state.basis,
         partition=state.partition,
-        retained=state.retained - {c},
+        retained=state.retained & ~(1 << c),
         cover_counts=tuple(covers),
         union_adjacency=tuple(adjacency),
         trace=state.trace + (rec,),
@@ -212,9 +213,9 @@ def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverS
     # removable. ``records`` is the first pass, answered on the start state.
     while records:
         state = apply_deletion(state, select_deletion(state, records).cycle)
-        pool = [c for c in state.partition.co_solution if c in state.retained]
-        _count_pass(state.counters, len(pool))
-        contexts = [is_removable(state, c) for c in pool]
+        pool = state.partition.co_solution & state.retained
+        _count_pass(state.counters, pool.bit_count())
+        contexts = [is_removable(state, c) for c in iter_bits(pool)]
         records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
     return state
 
@@ -249,15 +250,12 @@ def solve(graph: Graph) -> TourResult:
     start_tour = tour_from_edge_mask(graph, start_mask)
     for tried, partition in enumerate(partitions, 1):
         pool = partition.co_solution
-        _count_pass(counters, len(pool))
-        first = []
-        for c in pool:
-            if not (asked >> c) & 1:
-                asked |= 1 << c
-                if is_removable(start, c).verdict == REMOVABLE:
-                    removable_at_start |= 1 << c
-            if (removable_at_start >> c) & 1:
-                first.append(is_removable(start, c).record)
+        _count_pass(counters, pool.bit_count())
+        for c in iter_bits(pool & ~asked):
+            if is_removable(start, c).verdict == REMOVABLE:
+                removable_at_start |= 1 << c
+        asked |= pool
+        first = [is_removable(start, c).record for c in iter_bits(pool & removable_at_start)]
         if first:
             state = _run_partition(dataclasses.replace(start, partition=partition), first)
             mask = boundary_mask(state)

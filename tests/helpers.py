@@ -23,7 +23,7 @@ from cycletrim import (
     is_removable,
     solution_sum,
 )
-from cycletrim.graphs import iter_edge_indices, mask_degrees, mask_vertices, mask_weight, tour_from_edge_mask
+from cycletrim.graphs import iter_bits, mask_degrees, mask_vertices, mask_weight, tour_from_edge_mask
 from cycletrim.oracle import HELD_KARP_MAX_VERTICES, OracleAnswer, TooLarge, _canonical
 from cycletrim.removability import (
     REDUCED_ACYCLIC,
@@ -117,6 +117,46 @@ def naive_solutions(basis: CycleBasis) -> set[tuple[int, ...]]:
     return out
 
 
+def enumerate_solutions_reference(basis: CycleBasis, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Solution subsets by size, then lexicographic, up to ``cap``.
+
+    The search bounds what the remaining cycles can add by the largest
+    value of any cycle, so on dense graphs it can walk far more branches
+    than lead to a solution; :func:`cycletrim.enumerate_solutions` must
+    give the same subsets in the same order.
+    """
+    target = basis.graph.vertex_count - 2
+    values = [c.bit_count() - 2 for c in basis.cycles]
+    dim = len(values)
+    max_value = max(values, default=0)
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(start: int, acc: int, remaining: int) -> bool:
+        if remaining == 0:
+            if acc == target:
+                found.append(tuple(chosen))
+                return len(found) >= cap
+            return False
+        for i in range(start, dim - remaining + 1):
+            nacc = acc + values[i]
+            if nacc + (remaining - 1) > target:
+                continue
+            if nacc + (remaining - 1) * max_value < target:
+                continue
+            chosen.append(i)
+            stop = extend(i + 1, nacc, remaining - 1)
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
+    for size in range(1, min(dim, target) + 1):
+        if extend(0, 0, size):
+            break
+    return tuple(found)
+
+
 def gf2_rank(rows) -> int:
     pivots: dict[int, int] = {}
     rank = 0
@@ -146,7 +186,7 @@ def is_simple_cycle(g: Graph, mask: int) -> bool:
     if mask.bit_count() < 3:
         return False
     nbrs: dict[int, list[int]] = {}
-    for e in iter_edge_indices(mask):
+    for e in iter_bits(mask):
         u, v, _ = g.edges[e]
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
@@ -164,17 +204,27 @@ def is_simple_cycle(g: Graph, mask: int) -> bool:
     return len(seen) == len(nbrs)
 
 
-def cluster_members_reference(state: SolverState, seed: int) -> frozenset[int]:
-    """Unmemoised transitive closure of edge sharing among retained cycles."""
+def bits(indices) -> int:
+    """The bitmask of a collection of indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def cluster_members_reference(state: SolverState, seed: int) -> int:
+    """Unmemoised transitive closure of edge sharing among retained cycles,
+    walked over a set and returned as a bitmask."""
+    retained = set(iter_bits(state.retained))
     members = {seed}
     frontier = [seed]
     while frontier:
         row = state.basis.cycles[frontier.pop()]
-        for other in state.retained:
+        for other in retained:
             if other not in members and row & state.basis.cycles[other]:
                 members.add(other)
                 frontier.append(other)
-    return frozenset(members)
+    return bits(members)
 
 
 def union_mask(state: SolverState) -> int:
@@ -188,7 +238,7 @@ def union_mask(state: SolverState) -> int:
 
 def _union_adjacency(graph: Graph, union: int) -> tuple[int, ...]:
     adjacency = [0] * graph.vertex_count
-    for e in iter_edge_indices(union):
+    for e in iter_bits(union):
         u, v, _ = graph.edges[e]
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
@@ -199,29 +249,40 @@ def crafted_state(
     graph: Graph,
     rows: list[int],
     solution: tuple[int, ...],
-    retained: set[int] | None = None,
+    retained: int | None = None,
 ) -> SolverState:
-    """Build a solver state from hand-picked basis rows (unit-test rigging)."""
-    retained_set = frozenset(retained if retained is not None else range(len(rows)))
-    covers = count_covers(graph.edge_count, (rows[i] for i in sorted(retained_set)))
+    """Build a solver state from hand-picked basis rows (unit-test rigging).
+
+    ``retained`` is a bitmask of row indices; every row by default.
+    """
+    everything = (1 << len(rows)) - 1
+    if retained is None:
+        retained = everything
+    covers = count_covers(graph.edge_count, (rows[i] for i in iter_bits(retained)))
     basis = CycleBasis(graph, tuple(rows), count_covers(graph.edge_count, rows))
-    co = tuple(i for i in range(len(rows)) if i not in set(solution))
-    partition = SolutionPartition(solution, co)
+    partition = SolutionPartition(solution, everything & ~bits(solution))
     union = 0
-    for i in retained_set:
+    for i in iter_bits(retained):
         union |= rows[i]
     return SolverState(
         basis=basis,
         partition=partition,
-        retained=retained_set,
+        retained=retained,
         cover_counts=covers,
         union_adjacency=_union_adjacency(graph, union),
     )
 
 
 def check_state(state: SolverState) -> None:
-    """Assert that the incremental fields match a recount of the retained rows."""
-    rows = [state.basis.cycles[i] for i in sorted(state.retained)]
+    """Assert that the index sets are consistent and that the incremental
+    fields match a recount of the retained rows."""
+    everything = (1 << state.basis.dimension) - 1
+    solution = bits(state.partition.solution)
+    assert state.retained & ~everything == 0
+    assert solution & ~state.retained == 0
+    assert state.partition.co_solution & solution == 0
+    assert state.partition.co_solution | solution == everything
+    rows = [state.basis.cycles[i] for i in iter_bits(state.retained)]
     covers = count_covers(state.basis.graph.edge_count, rows)
     assert state.cover_counts == covers
     union = 0
@@ -268,7 +329,7 @@ def solve_reference(graph: Graph) -> TourResult:
     for tried, partition in enumerate(partitions, 1):
         state = dataclasses.replace(start, partition=partition)
         while True:
-            pool = [c for c in partition.co_solution if c in state.retained]
+            pool = list(iter_bits(partition.co_solution & state.retained))
             if not pool:
                 break
             counters.candidates_tested += len(pool)
@@ -333,16 +394,16 @@ def state_for(graph: Graph, partition_index: int = 0):
 def union_subgraph(state: SolverState) -> Graph:
     """The retained union as a standalone graph (original vertex ids kept)."""
     g = state.basis.graph
-    return Graph(g.vertex_count, tuple(g.edges[e] for e in iter_edge_indices(union_mask(state))))
+    return Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(union_mask(state))))
 
 
 def edge_subgraph_reference(g: Graph, mask: int) -> Graph:
     """The edges in ``mask`` as a graph of their own, touched vertices relabelled
     to ``0..k-1`` in ascending original id; weights are inherited."""
-    new_id = {old: i for i, old in enumerate(sorted(mask_vertices(g, mask)))}
+    new_id = {old: i for i, old in enumerate(iter_bits(mask_vertices(g, mask)))}
     edges = tuple(
         (new_id[g.edges[e][0]], new_id[g.edges[e][1]], g.edges[e][2])
-        for e in iter_edge_indices(mask)
+        for e in iter_bits(mask)
     )
     return Graph(len(new_id), edges)
 

@@ -8,7 +8,7 @@ from cycletrim import (
     edges_with_cover,
     fundamental_basis,
 )
-from cycletrim.graphs import iter_edge_indices
+from cycletrim.graphs import iter_bits
 
 from helpers import (
     gf2_rank,
@@ -86,7 +86,7 @@ def test_chord_columns_have_single_one(g):
     for c in b.cycles:
         own = [
             e
-            for e in iter_edge_indices(c)
+            for e in iter_bits(c)
             if b.cover_counts[e] == 1
         ]
         assert own

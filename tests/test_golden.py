@@ -1,9 +1,11 @@
 """Pinned digests of a mining report and of solver traces.
 
-Refactors of the core must leave all three byte-identical: the report
+Refactors of the core must leave all four byte-identical: the report
 carries statuses, weights and the per-instance counters (``mean_row_ops_by_m``
 too), the stripped report is the same report without ``mean_row_ops_by_m``,
-and the trace digest carries every deletion record of every solver run.
+and the trace digests carry every deletion record of every solver run: one
+over small draws (n 4-10), one over Hamiltonian draws at the benchmark's
+large sizes (n 14-16 at p 0.5, n 18 at p 0.2).
 
 ``row_ops`` counts one per basis-row scan the solver actually performs: the
 basis rows once per solve, the deletion-record scan of each evaluated
@@ -21,13 +23,14 @@ import hashlib
 import json
 import random
 
-from cycletrim import CampaignConfig, random_connected_graph, run_campaign, solve
+from cycletrim import CampaignConfig, is_hamiltonian, random_connected_graph, run_campaign, solve
 from cycletrim.cli import _result_json
 from cycletrim.harness import report_line
 
 REPORT_SHA256 = "bed3214dde82b83241b14f3061b1bf35b464d4b85e103b0137c755a000603871"
 STRIPPED_REPORT_SHA256 = "f90b939099f7c800f8d66ac980ecf6937be41159947b1c6092934174cfa990f4"
 TRACE_SHA256 = "6d82c75d78a323176b084b1d4971bc00ccac835023b2c33c9b70b63f2080c014"
+LARGE_TRACE_SHA256 = "5311b2212ad15a7ac53e84b4eeff0901353519c1c5f6f9f25b0fcd85b6777dee"
 
 
 def _stripped(report: bytes) -> bytes:
@@ -53,3 +56,19 @@ def test_solver_trace_digest():
         line = json.dumps(_result_json(solve(g)), sort_keys=True) + "\n"
         digest.update(line.encode())
     assert digest.hexdigest() == TRACE_SHA256
+
+
+def test_large_solver_trace_digest():
+    # 20 Hamiltonian draws cycling n 14, 15, 16 at p 0.5, then 20 at n 18, p 0.2
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for sizes, p in (((14, 15, 16), 0.5), ((18,), 0.2)):
+        kept = 0
+        while kept < 20:
+            g = random_connected_graph(rng, sizes[kept % len(sizes)], p, 1, 100)
+            if not is_hamiltonian(g):
+                continue
+            line = json.dumps(_result_json(solve(g)), sort_keys=True) + "\n"
+            digest.update(line.encode())
+            kept += 1
+    assert digest.hexdigest() == LARGE_TRACE_SHA256

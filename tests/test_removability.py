@@ -15,7 +15,7 @@ from cycletrim import (
     reduce_cluster,
     solve,
 )
-from cycletrim.graphs import iter_edge_indices
+from cycletrim.graphs import iter_bits
 from cycletrim.removability import (
     BLOCKED_BY_CLUSTER,
     BLOCKED_BY_NEIGHBORS,
@@ -28,6 +28,7 @@ from cycletrim.removability import (
 from cycletrim.solver import apply_deletion
 
 from helpers import (
+    bits,
     blocked_by_neighbors_reference,
     bowtie,
     check_state,
@@ -108,14 +109,14 @@ def test_degree_two_neighbor_count():
     assert ctx.verdict == BLOCKED_BY_NEIGHBORS
     # in K4 the deletion leaves vertices 0 and 1 two degree-2 neighbors each
     _, parts, state = state_for(k4_golden())
-    assert is_removable(state, parts[0].co_solution[0]).verdict == REMOVABLE
+    assert is_removable(state, next(iter_bits(parts[0].co_solution))).verdict == REMOVABLE
 
 
 # --- diagonals and clusters ------------------------------------------------
 
 def test_theta_cycles_not_diagonal():
     _, _, state = state_for(theta())
-    assert find_diagonals(state, 0) == ()
+    assert find_diagonals(state, 0) == 0
 
 
 def test_bowtie_triangles_are_diagonal():
@@ -128,14 +129,14 @@ def test_bowtie_triangles_are_diagonal():
         ],
         solution=(0,),
     )
-    assert find_diagonals(state, 0) == (1,)
-    assert find_diagonals(state, 1) == (0,)
+    assert find_diagonals(state, 0) == bits({1})
+    assert find_diagonals(state, 1) == bits({0})
 
 
 def test_k4_triangles_not_diagonal():
     _, _, state = state_for(k4_golden())
     for c in range(3):
-        assert find_diagonals(state, c) == ()
+        assert find_diagonals(state, c) == 0
 
 
 def test_cycles_meeting_in_two_vertices_are_not_diagonal():
@@ -150,8 +151,8 @@ def test_cycles_meeting_in_two_vertices_are_not_diagonal():
     a = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (0, 3)])
     b = sum(1 << g.edge_index(u, v) for u, v in [(0, 4), (4, 2), (2, 5), (5, 0)])
     state = crafted_state(g, [a, b], solution=(0,))
-    assert find_diagonals(state, 0) == ()
-    assert find_diagonals(state, 1) == ()
+    assert find_diagonals(state, 0) == 0
+    assert find_diagonals(state, 1) == 0
 
 
 def test_bowtie_cluster_is_single_triangle():
@@ -159,7 +160,7 @@ def test_bowtie_cluster_is_single_triangle():
     right = sum(1 << g.edge_index(u, v) for u, v in [(0, 3), (0, 4), (3, 4)])
     left = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (0, 2), (1, 2)])
     state = crafted_state(g, [left, right], solution=(0,))
-    assert _cluster_members(state, 1) == {1}
+    assert _cluster_members(state, 1) == bits({1})
 
 
 def test_cluster_closure_is_transitive():
@@ -173,16 +174,16 @@ def test_cluster_closure_is_transitive():
     t2 = (1 << e(1, 2)) | (1 << e(1, 3)) | (1 << e(2, 3))
     t3 = (1 << e(2, 3)) | (1 << e(2, 4)) | (1 << e(3, 4))
     state = crafted_state(g, [t1, t2, t3], solution=(1,))
-    assert _cluster_members(state, 0) == {0, 1, 2}
+    assert _cluster_members(state, 0) == bits({0, 1, 2})
 
     # dropping the middle cycle splits the chain
-    state2 = crafted_state(g, [t1, t2, t3], solution=(1,), retained={0, 2})
-    assert _cluster_members(state2, 0) == {0}
+    state2 = crafted_state(g, [t1, t2, t3], solution=(1,), retained=bits({0, 2}))
+    assert _cluster_members(state2, 0) == bits({0})
 
 
 def test_two_cycle_cluster():
     _, _, state = state_for(theta())
-    assert _cluster_members(state, 0) == {0, 1}  # both triangles share the edge ab
+    assert _cluster_members(state, 0) == bits({0, 1})  # both triangles share the edge ab
 
 
 @given(connected_graphs(max_vertices=8), st.data())
@@ -191,7 +192,7 @@ def test_memoised_closure_matches_reference(g, data):
     rows = list(fundamental_basis(g).cycles)
     retained = data.draw(st.sets(st.sampled_from(range(len(rows)))) if rows else st.just(set()))
     for order in (sorted(retained), sorted(retained, reverse=True)):
-        state = crafted_state(g, rows, solution=(), retained=retained)
+        state = crafted_state(g, rows, solution=(), retained=bits(retained))
         for c in order:
             assert _cluster_members(state, c) == cluster_members_reference(state, c)
         # every closure is now memoised: asking again scans no row
@@ -298,12 +299,12 @@ def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
             continue
         for members in result.final_state.cluster_cache:
             mask = 0
-            for m in members:
+            for m in iter_bits(members):
                 mask |= result.final_state.basis.cycles[m]
             clusters.add((g, mask))
     assert clusters
     for g, mask in clusters:
-        h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_edge_indices(mask)))
+        h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
         fixed = reduce_cluster(h)
         assert reduce_cluster(edge_subgraph_reference(g, mask)).tag == fixed.tag
         for seed in range(4):
@@ -314,17 +315,17 @@ def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
 
 def test_k4_co_solution_cycle_removable():
     _, parts, state = state_for(k4_golden())
-    c = parts[0].co_solution[0]
+    c = next(iter_bits(parts[0].co_solution))
     ctx = is_removable(state, c)
     assert ctx.verdict == REMOVABLE
-    assert find_diagonals(state, c) == ()
+    assert find_diagonals(state, c) == 0
     assert ctx.record.removed_edge == state.basis.graph.edge_index(2, 3)
 
 
 def test_wheel_rim_cycle_blocked_by_cluster():
     g = wheel5()
     _, parts, state = state_for(g)
-    c = parts[0].co_solution[0]
+    c = next(iter_bits(parts[0].co_solution))
     ctx = is_removable(state, c)
     assert ctx.verdict == BLOCKED_BY_CLUSTER
     assert find_diagonals(state, c)
@@ -335,8 +336,8 @@ def test_wheel_state_blocked_by_neighbors():
     # hub with four degree-2 neighbors
     g = wheel5()
     basis, parts, state = state_for(g)
-    retained = frozenset(range(basis.dimension)) - {0}
-    state = crafted_state(g, list(basis.cycles), parts[0].solution, retained=set(retained))
+    retained = ((1 << basis.dimension) - 1) & ~(1 << 0)
+    state = crafted_state(g, list(basis.cycles), parts[0].solution, retained=retained)
     ctx = is_removable(state, 3)
     assert ctx.verdict == BLOCKED_BY_NEIGHBORS
 
@@ -348,7 +349,7 @@ def test_not_candidate_verdict():
 
 def test_removable_deletion_keeps_vertices_and_drops_one_edge():
     _, parts, state = state_for(k4_golden())
-    c = parts[0].co_solution[0]
+    c = next(iter_bits(parts[0].co_solution))
     assert is_removable(state, c).verdict == REMOVABLE
     after = apply_deletion(state, c)
     assert union_mask(after).bit_count() == union_mask(state).bit_count() - 1
@@ -369,7 +370,7 @@ def test_removable_unions_stay_hamiltonian(g):
     if not parts:
         return
     state = initial_state(basis, parts[0])
-    for c in parts[0].co_solution:
+    for c in iter_bits(parts[0].co_solution):
         if is_removable(state, c).verdict != REMOVABLE:
             continue
         after = apply_deletion(state, c)
@@ -396,8 +397,8 @@ def test_cached_verdicts_match_fresh_ones(g):
     )
     for step in range(len(result.trace) + 1):
         check_state(state)
-        for c in state.partition.co_solution:
-            if c not in state.retained:
+        for c in iter_bits(state.partition.co_solution):
+            if not (state.retained >> c) & 1:
                 continue
             cached = is_removable(state, c)
             fresh_state = dataclasses.replace(state, verdict_cache={}, cluster_cache={})
@@ -412,7 +413,7 @@ def test_cached_verdicts_match_fresh_ones(g):
                 scanned = apply_deletion(dataclasses.replace(state, verdict_cache={}), c)
                 assert apply_deletion(state, c) == scanned
                 assert cached.record == scanned.trace[-1]
-        for c in state.retained:
+        for c in iter_bits(state.retained):
             assert _cluster_members(state, c) == cluster_members_reference(state, c)
         if step < len(result.trace):
             state = apply_deletion(state, result.trace[step].cycle)

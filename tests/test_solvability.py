@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,11 +8,15 @@ from cycletrim import (
     enumerate_solutions,
     fundamental_basis,
     is_hamiltonian,
+    random_connected_graph,
     solution_sum,
 )
+from cycletrim.graphs import iter_bits
+from cycletrim.solvability import SOLUTION_CAP
 
 from helpers import (
     cycle_graph,
+    enumerate_solutions_reference,
     k4_golden,
     make_graph,
     naive_solutions,
@@ -33,7 +40,7 @@ def test_enumerate_triangle():
     parts = enumerate_solutions(fundamental_basis(triangle()))
     assert len(parts) == 1
     assert parts[0].solution == (0,)
-    assert parts[0].co_solution == ()
+    assert parts[0].co_solution == 0
 
 
 def test_enumerate_theta():
@@ -67,8 +74,8 @@ def test_enumerate_order_and_cap():
 def test_partition_shape():
     b = fundamental_basis(k4_golden())
     part = enumerate_solutions(b)[0]
-    assert sorted(part.solution + part.co_solution) == list(range(b.dimension))
-    assert part.co_solution == (2,)
+    assert sorted(part.solution + tuple(iter_bits(part.co_solution))) == list(range(b.dimension))
+    assert part.co_solution == 1 << 2
     assert 1 <= len(part.solution) <= b.dimension
 
 
@@ -103,3 +110,40 @@ def test_record_solvability_of_small_hamiltonian_graphs():
             solvable += 1
     print(f"\nsolvable Hamiltonian inputs (n<=7): {solvable}/{total}")
     assert total > 0
+
+
+def _extend_calls(basis, cap: int) -> tuple[int, tuple]:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "extend"
+
+    sys.setprofile(count)
+    try:
+        parts = enumerate_solutions(basis, cap=cap)
+    finally:
+        sys.setprofile(None)
+    return calls, parts
+
+
+def test_enumerate_matches_reference_on_campaign_draws():
+    rng = random.Random(2)
+    for _ in range(150):
+        g = random_connected_graph(rng, rng.randint(4, 12), rng.choice((0.3, 0.5, 0.8)), 1, 100)
+        b = fundamental_basis(g)
+        for cap in (1, 3, 64, 4096):
+            got = tuple(p.solution for p in enumerate_solutions(b, cap=cap))
+            assert got == enumerate_solutions_reference(b, cap)
+
+
+def test_enumerate_calls_lead_to_solutions_on_a_dense_draw():
+    # the reference makes 108,558 calls on this draw; every call of the
+    # exact search leads to a solution, so a path of at most n - 1 calls
+    # ends in each of the at most ``cap`` solutions
+    n = 16
+    b = fundamental_basis(random_connected_graph(random.Random(3), n, 0.8, 1, 100))
+    calls, parts = _extend_calls(b, SOLUTION_CAP)
+    assert len(parts) == SOLUTION_CAP
+    assert calls <= SOLUTION_CAP * (n - 1)
+    assert tuple(p.solution for p in parts) == enumerate_solutions_reference(b, SOLUTION_CAP)

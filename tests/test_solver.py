@@ -23,9 +23,11 @@ from cycletrim import (
     tour_weight,
 )
 from cycletrim.cycle_space import edges_with_cover
+from cycletrim.graphs import iter_bits
 from cycletrim.solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
 from helpers import (
+    bits,
     check_state,
     crafted_state,
     k4_golden,
@@ -114,18 +116,18 @@ def test_deletion_delta_k4():
     basis = fundamental_basis(k4_golden())
     parts = enumerate_solutions(basis)
     state = initial_state(basis, parts[0])
-    c = parts[0].co_solution[0]
+    c = next(iter_bits(parts[0].co_solution))
     rec = apply_deletion(state, c).trace[-1]
     g = state.basis.graph
     assert rec.removed_edge == g.edge_index(2, 3)
-    assert set(rec.newly_boundary) == {g.edge_index(0, 2), g.edge_index(0, 3)}
+    assert rec.newly_boundary == bits({g.edge_index(0, 2), g.edge_index(0, 3)})
     assert rec.added_weight == 5
 
     # independent recount: boundary sets from scratch before and after
     before = edges_with_cover(state.cover_counts, 1)
     after_covers = count_covers(
         g.edge_count,
-        (basis.cycles[i] for i in sorted(state.retained - {c})),
+        (basis.cycles[i] for i in iter_bits(state.retained & ~(1 << c))),
     )
     after = edges_with_cover(after_covers, 1)
     gained = after & ~before
@@ -151,7 +153,7 @@ def test_deletion_delta_zero_when_nothing_becomes_boundary():
     ]
     state = crafted_state(g, rows, solution=(1, 2, 3))
     rec = apply_deletion(state, 0).trace[-1]
-    assert rec.newly_boundary == ()
+    assert rec.newly_boundary == 0
     assert rec.added_weight == 0
 
 
@@ -178,16 +180,16 @@ def test_select_deletion_tie_breaks():
     state = initial_state(basis, enumerate_solutions(basis)[0])
     from cycletrim.solver import DeletionRecord
 
-    a = DeletionRecord(2, 0, (), Fraction(5))
-    b = DeletionRecord(1, 1, (), Fraction(3))
+    a = DeletionRecord(2, 0, 0, Fraction(5))
+    b = DeletionRecord(1, 1, 0, Fraction(3))
     assert select_deletion(state, [a, b]).cycle == 1
     # equal weights: the record whose removed edge is lighter wins
-    c = DeletionRecord(2, 0, (), Fraction(3))  # edge 0 weighs 1
-    d = DeletionRecord(1, 3, (), Fraction(3))  # edge 3 weighs 4
+    c = DeletionRecord(2, 0, 0, Fraction(3))  # edge 0 weighs 1
+    d = DeletionRecord(1, 3, 0, Fraction(3))  # edge 3 weighs 4
     assert select_deletion(state, [c, d]).cycle == 2
     # full tie: lower cycle index
-    e = DeletionRecord(2, 0, (), Fraction(3))
-    f = DeletionRecord(1, 0, (), Fraction(3))
+    e = DeletionRecord(2, 0, 0, Fraction(3))
+    f = DeletionRecord(1, 0, 0, Fraction(3))
     assert select_deletion(state, [e, f]).cycle == 1
 
 
@@ -195,15 +197,15 @@ def test_apply_deletion_contract():
     basis = fundamental_basis(k4_golden())
     parts = enumerate_solutions(basis)
     state = initial_state(basis, parts[0])
-    c = parts[0].co_solution[0]
+    c = next(iter_bits(parts[0].co_solution))
     after = apply_deletion(state, c)
     assert union_mask(after).bit_count() == union_mask(state).bit_count() - 1
-    assert after.retained == state.retained - {c}
+    assert after.retained == state.retained & ~(1 << c)
     assert len(after.trace) == 1
     # cover counts stay consistent with the retained rows
     assert after.cover_counts == count_covers(
         state.basis.graph.edge_count,
-        (basis.cycles[i] for i in sorted(after.retained)),
+        (basis.cycles[i] for i in iter_bits(after.retained)),
     )
     with pytest.raises(NotRemovable):
         apply_deletion(after, c)
@@ -217,7 +219,7 @@ def test_solution_cycles_never_deleted():
     deleted = {rec.cycle for rec in result.trace}
     assert deleted.isdisjoint(result.partition.solution)
     assert result.final_state is not None
-    assert set(result.partition.solution) <= result.final_state.retained
+    assert bits(result.partition.solution) & ~result.final_state.retained == 0
 
 
 def test_trace_replay_reproduces_final_state():
@@ -227,12 +229,12 @@ def test_trace_replay_reproduces_final_state():
             continue
         basis = fundamental_basis(g)
         state = initial_state(basis, result.partition)
-        solution = set(result.partition.solution)
+        solution = bits(result.partition.solution)
         check_state(state)
         for rec in result.trace:
             state = apply_deletion(state, rec.cycle)
             check_state(state)
-            assert solution <= state.retained  # solution cycles survive every step
+            assert solution & ~state.retained == 0  # solution cycles survive every step
         assert state == result.final_state
         assert state.trace == result.trace
 
