@@ -9,7 +9,9 @@ and ``--seconds``: the Hamiltonian graphs that ``workloads.set_up`` keeps.
 For each input, and then for a copy of it whose weights are mapped to
 ``1 + w % 2`` so that equal-weight paths and tours are common, the digest
 takes ``repr(min_tour(graph))``: weight and tour. Two checkouts whose
-digests agree give the same answers and tours on every input. Stdlib only;
+digests agree give the same answers and tours on every input. A second
+line per workload digests the ``is_hamiltonian`` verdict on every graph
+``set_up`` draws, the gated-out ones included. Stdlib only;
 it imports cycletrim from ``src/`` and the workloads from ``perfbench/`` of
 the checkout it lives in.
 """
@@ -26,24 +28,23 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from cycletrim import Graph, min_tour  # noqa: E402
+from cycletrim import Graph, is_hamiltonian, min_tour  # noqa: E402
 
 
 def tied(graph: Graph) -> Graph:
     return Graph(graph.vertex_count, tuple((u, v, 1 + w % 2) for u, v, w in graph.edges))
 
 
-def digest(workload: str, seed: int, seconds: int) -> tuple[int, str, float]:
-    """(inputs, sha256 over both passes, seconds spent in ``min_tour``)."""
-    graphs = workloads.set_up(workload, seed, workloads.input_size(workload, seconds)).kept
+def digest(graphs: list[Graph], oracle) -> tuple[str, float]:
+    """(sha256 over ``repr(oracle(graph))`` per graph, seconds spent in ``oracle``)."""
     sha = hashlib.sha256()
     spent = 0.0
-    for graph in graphs + [tied(g) for g in graphs]:
+    for graph in graphs:
         start = perf_counter()
-        answer = min_tour(graph)
+        answer = oracle(graph)
         spent += perf_counter() - start
         sha.update(repr(answer).encode() + b"\n")
-    return len(graphs), sha.hexdigest(), spent
+    return sha.hexdigest(), spent
 
 
 def main() -> int:
@@ -53,9 +54,14 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args()
     for workload in args.workload or workloads.WORKLOADS:
-        count, hexdigest, spent = digest(workload, args.seed, args.seconds)
-        print(f"{workload} seed {args.seed} seconds {args.seconds}: {count} inputs x 2, "
+        inputs = workloads.set_up(workload, args.seed, workloads.input_size(workload, args.seconds))
+        graphs = inputs.kept
+        hexdigest, spent = digest(graphs + [tied(g) for g in graphs], min_tour)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(graphs)} inputs x 2, "
               f"sha256 {hexdigest} ({spent:.2f} s in min_tour)")
+        hexdigest, spent = digest(inputs.drawn, is_hamiltonian)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
+              f"is_hamiltonian sha256 {hexdigest} ({spent:.2f} s in is_hamiltonian)")
     return 0
 
 

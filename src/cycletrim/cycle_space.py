@@ -59,7 +59,9 @@ def fundamental_basis(g: Graph) -> CycleBasis:
     BFS spanning tree rooted at 0, neighbors in ascending id order; each
     chord yields the cycle chord + tree path between its endpoints. A tree
     input yields an empty basis; a disconnected one raises
-    :class:`~cycletrim.graphs.NotConnected`.
+    :class:`~cycletrim.graphs.NotConnected`. The BFS is its own, not
+    :func:`~cycletrim.graphs.reach`: it needs each vertex's parent edge, and
+    its visiting order defines the basis.
     """
     n = g.vertex_count
     parent = [-1] * n

@@ -7,7 +7,9 @@ int/Fraction arithmetic is exact, so no other module picks a weight type.
 The edge list is kept in canonical order (sorted by endpoints) and the
 position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
 passed around as integer bitmasks over those indices, and vertex subsets as
-integer bitmasks over vertex ids.
+integer bitmasks over vertex ids. Past the parser, adjacency is one form: a
+list with one bitmask of neighbours per vertex, built by
+:func:`mask_neighbours` for any edge subset and walked by :func:`reach`.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
@@ -24,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Weight = int | Fraction
 
@@ -47,7 +49,7 @@ class NotConnected(GraphError):
 def exact_weight(w) -> Weight:
     """``w`` as a weight: an ``int`` unchanged, anything else as a
     :class:`~fractions.Fraction`, reduced to ``int`` when it is integral."""
-    if type(w) is int:  # the common case; each cluster reduction builds a graph
+    if type(w) is int:  # the common case: every random draw's weights are ints
         return w
     w = Fraction(w)
     return w.numerator if w.denominator == 1 else w
@@ -129,7 +131,12 @@ class Graph:
 
 
 def is_connected(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the edges ``pairs`` join vertices ``0..vertex_count-1`` into one component."""
+    """True iff the edges ``pairs`` join vertices ``0..vertex_count-1`` into one component.
+
+    Walks lists, not :func:`mask_neighbours` bitmasks: it runs on parsed
+    input of unbounded size, where ``vertex_count`` masks of ``vertex_count``
+    bits would take memory quadratic in it.
+    """
     nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in pairs:
         nbrs[u].append(v)
@@ -251,6 +258,35 @@ def mask_vertices(g: Graph, mask: int) -> int:
     return out
 
 
+def mask_neighbours(g: Graph, mask: int) -> list[int]:
+    """Per vertex, the bitmask of its neighbours along the edges in ``mask``."""
+    nbrs = [0] * g.vertex_count
+    edges = g.edges
+    for e in iter_bits(mask):
+        u, v, _ = edges[e]
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def reach(nbrs: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of ``start`` and the vertices of ``within`` it reaches through ``within``.
+
+    ``nbrs`` holds a neighbour bitmask per vertex, as :func:`mask_neighbours`
+    builds it; the walk floods one BFS level at a time.
+    """
+    seen = frontier = 1 << start
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def mask_degrees(g: Graph, mask: int) -> list[int]:
     deg = [0] * g.vertex_count
     for e in iter_bits(mask):
@@ -273,20 +309,15 @@ def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:
     n = g.vertex_count
     if n < 3 or mask.bit_count() != n:
         return None
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for e in iter_bits(mask):
-        u, v, _ = g.edges[e]
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if any(len(x) != 2 for x in nbrs):
+    nbrs = mask_neighbours(g, mask)
+    if any(x.bit_count() != 2 for x in nbrs):
         return None
     seq = [0]
     prev = 0
-    cur = min(nbrs[0])
+    cur = (nbrs[0] & -nbrs[0]).bit_length() - 1
     while cur != 0:
         seq.append(cur)
-        a, b = nbrs[cur]
-        prev, cur = cur, (b if a == prev else a)
+        prev, cur = cur, (nbrs[cur] ^ (1 << prev)).bit_length() - 1
     return tuple(seq) if len(seq) == n else None
 
 

@@ -197,7 +197,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     The report gets one line per compared (Hamiltonian) instance and a final
     ``{"kind":"summary",...}`` object; mismatches are additionally written
-    as edge-list files named by instance id in the report's directory.
+    as edge-list files named by instance id in the report's directory. The
+    report is opened before the first draw, so a path that cannot be
+    written raises :class:`CampaignError` before any work is done.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -208,72 +210,75 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     skipped = 0
 
     report_path = Path(config.report_path)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        report = report_path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise CampaignError(f"cannot write the report to {report_path}: {exc}") from None
 
-    lines: list[str] = []
-    for idx in range(config.count):
-        n = rng.randint(config.n_min, config.n_max)
-        graph = random_connected_graph(
-            rng, n, config.edge_probability, config.weight_lo, config.weight_hi
-        )
-        if not is_hamiltonian(graph):
-            skipped += 1
-            continue
-        instance_id = f"mine-s{config.seed}-{idx:04d}"
-        outcome = compare_graph(graph, instance_id=instance_id, seed=config.seed)
-        reports.append(outcome.report)
-        lines.append(report_line(outcome.report.to_json_obj()))
-        counters = outcome.result.counters
-        row_ops_rows.append((str(graph.edge_count), (counters.row_ops,)))
-        counter_rows.append(
-            (
-                f"n={graph.vertex_count},m={graph.edge_count}",
-                tuple(getattr(counters, name) for name in MEAN_COUNTERS),
+    with report:
+        for idx in range(config.count):
+            n = rng.randint(config.n_min, config.n_max)
+            graph = random_connected_graph(
+                rng, n, config.edge_probability, config.weight_lo, config.weight_hi
             )
-        )
-        if outcome.report.match is False:
-            dump = report_path.parent / f"{instance_id}.edges"
-            dump.write_text(
-                f"# instance {instance_id}\n"
-                f"# algo_weight {_weight_json(outcome.report.algo_weight)}"
-                f" opt_weight {_weight_json(outcome.report.opt_weight)}\n"
-                + serialize_graph(graph),
-                encoding="utf-8",
+            if not is_hamiltonian(graph):
+                skipped += 1
+                continue
+            instance_id = f"mine-s{config.seed}-{idx:04d}"
+            outcome = compare_graph(graph, instance_id=instance_id, seed=config.seed)
+            reports.append(outcome.report)
+            report.write(report_line(outcome.report.to_json_obj()) + "\n")
+            counters = outcome.result.counters
+            row_ops_rows.append((str(graph.edge_count), (counters.row_ops,)))
+            counter_rows.append(
+                (
+                    f"n={graph.vertex_count},m={graph.edge_count}",
+                    tuple(getattr(counters, name) for name in MEAN_COUNTERS),
+                )
             )
-            mismatch_paths.append(dump)
+            if outcome.report.match is False:
+                dump = report_path.parent / f"{instance_id}.edges"
+                dump.write_text(
+                    f"# instance {instance_id}\n"
+                    f"# algo_weight {_weight_json(outcome.report.algo_weight)}"
+                    f" opt_weight {_weight_json(outcome.report.opt_weight)}\n"
+                    + serialize_graph(graph),
+                    encoding="utf-8",
+                )
+                mismatch_paths.append(dump)
 
-    compared = len(reports)
-    matches = sum(1 for r in reports if r.match is True)
-    decided = sum(1 for r in reports if r.match is not None)
-    status_counts: dict[str, int] = {}
-    for r in reports:
-        status_counts[r.status] = status_counts.get(r.status, 0) + 1
+        compared = len(reports)
+        matches = sum(1 for r in reports if r.match is True)
+        decided = sum(1 for r in reports if r.match is not None)
+        status_counts: dict[str, int] = {}
+        for r in reports:
+            status_counts[r.status] = status_counts.get(r.status, 0) + 1
 
-    summary = {
-        "kind": "summary",
-        "front_gate": FRONT_GATE,
-        "config": {
-            "count": config.count,
-            "n_min": config.n_min,
-            "n_max": config.n_max,
-            "edge_prob": config.edge_probability,
-            "weights": f"uniform:{config.weight_lo}:{config.weight_hi}",
-            "seed": config.seed,
-        },
-        "generated": config.count,
-        "compared": compared,
-        "skipped_non_hamiltonian": skipped,
-        "match_rate": round(matches / decided, 6) if decided else None,
-        "status_counts": dict(sorted(status_counts.items())),
-        "mismatches": [p.stem for p in mismatch_paths],
-        "mean_counters_by_nm": {
-            key: dict(zip(MEAN_COUNTERS, means))
-            for key, means in _means_by_key(counter_rows).items()
-        },
-        "mean_row_ops_by_m": {
-            key: mean for key, (mean,) in _means_by_key(row_ops_rows).items()
-        },
-    }
-    lines.append(report_line(summary))
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = {
+            "kind": "summary",
+            "front_gate": FRONT_GATE,
+            "config": {
+                "count": config.count,
+                "n_min": config.n_min,
+                "n_max": config.n_max,
+                "edge_prob": config.edge_probability,
+                "weights": f"uniform:{config.weight_lo}:{config.weight_hi}",
+                "seed": config.seed,
+            },
+            "generated": config.count,
+            "compared": compared,
+            "skipped_non_hamiltonian": skipped,
+            "match_rate": round(matches / decided, 6) if decided else None,
+            "status_counts": dict(sorted(status_counts.items())),
+            "mismatches": [p.stem for p in mismatch_paths],
+            "mean_counters_by_nm": {
+                key: dict(zip(MEAN_COUNTERS, means))
+                for key, means in _means_by_key(counter_rows).items()
+            },
+            "mean_row_ops_by_m": {
+                key: mean for key, (mean,) in _means_by_key(row_ops_rows).items()
+            },
+        }
+        report.write(report_line(summary) + "\n")
     return CampaignResult(tuple(reports), summary, report_path, tuple(mismatch_paths))

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, Weight, tour_weight
+from .graphs import Graph, Weight, mask_neighbours, reach, tour_weight
 
 HELD_KARP_MAX_VERTICES = 24
 #: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
@@ -72,22 +72,14 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
     return tour
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Per vertex, the bitmask of its neighbours."""
-    masks = [0] * g.vertex_count
-    for u, v, _ in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def _unequal_sides(adj_mask: list[int]) -> bool:
     """True iff the component of vertex 0 is bipartite with sides of unequal size.
 
     A Hamilton cycle alternates the sides of a bipartite graph, so such a
     graph has none; nor has a graph with vertices outside that component.
     BFS levels alternate sides, and an edge inside one level closes an odd
-    cycle.
+    cycle. The walk is its own, not :func:`~cycletrim.graphs.reach`, since
+    it needs the levels.
     """
     sides = [0, 0]
     seen = frontier = 1
@@ -109,6 +101,19 @@ def _unequal_sides(adj_mask: list[int]) -> bool:
     return sides[0].bit_count() != sides[1].bit_count()
 
 
+def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
+    """True iff some vertex of ``remaining`` has fewer than two neighbours
+    among ``remaining``, ``current`` and 0: the rest of a cycle from
+    ``current`` through ``remaining`` back to 0 cannot pass it."""
+    allowed = remaining | (1 << current) | 1
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        if (nbrs[low.bit_length() - 1] & allowed).bit_count() < 2:
+            return True
+    return False
+
+
 def is_hamiltonian(g: Graph) -> bool:
     """Backtracking Hamilton-cycle existence test.
 
@@ -120,41 +125,19 @@ def is_hamiltonian(g: Graph) -> bool:
     n = g.vertex_count
     if n < 3 or any(d < 2 for d in g.degrees):
         return False
-    adj_mask = _neighbour_masks(g)
+    adj_mask = mask_neighbours(g, (1 << g.edge_count) - 1)
     full = (1 << n) - 1
     if _unequal_sides(adj_mask):
         return False
 
-    def feasible(current: int, visited: int) -> bool:
-        remaining = full & ~visited
-        if remaining == 0:
-            return True
-        allowed = remaining | (1 << current) | 1
-        m = remaining
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if (adj_mask[v] & allowed).bit_count() < 2:
-                return False
-        # the rest of the cycle must reach every unvisited vertex from here
-        seen = 1 << current
-        stack = [current]
-        while stack:
-            x = stack.pop()
-            reach = adj_mask[x] & remaining & ~seen
-            while reach:
-                low = reach & -reach
-                y = low.bit_length() - 1
-                reach ^= low
-                seen |= 1 << y
-                stack.append(y)
-        return remaining & ~seen == 0
-
     def extend(current: int, visited: int, count: int) -> bool:
         if count == n:
             return bool(adj_mask[current] & 1)
-        if not feasible(current, visited):
+        remaining = full & ~visited
+        if _short_of_edges(adj_mask, current, remaining):
+            return False
+        # the rest of the cycle must reach every unvisited vertex from here
+        if remaining & ~reach(adj_mask, current, remaining):
             return False
         options = adj_mask[current] & ~visited
         while options:
@@ -200,13 +183,8 @@ def _witness(nbrs: list[int], table: list) -> list[int] | None:
         if budget < 0:
             return False
         remaining = full & ~visited
-        allowed = remaining | (1 << current) | 1
-        m = remaining
-        while m:
-            low = m & -m
-            m ^= low
-            if (nbrs[low.bit_length() - 1] & allowed).bit_count() < 2:
-                return False
+        if _short_of_edges(nbrs, current, remaining):
+            return False
         options = []
         m = nbrs[current] & remaining
         while m:
@@ -382,7 +360,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     weights = g.weights
     adjacency = g.adjacency
     inf = 1 + sum(abs(w) for w in weights)
-    nbrs = _neighbour_masks(g)
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     table = _weight_table(g)
     tour = _witness(nbrs, table)
     if tour is None:

@@ -7,20 +7,21 @@ every *diagonal cluster* of the cycle still reduces to a single cycle graph.
 
 A diagonal of cycle ``c`` is a retained cycle that is edge-disjoint from
 ``c`` and meets it in exactly one vertex. Its cluster is the transitive
-closure of retained cycles connected to it by edge sharing, materialized as
-a subgraph on the parent graph's vertex ids. The cluster reducer repeatedly
-(a) removes edges that cannot lie on a spanning cycle because one endpoint
-already has two degree-2 neighbors forcing its tour edges, and (b) contracts
-runs of adjacent degree-2 vertices down to a single representative, pruning
-isolated vertices as it goes.
+closure of retained cycles connected to it by edge sharing; the union of
+their edges is handed to the reducer as neighbour bitmasks on the parent
+graph's vertex ids (:func:`~cycletrim.graphs.mask_neighbours`). The cluster
+reducer repeatedly (a) removes an edge that cannot lie on a spanning cycle
+because one endpoint already has two degree-2 neighbors forcing its tour
+edges, or else (b) contracts a run of adjacent degree-2 vertices by one
+vertex, until the edges left form a single cycle or no move applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from .graphs import Graph, Weight, iter_bits
+from .graphs import Weight, iter_bits, mask_neighbours, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,7 +126,8 @@ def find_diagonals(state: SolverState, c: int) -> int:
 def _cluster_members(state: SolverState, seed: int) -> int:
     # transitive closure of edge sharing among retained cycles, as a bitmask;
     # every member has the same closure, so one walk answers for all of them
-    # on this state
+    # on this state. It walks rows, not neighbour bitmasks, because each row
+    # it scans is counted in ``row_ops``.
     known = state.cluster_closures.get(seed)
     if known is not None:
         return known
@@ -143,81 +145,61 @@ def _cluster_members(state: SolverState, seed: int) -> int:
     return members
 
 
-def _single_cycle(adj: dict[int, set[int]]) -> bool:
-    if len(adj) < 3 or any(len(nbrs) != 2 for nbrs in adj.values()):
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(adj)
+def reduce_cluster(adjacency: Sequence[int]) -> ReductionOutcome:
+    """Reduce a cluster, given as neighbour bitmasks, to a fixpoint and classify it.
 
-
-def _deletion_moves(adj: dict[int, set[int]]) -> list[tuple]:
-    # an endpoint with exactly two degree-2 neighbors has both tour edges
-    # forced; its edges to other neighbors cannot survive
-    two = {v for v, nbrs in adj.items() if len(nbrs) == 2}
-    forced = {v for v, nbrs in adj.items() if len(nbrs) > 2 and len(nbrs & two) == 2}
-    edges = {(min(u, v), max(u, v)) for u in forced for v in adj[u] if v not in two}
-    return [("delete_edge", u, v) for u, v in sorted(edges)]
-
-
-def _smoothing_moves(adj: dict[int, set[int]]) -> list[tuple]:
-    # contract runs of adjacent degree-2 vertices, keeping one per run;
-    # a vertex is eligible while a degree-2 neighbor remains to represent
-    # the run, and only when its neighbors are not already adjacent
-    moves = []
-    for v in sorted(adj):
-        if len(adj[v]) != 2:
-            continue
-        if not any(len(adj[nb]) == 2 for nb in adj[v]):
-            continue
-        x, y = sorted(adj[v])
-        if y in adj[x]:
-            continue
-        moves.append(("smooth", v, x, y))
-    return moves
-
-
-def reduce_cluster(subgraph: Graph) -> ReductionOutcome:
-    """Reduce a cluster subgraph to a fixpoint and classify the result.
-
-    Edge deletions go before smoothings, and each kind lowest-first, so the
-    steps are deterministic. Inputs may be disconnected, and isolated
-    vertices are dropped first, so a cluster keeps its parent's vertex ids.
+    Each round makes one move: the lowest edge ``(u, v)``, ``u < v``, that
+    has a *forced* endpoint (degree above 2, exactly two degree-2
+    neighbours) and whose other endpoint is not of degree 2 is deleted;
+    failing that, the lowest degree-2 vertex with a degree-2 neighbour and
+    two neighbours not yet adjacent is smoothed into an edge between them.
+    So the steps are deterministic. Vertices without edges take no part,
+    and inputs may be disconnected, so a cluster keeps its parent's vertex
+    ids. The input is not changed.
     """
-    adj: dict[int, set[int]] = {v: set() for v in range(subgraph.vertex_count)}
-    for u, v, _ in subgraph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = list(adjacency)
     steps: list[tuple] = []
     while True:
-        for v in sorted(adj):
-            if not adj[v]:
-                del adj[v]
-        if _single_cycle(adj):
+        live = two = 0
+        for v, nbrs in enumerate(adj):
+            if nbrs:
+                live |= 1 << v
+                if nbrs.bit_count() == 2:
+                    two |= 1 << v
+        if (
+            two == live
+            and live.bit_count() >= 3
+            and reach(adj, (live & -live).bit_length() - 1, live) == live
+        ):
             return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
-        moves = _deletion_moves(adj) or _smoothing_moves(adj)
-        if not moves:
-            return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
-        move = moves[0]
-        if move[0] == "delete_edge":
-            _, u, v = move
-            adj[u].discard(v)
-            adj[v].discard(u)
+        forced = 0
+        for v in iter_bits(live & ~two):
+            if (adj[v] & two).bit_count() == 2:
+                forced |= 1 << v
+        for u in iter_bits(live & ~two):
+            # neighbours above u that end a deletable edge: any one not of
+            # degree 2 if u is forced, else a forced one; -(2 << u) clears
+            # bits 0..u
+            ends = adj[u] & -(2 << u) & (~two if (forced >> u) & 1 else forced)
+            if ends:
+                v = (ends & -ends).bit_length() - 1
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                steps.append(("delete_edge", u, v))
+                break
         else:
-            _, v, x, y = move
-            adj[x].discard(v)
-            adj[y].discard(v)
-            adj[x].add(y)
-            adj[y].add(x)
-            del adj[v]
-        steps.append(move)
+            for v in iter_bits(two):
+                nbrs = adj[v]
+                x = (nbrs & -nbrs).bit_length() - 1
+                y = nbrs.bit_length() - 1
+                if nbrs & two and not (adj[x] >> y) & 1:
+                    adj[x] ^= (1 << v) | (1 << y)
+                    adj[y] ^= (1 << v) | (1 << x)
+                    adj[v] = 0
+                    steps.append(("smooth", v, x, y))
+                    break
+            else:
+                return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
 
 
 def verdict_key(state: SolverState, c: int) -> tuple[int, int]:
@@ -275,9 +257,8 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
             mask = 0
             for m in iter_bits(members):
                 mask |= state.basis.cycles[m]
-            cluster = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
             state.counters.row_ops += members.bit_count()
-            outcome_tag = reduce_cluster(cluster).tag
+            outcome_tag = reduce_cluster(mask_neighbours(g, mask)).tag
             state.cluster_cache[members] = outcome_tag
             state.counters.reduce_calls += 1
         if outcome_tag == REDUCED_ACYCLIC:

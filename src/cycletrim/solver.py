@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Literal
 
 from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
-from .graphs import Graph, Weight, iter_bits, mask_weight, tour_from_edge_mask
+from .graphs import Graph, Weight, iter_bits, mask_neighbours, mask_weight, tour_from_edge_mask
 from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
 from .removability import (
     REMOVABLE,
@@ -125,19 +125,15 @@ class TourResult:
 
 def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
     """Fresh state retaining the whole basis, with new counters and caches."""
-    graph = basis.graph
-    adjacency = [0] * graph.vertex_count
-    for e, c in enumerate(basis.cover_counts):
-        if c >= 1:
-            u, v, _ = graph.edges[e]
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
+    union = 0
+    for row in basis.cycles:
+        union |= row
     return SolverState(
         basis=basis,
         partition=partition,
         retained=(1 << basis.dimension) - 1,
         cover_counts=basis.cover_counts,
-        union_adjacency=tuple(adjacency),
+        union_adjacency=tuple(mask_neighbours(basis.graph, union)),
         # one row op per basis row, for the cover counts the basis carries
         counters=Counters(row_ops=basis.dimension),
     )

@@ -23,16 +23,20 @@ from cycletrim import (
     is_removable,
     solution_sum,
 )
-from cycletrim.graphs import iter_bits, mask_degrees, mask_vertices, mask_weight, tour_from_edge_mask
+from cycletrim.graphs import (
+    iter_bits,
+    mask_degrees,
+    mask_neighbours,
+    mask_vertices,
+    mask_weight,
+    tour_from_edge_mask,
+)
 from cycletrim.oracle import HELD_KARP_MAX_VERTICES, OracleAnswer, TooLarge, _canonical
 from cycletrim.removability import (
     REDUCED_ACYCLIC,
     REDUCED_CYCLE_GRAPH,
     REMOVABLE,
     DeletionRecord,
-    _deletion_moves,
-    _single_cycle,
-    _smoothing_moves,
 )
 from cycletrim.solver import (
     STATUS_NO_SOLUTION,
@@ -347,17 +351,64 @@ def solve_reference(graph: Graph) -> TourResult:
     return TourResult(STATUS_STUCK, None, None, tried, state)
 
 
-def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutcome:
-    """``reduce_cluster`` with each move drawn uniformly from all applicable ones.
+def all_neighbours(g: Graph) -> list[int]:
+    """The whole graph as the neighbour bitmasks ``reduce_cluster`` takes."""
+    return mask_neighbours(g, (1 << g.edge_count) - 1)
 
-    The fixed order takes edge deletions before smoothings, lowest first; a
-    differential test against this reference checks that the outcome tag
-    does not depend on move order.
-    """
-    adj: dict[int, set[int]] = {v: set() for v in range(subgraph.vertex_count)}
-    for u, v, _ in subgraph.edges:
+
+def _set_adjacency(g: Graph) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
+    for u, v, _ in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def _single_cycle(adj: dict[int, set[int]]) -> bool:
+    if len(adj) < 3 or any(len(nbrs) != 2 for nbrs in adj.values()):
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(adj)
+
+
+def _deletion_moves(adj: dict[int, set[int]]) -> list[tuple]:
+    # an endpoint with exactly two degree-2 neighbors has both tour edges
+    # forced; its edges to other neighbors cannot survive
+    two = {v for v, nbrs in adj.items() if len(nbrs) == 2}
+    forced = {v for v, nbrs in adj.items() if len(nbrs) > 2 and len(nbrs & two) == 2}
+    edges = {(min(u, v), max(u, v)) for u in forced for v in adj[u] if v not in two}
+    return [("delete_edge", u, v) for u, v in sorted(edges)]
+
+
+def _smoothing_moves(adj: dict[int, set[int]]) -> list[tuple]:
+    # contract runs of adjacent degree-2 vertices, keeping one per run;
+    # a vertex is eligible while a degree-2 neighbor remains to represent
+    # the run, and only when its neighbors are not already adjacent
+    moves = []
+    for v in sorted(adj):
+        if len(adj[v]) != 2:
+            continue
+        if not any(len(adj[nb]) == 2 for nb in adj[v]):
+            continue
+        x, y = sorted(adj[v])
+        if y in adj[x]:
+            continue
+        moves.append(("smooth", v, x, y))
+    return moves
+
+
+def _reduce_sets(subgraph: Graph, choose) -> ReductionOutcome:
+    # the reducer over a dict of neighbour sets, listing every applicable
+    # move each round; ``choose(deletions, smoothings)`` picks the one made
+    adj = _set_adjacency(subgraph)
     steps: list[tuple] = []
     while True:
         for v in sorted(adj):
@@ -365,10 +416,10 @@ def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutco
                 del adj[v]
         if _single_cycle(adj):
             return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
-        moves = _deletion_moves(adj) + _smoothing_moves(adj)
-        if not moves:
+        deletions, smoothings = _deletion_moves(adj), _smoothing_moves(adj)
+        if not deletions and not smoothings:
             return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
-        move = rng.choice(moves)
+        move = choose(deletions, smoothings)
         if move[0] == "delete_edge":
             _, u, v = move
             adj[u].discard(v)
@@ -381,6 +432,26 @@ def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutco
             adj[y].add(x)
             del adj[v]
         steps.append(move)
+
+
+def reduce_cluster_reference(subgraph: Graph) -> ReductionOutcome:
+    """``reduce_cluster`` over a dict of neighbour sets, in its fixed order.
+
+    Every round lists all applicable moves and makes the lowest edge
+    deletion, else the lowest smoothing; :func:`cycletrim.reduce_cluster`
+    must give the same tag and steps.
+    """
+    return _reduce_sets(subgraph, lambda deletions, smoothings: (deletions or smoothings)[0])
+
+
+def reduce_cluster_random(subgraph: Graph, rng: random.Random) -> ReductionOutcome:
+    """``reduce_cluster`` with each move drawn uniformly from all applicable ones.
+
+    The fixed order takes edge deletions before smoothings, lowest first; a
+    differential test against this reference checks that the outcome tag
+    does not depend on move order.
+    """
+    return _reduce_sets(subgraph, lambda deletions, smoothings: rng.choice(deletions + smoothings))
 
 
 def state_for(graph: Graph, partition_index: int = 0):

@@ -1,6 +1,8 @@
 import json
 
-from cycletrim import serialize_graph
+import pytest
+
+from cycletrim import harness, serialize_graph
 from cycletrim.cli import main
 
 from helpers import cycle_graph, k4_golden, petersen, theta
@@ -152,3 +154,21 @@ def test_mine_bad_config(tmp_path):
         )
         == 1
     )
+
+
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_mine_unusable_report_path_fails_before_drawing(tmp_path, capsys, monkeypatch, where):
+    # a directory cannot be opened as the report; a report under a file
+    # cannot get its parent directory made
+    (tmp_path / "file").write_text("")
+    report = tmp_path if where == "directory" else tmp_path / "file" / "r.jsonl"
+    drawn = []
+    draw = harness.random_connected_graph
+    monkeypatch.setattr(
+        harness, "random_connected_graph", lambda *args: drawn.append(args) or draw(*args)
+    )
+    code = main(["mine", "--count", "3", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid campaign config:") and err.count("\n") == 1
+    assert drawn == []

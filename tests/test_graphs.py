@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from cycletrim import (
     tour_from_edge_mask,
     tour_weight,
 )
-from cycletrim.graphs import format_weight, mask_weight
+from cycletrim.graphs import format_weight, iter_bits, mask_neighbours, mask_weight, reach
 from cycletrim.removability import REDUCED_CYCLE_GRAPH, reduce_cluster
 
 from helpers import (
+    all_neighbours,
     cycle_graph,
     k4_golden,
     make_graph,
@@ -159,6 +161,51 @@ def test_is_connected():
     assert not is_connected(3, [(0, 1)])
 
 
+def _random_edge_subset(rng: random.Random) -> tuple[Graph, int]:
+    n = rng.randint(1, 12)
+    p = rng.choice([0.2, 0.5, 0.8])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = Graph(n, tuple((u, v, 1) for u, v in pairs))
+    return g, rng.getrandbits(g.edge_count)
+
+
+def test_mask_neighbours_matches_adjacency():
+    rng = random.Random(41)
+    for _ in range(400):
+        g, mask = _random_edge_subset(rng)
+        nbrs = mask_neighbours(g, mask)
+        assert len(nbrs) == g.vertex_count
+        for v in range(g.vertex_count):
+            kept = {nb for nb, e in g.adjacency[v] if (mask >> e) & 1}
+            assert set(iter_bits(nbrs[v])) == kept
+        assert all_neighbours(g) == [sum(1 << nb for nb, _ in a) for a in g.adjacency]
+
+
+def _bfs_reference(g: Graph, mask: int, start: int, within: set[int]) -> set[int]:
+    # start and what a plain queue BFS reaches from it through ``within``,
+    # along the edges in ``mask``
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y, e in g.adjacency[x]:
+            if (mask >> e) & 1 and y in within and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def test_reach_matches_bfs():
+    rng = random.Random(43)
+    for _ in range(600):
+        g, mask = _random_edge_subset(rng)
+        n = g.vertex_count
+        start = rng.randrange(n)
+        within = rng.getrandbits(n) if rng.random() < 0.7 else (1 << n) - 1
+        got = reach(mask_neighbours(g, mask), start, within)
+        assert set(iter_bits(got)) == _bfs_reference(g, mask, start, set(iter_bits(within)))
+
+
 def test_tour_from_edge_mask():
     square = cycle_graph(4)
     full = (1 << 4) - 1
@@ -195,7 +242,7 @@ def test_smooth_out_triangle_blocked():
     # so only the pendant edge goes and the triangle survives whole
     g = make_graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
     expected = (("delete_edge", 2, 3),)
-    out = reduce_cluster(g)
+    out = reduce_cluster(all_neighbours(g))
     assert out.tag == REDUCED_CYCLE_GRAPH
     assert out.steps == expected
     for seed in range(5):

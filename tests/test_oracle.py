@@ -21,6 +21,7 @@ from cycletrim import (
 from cycletrim import oracle
 
 from helpers import (
+    all_neighbours,
     complete_bipartite,
     completable_rows_reference,
     cycle_graph,
@@ -246,7 +247,7 @@ def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
         for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
             # tour_weight raises unless the tour is a Hamilton cycle of graph
             table = oracle._weight_table(graph)
-            tour = oracle._witness(oracle._neighbour_masks(graph), table)
+            tour = oracle._witness(all_neighbours(graph), table)
             assert tour is not None
             weight = tour_weight(graph, tuple(tour))
             while oracle._two_opt(tour, table) or oracle._or_opt(tour, table):
@@ -261,7 +262,7 @@ def test_first_tour_search_keeps_its_budget(monkeypatch):
     # cycle (test_min_tour_non_hamiltonian); the search gives up after its
     # budget and leaves the verdict to the DP
     g = petersen()
-    nbrs, table = oracle._neighbour_masks(g), oracle._weight_table(g)
+    nbrs, table = all_neighbours(g), oracle._weight_table(g)
 
     def searched() -> int:
         calls = 0

@@ -15,7 +15,7 @@ from cycletrim import (
     reduce_cluster,
     solve,
 )
-from cycletrim.graphs import iter_bits
+from cycletrim.graphs import iter_bits, mask_neighbours
 from cycletrim.removability import (
     BLOCKED_BY_CLUSTER,
     BLOCKED_BY_NEIGHBORS,
@@ -28,6 +28,7 @@ from cycletrim.removability import (
 from cycletrim.solver import apply_deletion
 
 from helpers import (
+    all_neighbours,
     bits,
     blocked_by_neighbors_reference,
     bowtie,
@@ -41,6 +42,7 @@ from helpers import (
     make_graph,
     path_graph,
     reduce_cluster_random,
+    reduce_cluster_reference,
     star_graph,
     state_for,
     theta,
@@ -206,14 +208,14 @@ def test_memoised_closure_matches_reference(g, data):
 
 def test_reduce_pure_cycles_zero_steps():
     for n in (3, 4, 7, 12):
-        out = reduce_cluster(cycle_graph(n))
+        out = reduce_cluster(all_neighbours(cycle_graph(n)))
         assert out.tag == REDUCED_CYCLE_GRAPH
         assert out.steps == ()
 
 
 def test_reduce_trees_acyclic():
     for g in (path_graph(2), path_graph(6), star_graph(4)):
-        out = reduce_cluster(g)
+        out = reduce_cluster(all_neighbours(g))
         assert out.tag == REDUCED_ACYCLIC
 
 
@@ -221,13 +223,13 @@ def test_reduce_theta_deletes_forced_out_edge():
     # both degree-3 vertices have two degree-2 neighbors, so the direct
     # edge between them cannot lie on a spanning cycle
     g = theta()
-    out = reduce_cluster(g)
+    out = reduce_cluster(all_neighbours(g))
     assert out.tag == REDUCED_CYCLE_GRAPH
     assert ("delete_edge", 0, 1) in out.steps
 
 
 def test_reduce_bowtie_acyclic():
-    out = reduce_cluster(bowtie())
+    out = reduce_cluster(all_neighbours(bowtie()))
     assert out.tag == REDUCED_ACYCLIC
     # each triangle's degree-2 pair is a run, but smoothing either vertex
     # would double the edge to its already adjacent neighbors
@@ -236,13 +238,13 @@ def test_reduce_bowtie_acyclic():
 
 def test_reduce_double_square_acyclic_with_smoothing():
     # no cycle through the shared vertex can cover both squares' edges
-    out = reduce_cluster(double_square())
+    out = reduce_cluster(all_neighbours(double_square()))
     assert out.tag == REDUCED_ACYCLIC
     assert any(step[0] == "smooth" for step in out.steps)
 
 
 def test_reduce_wheel_acyclic():
-    assert reduce_cluster(wheel5()).tag == REDUCED_ACYCLIC
+    assert reduce_cluster(all_neighbours(wheel5())).tag == REDUCED_ACYCLIC
 
 
 def test_reduce_steps_bounded_and_order_independent():
@@ -259,7 +261,7 @@ def test_reduce_steps_bounded_and_order_independent():
         if not pairs:
             continue
         g = Graph(n, tuple((u, v, 1) for u, v in pairs))
-        out = reduce_cluster(g)
+        out = reduce_cluster(all_neighbours(g))
         edge_steps = [s for s in out.steps if s[0] in ("delete_edge", "smooth")]
         assert len(edge_steps) <= g.edge_count
         shuffled = reduce_cluster_random(g, rng)
@@ -274,18 +276,20 @@ def _edge_subset(g: Graph, keep: list[bool]) -> Graph:
 @settings(max_examples=150, deadline=None)
 def test_reduction_outcome_does_not_depend_on_move_order(g, data):
     # the fixed order against random orders, on connected graphs and on the
-    # disconnected or acyclic leftovers of dropping some of their edges
+    # disconnected or acyclic leftovers of dropping some of their edges; the
+    # fixed order takes the same steps as the dict-of-sets reference
     keep = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
     for h in (g, _edge_subset(g, keep)):
-        fixed = reduce_cluster(h)
+        fixed = reduce_cluster(all_neighbours(h))
+        assert reduce_cluster_reference(h) == fixed
         for seed in range(8):
             assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
 
 
 def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
-    # every cluster subgraph the solver reduces on the seed-1 campaign draws,
-    # built on the parent's vertex ids as the solver builds it; the tag must
-    # not depend on that labelling either
+    # every cluster the solver reduces on the seed-1 campaign draws, on the
+    # parent's vertex ids as the solver builds it; the dict-of-sets reference
+    # takes the same steps, and the tag must not depend on the labelling
     from cycletrim import random_connected_graph
 
     rng = random.Random(1)
@@ -305,8 +309,9 @@ def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
     assert clusters
     for g, mask in clusters:
         h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
-        fixed = reduce_cluster(h)
-        assert reduce_cluster(edge_subgraph_reference(g, mask)).tag == fixed.tag
+        fixed = reduce_cluster(mask_neighbours(g, mask))
+        assert reduce_cluster_reference(h) == fixed
+        assert reduce_cluster(all_neighbours(edge_subgraph_reference(g, mask))).tag == fixed.tag
         for seed in range(4):
             assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
 
