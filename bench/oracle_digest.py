@@ -8,8 +8,10 @@ The inputs are those ``perfbench/run.py`` draws for the same workload, seed
 and ``--seconds``: the Hamiltonian graphs that ``workloads.set_up`` keeps.
 For each input, and then for a copy of it whose weights are mapped to
 ``1 + w % 2`` so that equal-weight paths and tours are common, the digest
-takes ``repr(min_tour(graph))``: weight and tour. Two checkouts whose
-digests agree give the same answers and tours on every input. A second
+takes ``repr(min_tour(graph))``: weight and tour. A second line does the
+same for copies whose weights are mapped to -1, 0 and 1/2 by ``w % 3``, so
+that negative and fractional weights are covered too. Two checkouts whose
+digests agree give the same answers and tours on every input. A third
 line per workload digests the ``is_hamiltonian`` verdict on every graph
 ``set_up`` draws, the gated-out ones included. Stdlib only;
 it imports cycletrim from ``src/`` and the workloads from ``perfbench/`` of
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -33,6 +36,13 @@ from cycletrim import Graph, is_hamiltonian, min_tour  # noqa: E402
 
 def tied(graph: Graph) -> Graph:
     return Graph(graph.vertex_count, tuple((u, v, 1 + w % 2) for u, v, w in graph.edges))
+
+
+SIGNED = (-1, 0, Fraction(1, 2))
+
+
+def signed(graph: Graph) -> Graph:
+    return Graph(graph.vertex_count, tuple((u, v, SIGNED[w % 3]) for u, v, w in graph.edges))
 
 
 def digest(graphs: list[Graph], oracle) -> tuple[str, float]:
@@ -59,6 +69,9 @@ def main() -> int:
         hexdigest, spent = digest(graphs + [tied(g) for g in graphs], min_tour)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(graphs)} inputs x 2, "
               f"sha256 {hexdigest} ({spent:.2f} s in min_tour)")
+        hexdigest, spent = digest([signed(g) for g in graphs], min_tour)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(graphs)} inputs "
+              f"reweighted to -1, 0, 1/2, sha256 {hexdigest} ({spent:.2f} s in min_tour)")
         hexdigest, spent = digest(inputs.drawn, is_hamiltonian)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
               f"is_hamiltonian sha256 {hexdigest} ({spent:.2f} s in is_hamiltonian)")

@@ -6,12 +6,13 @@ backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
 
-The DP keeps one flat list with a slot per visited set (vertex 0 left out,
-so 2^(n-1) slots); each slot is ``None`` or a row of ``n`` exact path costs,
-and an unreached entry holds a sentinel above every path cost. The tour is
-read back from those costs, taking the largest predecessor among equal
-costs and the smallest closing vertex among equal totals, so equal-weight
-optima always resolve to the same tour.
+The DP keeps a dict from each visited set it reaches (vertex 0 left out)
+to a row of ``n`` exact path costs, where an unreached entry holds a
+sentinel above every path cost, and expands the sets in the order their
+rows were allocated; sets it never reaches cost neither time nor memory.
+The tour is read back from those costs, taking the largest predecessor
+among equal costs and the smallest closing vertex among equal totals, so
+equal-weight optima always resolve to the same tour.
 
 The DP expands only visited sets whose unvisited vertices can still all be
 threaded. The rest of a tour runs from the last vertex through every
@@ -27,16 +28,22 @@ a node budget looks for some Hamilton cycle, and 2-opt and or-opt moves
 lower its weight: that weight is the upper bound. A path that ends at ``v``
 still needs one edge at ``v``, one at 0 and two at each unvisited vertex,
 so half the sum of the lightest such edge weights is a lower bound on the
-rest of the tour. A state whose cost plus lower bound is above the upper
-bound is neither expanded nor written; every state on an optimum tour
-passes, so answers and tours are again those of the full DP. The DP raises
-:class:`TooLarge` once it would allocate more than ``HELD_KARP_MAX_ROWS``
-rows. See :func:`min_tour`.
+rest of the tour. The weights are first reduced by integer vertex penalties
+(Held and Karp 1970), which keeps the bound valid and raises it. A state
+whose cost plus lower bound is above the upper bound is neither expanded
+nor written; every state on an optimum tour passes, so answers and tours
+are again those of the full DP. Any number at least the optimum serves as
+the upper bound, so a DP that grows past ``RETRY_ROWS`` rows under a poor
+first tour, or none, is stopped and run again under guessed bounds just
+above the lower bound, raised until one closes a tour no heavier than the
+guess. The DP raises :class:`TooLarge` once it would allocate more than
+``HELD_KARP_MAX_ROWS`` rows. See :func:`min_tour`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, Weight, mask_neighbours, reach, tour_weight
@@ -47,6 +54,11 @@ HELD_KARP_MAX_ROWS = 1 << 19
 ENUMERATION_MAX_VERTICES = 10
 #: search nodes per vertex that ``min_tour`` spends looking for a first tour
 WITNESS_NODES_PER_VERTEX = 8
+#: subgradient steps ``min_tour`` takes on its vertex penalties
+PENALTY_STEPS = 30
+#: rows after which ``min_tour`` stops the DP under its first tour's bound
+#: and tries guessed bounds instead; every visited set at n <= 13 fits
+RETRY_ROWS = 1 << 12
 
 
 class TooLarge(Exception):
@@ -259,6 +271,98 @@ def _improve(tour: list[int], table: list) -> None:
         pass
 
 
+def _lightest_pairs(ends: list, pi: list[int]) -> tuple[list, list, list[int]]:
+    """``(a1, a2, excess)``: per vertex ``x`` the two lightest reduced weights
+    ``a1(x) <= a2(x)`` of ``w(x, y) + pi[y] - pi[x]``, and the number of other
+    vertices whose two lightest reduced edges end at ``x``, minus 2.
+
+    ``ends[x]`` lists ``(w(x, y), y)`` for each neighbour ``y``, at least
+    two; ties go to the first listed.
+    """
+    a1 = []
+    a2 = []
+    excess = [-2] * len(ends)
+    for x, around in enumerate(ends):
+        it = iter(around)
+        w, y1 = next(it)
+        r1 = w + pi[y1]
+        w, y2 = next(it)
+        r2 = w + pi[y2]
+        if r2 < r1:
+            r1, r2, y1, y2 = r2, r1, y2, y1
+        for w, y in it:
+            r = w + pi[y]
+            if r < r2:
+                if r < r1:
+                    r1, r2, y1, y2 = r, r1, y, y1
+                else:
+                    r2, y2 = r, y
+        a1.append(r1 - pi[x])
+        a2.append(r2 - pi[x])
+        excess[y1] += 1
+        excess[y2] += 1
+    return a1, a2, excess
+
+
+def _penalties(ends: list, target: Weight) -> tuple[list, list]:
+    """``(a1, a2)`` of :func:`_lightest_pairs` under integer vertex
+    penalties that raise ``sum of a1 + a2`` toward ``target``, twice a
+    tour weight or a guess at one.
+
+    ``PENALTY_STEPS`` subgradient steps (Held and Karp 1970): the excess is
+    a subgradient of the sum, and a Polyak step of ``scale * (target -
+    sum) / |excess|^2`` along it aims the sum at ``target``. ``scale``
+    starts at 2 and halves after each step that does not raise the best
+    sum. The steps move float penalties that are rounded to ints, so the
+    sums stay exact for ``int`` and ``Fraction`` weights. Returns the pairs
+    with the largest sum seen, those without penalties first, so the bound
+    is never below the one without penalties.
+    """
+    drift = [0.0] * len(ends)
+    best_a1, best_a2, excess = _lightest_pairs(ends, [0] * len(ends))
+    total = best = sum(best_a1) + sum(best_a2)
+    scale = 2.0
+    for _ in range(PENALTY_STEPS):
+        norm = sum(e * e for e in excess)
+        if not norm or total >= target:
+            break  # the sum is at its largest
+        step = scale * float(target - total) / norm
+        drift = [d + step * e for d, e in zip(drift, excess)]
+        a1, a2, excess = _lightest_pairs(ends, [round(d) for d in drift])
+        total = sum(a1) + sum(a2)
+        if total > best:
+            best_a1, best_a2, best = a1, a2, total
+        else:
+            scale /= 2
+    return best_a1, best_a2
+
+
+def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight | None, list, list]:
+    """``(UB, a1, a2)`` for :func:`min_tour`.
+
+    ``UB`` is the weight of a first tour: ``_witness``'s, lowered by
+    ``_improve``; ``None`` when the search finds none. ``a1(x) <= a2(x)``
+    are the two lightest reduced weights at each vertex, under the
+    penalties ``_penalties`` picks, or under none without a first tour to
+    aim them at.
+    """
+    ends = _ends(g)
+    table = _weight_table(g)
+    tour = _witness(nbrs, table)
+    if tour is None:
+        a1, a2, _ = _lightest_pairs(ends, [0] * len(ends))
+        return None, a1, a2
+    _improve(tour, table)
+    bound = tour_weight(g, tuple(tour))
+    return (bound, *_penalties(ends, 2 * bound))
+
+
+def _ends(g: Graph) -> list:
+    """Per vertex ``x``, ``(w(x, y), y)`` for each neighbour ``y``."""
+    weights = g.weights
+    return [[(weights[eidx], nb) for nb, eidx in around] for around in g.adjacency]
+
+
 def _subset_sums(values: list, base: Weight) -> list:
     """``sums[m]`` is ``base`` plus ``values[i]`` for every bit ``i`` of ``m``;
     one addition per entry."""
@@ -272,31 +376,43 @@ def _subset_sums(values: list, base: Weight) -> list:
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
-    Raises :class:`TooLarge` above 24 vertices, and once the DP would
-    allocate more than ``HELD_KARP_MAX_ROWS`` rows, every visited set at
-    n <= 20; returns a non-Hamiltonian answer at once when a vertex has
-    degree below 2. Runtime is O(n^2 * 2^n). The index of visited sets holds
-    2^(n-1) slots (64 MiB of pointers at n = 24) plus one row of n costs per
-    reached set, so sizes near the cap are slow and large in pure Python but
-    stay exact: one path adds the graph's ``int`` and ``Fraction`` weights
-    as stored.
+    Raises :class:`TooLarge` above 24 vertices, and once a run of the DP
+    would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every visited set
+    at n <= 20; returns a non-Hamiltonian answer at once when a vertex has
+    degree below 2. Runtime is O(n^2 * 2^n) at worst. Memory is one row of
+    n costs per reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows,
+    so sizes near the cap are slow and large in pure Python but stay exact:
+    one path adds the graph's ``int`` and ``Fraction`` weights as stored.
 
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
-    starts every path and is never in ``s``). A row is ``None`` until its
-    set is first reached; an unreached entry holds ``inf``, one more than
-    the sum of absolute weights, so it is above every path cost. No
-    predecessors are stored: the tour is read back from the costs by exact
-    equality. Among equal costs it takes the largest predecessor, and the
-    closing vertex is the smallest among equal totals.
+    starts every path and is never in ``s``). ``cost`` holds a row only
+    once its set is first reached; an unreached entry holds ``inf``, one
+    more than the sum of absolute weights, so it is above every path cost.
+    No predecessors are stored: the tour is read back from the costs by
+    exact equality. Among equal costs it takes the largest predecessor, and
+    the closing vertex is the smallest among equal totals.
+
+    Order: the sets are expanded first in, first out, in the order their
+    rows were allocated, starting with the one-vertex sets next to 0. Every
+    write goes from a set of ``k`` vertices to one of ``k + 1``, so by
+    induction the queue is ordered by set size: the sets of ``k + 1``
+    vertices are all allocated while sets of ``k`` vertices are expanded,
+    after every smaller set. When the first set of ``k + 1`` vertices is
+    expanded, every set of ``k`` vertices has been, so every write into a
+    set of ``k + 1`` vertices is done and each row is final before it is
+    expanded, as in a walk over all 2^(n-1) sets in increasing order. Each
+    entry is the minimum over the same writes, and the checks below read
+    only the set and its final row, so row values, closing and read-back
+    are those of that walk.
 
     Completability test: for a reached set ``s``, let ``visited`` be its
     vertices and ``d(x)`` the number of neighbours of an unvisited ``x``
     that are unvisited or 0. The rest of a tour runs from the last vertex
     ``v`` through every unvisited vertex to 0, so each ``x`` needs two tour
     neighbours among the unvisited vertices, 0 and ``v``, and only one ``x``
-    can take ``v``. The set is dead, and its row is not expanded, if some
-    ``d(x) == 0`` or two vertices have ``d(x) == 1``. If exactly one ``x``
+    can take ``v``. The set is dead, and its row is dropped unexpanded, if
+    some ``d(x) == 0`` or two vertices have ``d(x) == 1``. If exactly one ``x``
     has ``d(x) == 1``, only ends ``v`` next to ``x`` are alive: the other
     entries of the row are reset to ``inf`` before it is expanded. Since
     ``d(x)`` is at least the degree of ``x`` minus the size of ``s``, only
@@ -313,43 +429,74 @@ def min_tour(g: Graph) -> OracleAnswer:
     Hamilton cycle: the closing entries next to 0 of the full set and, for
     each state on the optimum tour, its reached predecessors, each of which
     closes a tour through that state. So they see exactly the costs of the
-    DP without the test, and the tie-breaks pick the same tour.
+    DP without the test, and the tie-breaks pick the same tour. The rows
+    they read belong to sets that hold a state on the optimum tour, so none
+    is a dead set's dropped row.
 
     Bounds: ``_witness`` looks for a Hamilton cycle within a budget of
     ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
     lowers its weight by 2-opt and or-opt moves along existing edges. That
-    weight is the upper bound ``UB``; without a witness ``UB`` is ``inf``,
-    above every tour weight. Let ``a1(x) <= a2(x)`` be the two lightest edge
-    weights at ``x`` and ``R`` the unvisited vertices of ``s``. The rest of
-    a tour from ``v`` runs through ``R`` to 0, using two distinct edges at
-    each vertex of ``R`` and one at ``v`` and at 0, and its weight is half
-    the sum of those edges at their ends, so it is at least ``LB(s, v)``
-    with ``2 * LB = sum over R of (a1 + a2) + a1(v) + a1(0)``. This holds
-    for negative and fractional weights, and doubled values keep every
-    comparison exact. With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1
-    + a2)``, read from two tables over the low and high bits of ``s``, the
-    entry (``s``, ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and
-    a path of cost ``w`` into (``s | x``, ``x``) is not written when ``2w >
-    limit(s) + a2(x)``, which is the first check at that state. A write
-    that is skipped allocates no row.
+    weight is the upper bound ``UB``; without a witness ``UB`` is ``n``
+    times the heaviest weight, which no tour exceeds. Given integer vertex
+    penalties ``pi``, the reduced weight of edge ``{x, y}`` at its end
+    ``x`` is ``w(x, y) + pi(y) - pi(x)``; its two ends' reduced weights add
+    up to ``2 * w(x, y)``. Let
+    ``a1(x) <= a2(x)`` be the two lightest reduced weights at ``x`` and
+    ``R`` the unvisited vertices of ``s``. The rest of a tour from ``v``
+    runs through ``R`` to 0, using two distinct edges at each vertex of
+    ``R`` and one at ``v`` and at 0. Its weight is half the sum of the
+    reduced weights of those edges at their ends, whatever ``pi`` is, since
+    the penalties cancel at each edge's two ends. So it is at least
+    ``LB(s, v)`` with ``2 * LB = sum over R of (a1 + a2) + a1(v) + a1(0)``.
+    This holds for negative and fractional weights, and doubled values keep
+    every comparison exact. Any ``pi`` gives a valid bound, and all zero
+    gives the plain two-lightest-edges bound; ``_penalties`` picks ``pi``
+    by subgradient steps that raise ``sum of a1 + a2`` over all vertices,
+    the same bound for a whole tour, never below its value at zero. Without
+    a witness ``pi`` is zero.
+    With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1 + a2)``, read from
+    two tables over the low and high bits of ``s``, the entry (``s``,
+    ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a path of
+    cost ``w`` into (``s | x``, ``x``) is not written when ``2w > limit(s)
+    + a2(x)``, which is the first check at that state. A write that is
+    skipped allocates no row.
 
     Why the bounds change no answer or tour: take a state on an optimum
     tour and a minimum-cost path into it. Joined to the rest of that tour,
     the path is an optimum tour, so each of its prefixes is a state on an
     optimum tour, and its cost plus lower bound is at most its cost plus
-    the weight of the rest of that tour, ``OPT <= UB``. Both checks are
-    strict, so no prefix is cut, and every state on an optimum tour holds
-    its exact minimum cost. The bound is not consistent, though: a cheaper
-    path into some other state may be cut at a prefix whose lower bound is
-    higher, so states off every optimum tour can hold costs above their
-    minimum, or none. That is harmless. Every entry is the cost of a real
-    path, never below the minimum. Closing compares totals with the optimum
-    weight, and an entry whose total equals it ends an optimum tour, so is
-    exact. Read-back picks a predecessor whose cost plus the edge equals
-    the exact cost of a state on an optimum tour; such a predecessor closes
-    an optimum tour too, so its cost is exact, and it is picked exactly
-    when the DP without the bounds would pick it. The tie-breaks therefore
-    pick the same tour.
+    the weight of the rest of that tour, ``OPT <= UB``; that needs only
+    ``LB`` at most the weight of every rest of a tour, which holds for
+    every ``pi``. Both checks are strict, so no prefix is cut, and every
+    state on an optimum tour holds its exact minimum cost. The bound is not
+    consistent, though: a cheaper path into some other state may be cut at
+    a prefix whose lower bound is higher, so states off every optimum tour
+    can hold costs above their minimum, or none. That is harmless. Every
+    entry is the cost of a real path, never below the minimum. Closing
+    compares totals with the optimum weight, and an entry whose total
+    equals it ends an optimum tour, so is exact. Read-back picks a
+    predecessor whose cost plus the edge equals the exact cost of a state
+    on an optimum tour; such a predecessor closes an optimum tour too, so
+    its cost is exact, and it is picked exactly when the DP without the
+    bounds would pick it. The tie-breaks therefore pick the same tour.
+
+    Guessed bounds: the argument above needs only ``OPT <= UB``, so the DP
+    may run under any number ``B`` in place of ``UB``. If it then closes a
+    tour of weight at most ``B``, that tour's weight is ``OPT`` and the
+    tour is the one the DP under ``UB`` reads back: otherwise ``OPT`` would
+    be below that weight, so at most ``B``, and the DP would have closed
+    an optimum tour. If it closes none, ``OPT`` is above ``B``. A lower
+    ``B`` only lowers every limit, so by induction on ``|s|`` every row the
+    DP allocates under ``B`` it also allocates under ``UB``. When the DP
+    under ``UB`` passes ``RETRY_ROWS`` rows, the first tour is far from
+    the optimum or missing, and most of the work is still to come; the DP
+    is stopped and run again under guesses ``B`` that start an eighth of
+    the weight range above the whole-tour lower bound and double their
+    distance from it, each with penalties aimed at ``B``, until one closes
+    a tour. A guess below that lower bound is skipped without a DP, and
+    the last run is under ``UB`` again. So the answer and tour are those of
+    the DP under ``UB``, and ``TooLarge`` is raised only where that DP
+    would raise it; a guess may also finish where it would not.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -358,24 +505,46 @@ def min_tour(g: Graph) -> OracleAnswer:
         return OracleAnswer(None, None)
 
     weights = g.weights
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    bound, a1, a2 = _bounds(g, nbrs)
+    if bound is None:
+        bound = n * max(weights)
+    if HELD_KARP_MAX_ROWS > RETRY_ROWS:
+        try:
+            return _held_karp(g, nbrs, a1, a2, 2 * bound, RETRY_ROWS) or OracleAnswer(None, None)
+        except TooLarge:
+            pass
+        ends = _ends(g)
+        low = sum(a1) + sum(a2)  # twice a lower bound on every tour
+        # doubled guesses; the rise is an int, so int and Fraction sums stay exact
+        rise = (max(weights) - min(weights)) // 4 or 1
+        while low + rise < 2 * bound:
+            target = low + rise
+            rise *= 2
+            b1, b2 = _penalties(ends, target)
+            if sum(b1) + sum(b2) <= target:  # else every tour weighs more
+                found = _held_karp(g, nbrs, b1, b2, target, HELD_KARP_MAX_ROWS)
+                if found is not None:
+                    return found
+    return _held_karp(g, nbrs, a1, a2, 2 * bound, HELD_KARP_MAX_ROWS) or OracleAnswer(None, None)
+
+
+def _held_karp(
+    g: Graph, nbrs: list[int], a1: list, a2: list, target: Weight, budget: int
+) -> OracleAnswer | None:
+    """The DP of :func:`min_tour` with ``target`` as ``2 * UB``: the optimum
+    when some tour weighs at most ``target / 2``, else None. Raises
+    :class:`TooLarge` once it would allocate more than ``budget`` rows."""
+    n = g.vertex_count
+    weights = g.weights
     adjacency = g.adjacency
     inf = 1 + sum(abs(w) for w in weights)
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    table = _weight_table(g)
-    tour = _witness(nbrs, table)
-    if tour is None:
-        bound = inf
-    else:
-        _improve(tour, table)
-        bound = tour_weight(g, tuple(tour))
-    # a1 <= a2: the two lightest edge weights at each vertex
-    a1, a2 = zip(*(sorted(weights[eidx] for _, eidx in adjacency[v])[:2] for v in range(n)))
-    # limit[s] = 2 * bound - a1(0) - sum of a1(x) + a2(x) over unvisited x,
+    # limit[s] = target - a1(0) - sum of a1(x) + a2(x) over unvisited x,
     # read from two tables over the low and high bits of s
     pair = [a1[x] + a2[x] for x in range(1, n)]
     half = (n - 1) // 2
     low_bits = (1 << half) - 1
-    low_limit = _subset_sums(pair[:half], 2 * bound - a1[0] - sum(pair))
+    low_limit = _subset_sums(pair[:half], target - a1[0] - sum(pair))
     high_limit = _subset_sums(pair[half:], 0)
     # per vertex: (set bit, neighbour, weight, 2 * weight - a2(neighbour)) for
     # each neighbour other than 0
@@ -395,17 +564,17 @@ def min_tour(g: Graph) -> OracleAnswer:
         tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
         for k in range(n)
     ]
-    size = 1 << (n - 1)
-    cost: list[list | None] = [None] * size
+    cost: dict[int, list] = {}
     for nb, eidx in adjacency[0]:
         row = [inf] * n
         row[nb] = weights[eidx]
         cost[1 << (nb - 1)] = row
-    rows = len(adjacency[0])
-    for mask in range(1, size):
+    # visited sets not yet expanded, in the order their rows were allocated
+    order = deque(cost)
+    rows = len(cost)
+    while order:
+        mask = order.popleft()
         row = cost[mask]
-        if row is None:
-            continue
         visited = mask << 1
         forced = 0  # neighbours of the one unvisited vertex with one free neighbour
         for bit, around in fragile[mask.bit_count()]:
@@ -419,8 +588,9 @@ def min_tour(g: Graph) -> OracleAnswer:
                 break
             forced = around
         if forced:
-            if forced < 0:
-                continue  # dead set: no Hamilton cycle finishes from here
+            if forced < 0:  # dead set: no Hamilton cycle finishes from here
+                del cost[mask]
+                continue
             rest = visited & ~forced  # last vertices that cannot take that vertex
             while rest:
                 low = rest & -rest
@@ -437,19 +607,19 @@ def min_tour(g: Graph) -> OracleAnswer:
                 if mask & bit or need > room:
                     continue
                 w += c
-                nxt = cost[mask | bit]
+                to = mask | bit
+                nxt = cost.get(to)
                 if nxt is None:
                     rows += 1
-                    if rows > HELD_KARP_MAX_ROWS:
-                        raise TooLarge(
-                            f"the Held-Karp DP needs more than {HELD_KARP_MAX_ROWS} rows"
-                        )
-                    nxt = cost[mask | bit] = [inf] * n
+                    if rows > budget:
+                        raise TooLarge(f"the Held-Karp DP needs more than {budget} rows")
+                    nxt = cost[to] = [inf] * n
+                    order.append(to)
                 if w < nxt[nb]:
                     nxt[nb] = w
 
-    full = size - 1
-    final = cost[full]
+    full = (1 << (n - 1)) - 1
+    final = cost.get(full)
     best = None
     if final is not None:
         for nb, eidx in adjacency[0]:
@@ -457,8 +627,8 @@ def min_tour(g: Graph) -> OracleAnswer:
                 total = final[nb] + weights[eidx]
                 if best is None or total < best[0]:
                     best = (total, nb)
-    if best is None:
-        return OracleAnswer(None, None)
+    if best is None or 2 * best[0] > target:
+        return None
     total, cur = best
     seq = [cur]
     mask = full

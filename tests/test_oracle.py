@@ -83,7 +83,7 @@ def test_min_tour_non_hamiltonian():
 
 
 def test_min_tour_low_degree_allocates_nothing():
-    # the DP's index alone would be 2^23 slots, 64 MiB, on a 24-vertex path
+    # a 24-vertex path fails the degree test before the DP builds anything
     g = path_graph(24)
     g.degrees  # cached on the graph, not part of the DP
     tracemalloc.start()
@@ -298,5 +298,93 @@ def test_min_tour_row_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the index of 2^13 slots takes 64 KiB; 256 rows of 14 costs about as much
+    # 256 rows of 14 costs, with their dict entries, take under 100 KiB
     assert peak < 256 * 1024
+
+
+def test_min_tour_row_budget_bounds_memory_at_24_vertices(monkeypatch):
+    # an index of every visited set would be 2^23 slots, 64 MiB, before the
+    # budget could act; only the allocated rows may take memory
+    g = hamiltonian_draw(random.Random(24), 24, 0.5)
+    g.degrees, g.adjacency, g.weights  # cached on the graph, not part of the DP
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="256 rows"):
+            min_tour(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
+    # a budget of 8 rows under the first tour's bound stops nearly every DP
+    # and runs it again under guessed bounds: answers and tours, ties
+    # included, must stay the reference's, also without a first tour, on
+    # negative and fractional weights and without a Hamilton cycle
+    runs = []
+    run = oracle._held_karp
+
+    def spy(*args):
+        try:
+            found = run(*args)
+        except TooLarge:
+            runs.append("stopped")
+            raise
+        runs.append("none" if found is None else "found")
+        return found
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    monkeypatch.setattr(oracle, "RETRY_ROWS", 8)
+    rng = random.Random(27)
+    graphs = [petersen()]
+    for n in (6, 8, 10, 12):
+        for p in (0.3, 0.6):
+            g = random_connected_graph(rng, n, p, 1, 100)
+            graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
+    for witness in (oracle.WITNESS_NODES_PER_VERTEX, 0):
+        monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", witness)
+        for g in graphs:
+            assert min_tour(g) == min_tour_reference(g)
+    assert {"stopped", "none", "found"} <= set(runs)
+
+
+def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
+    # without a first tour the DP is bounded only by n times the heaviest
+    # weight; a guess near the optimum needs far fewer rows
+    g = hamiltonian_draw(random.Random(28), 14, 0.5)
+    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
+    monkeypatch.setattr(oracle, "RETRY_ROWS", 1000)
+    with pytest.raises(TooLarge, match="1000 rows"):
+        min_tour(g)
+    monkeypatch.setattr(oracle, "RETRY_ROWS", 100)
+    assert min_tour(g) == min_tour_reference(g)
+
+
+def two_lightest_sum(g):
+    return sum(sum(sorted(g.weights[eidx] for _, eidx in around)[:2]) for around in g.adjacency)
+
+
+def test_penalised_lower_bound_is_below_every_tour():
+    # min_tour's a1 <= a2 are the two lightest reduced weights at each vertex:
+    # half their sum must stay at most the weight of every tour, whatever the
+    # penalties, and must not fall below the bound without penalties. On
+    # weights 1-100 the penalties should raise it on most draws
+    rng = random.Random(26)
+    raised = draws = 0
+    for n in (4, 5, 6, 7, 8):
+        for p in (0.4, 0.7, 1.0):
+            g = hamiltonian_draw(rng, n, p)
+            for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
+                _, a1, a2 = oracle._bounds(graph, all_neighbours(graph))
+                penalised = sum(a1) + sum(a2)
+                plain = two_lightest_sum(graph)
+                assert penalised >= plain
+                for _, weight in enumerate_tours(graph, math.factorial(n - 1) // 2):
+                    assert penalised <= 2 * weight
+                if graph is g:
+                    draws += 1
+                    raised += penalised > plain
+    assert raised > draws // 2
