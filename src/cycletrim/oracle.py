@@ -33,11 +33,12 @@ rest of the tour. The weights are first reduced by integer vertex penalties
 whose cost plus lower bound is above the upper bound is neither expanded
 nor written; every state on an optimum tour passes, so answers and tours
 are again those of the full DP. Any number at least the optimum serves as
-the upper bound, so a DP that grows past ``RETRY_ROWS`` rows under a poor
-first tour, or none, is stopped and run again under guessed bounds just
-above the lower bound, raised until one closes a tour no heavier than the
-guess. The DP raises :class:`TooLarge` once it would allocate more than
-``HELD_KARP_MAX_ROWS`` rows. See :func:`min_tour`.
+the upper bound, so the DP runs first under guessed bounds just above the
+lower bound, raised until one closes a tour no heavier than the guess, and
+only then under the first tour's bound. The first guess keeps the
+penalties aimed at the first tour. The DP raises :class:`TooLarge` once it
+would allocate more than ``HELD_KARP_MAX_ROWS`` rows. Fractional weights
+are scaled to ints first. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ ENUMERATION_MAX_VERTICES = 10
 WITNESS_NODES_PER_VERTEX = 8
 #: subgradient steps ``min_tour`` takes on its vertex penalties
 PENALTY_STEPS = 30
-#: rows after which ``min_tour`` stops the DP under its first tour's bound
-#: and tries guessed bounds instead; every visited set at n <= 13 fits
-RETRY_ROWS = 1 << 12
 
 
 class TooLarge(Exception):
@@ -376,13 +374,18 @@ def _subset_sums(values: list, base: Weight) -> list:
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
-    Raises :class:`TooLarge` above 24 vertices, and once a run of the DP
-    would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every visited set
-    at n <= 20; returns a non-Hamiltonian answer at once when a vertex has
-    degree below 2. Runtime is O(n^2 * 2^n) at worst. Memory is one row of
-    n costs per reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows,
-    so sizes near the cap are slow and large in pure Python but stay exact:
-    one path adds the graph's ``int`` and ``Fraction`` weights as stored.
+    Raises :class:`TooLarge` above 24 vertices, and when the DP under the
+    first bound would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every
+    visited set at n <= 20, unless a guess finishes first; returns a
+    non-Hamiltonian answer at once when a vertex has degree below 2.
+    Runtime is O(n^2 * 2^n) at worst. Memory is one row of n costs per
+    reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows, so sizes
+    near the cap are slow and large in pure Python but stay exact.
+    A graph with a ``Fraction`` weight runs on ints: every weight is
+    multiplied by the least common multiple of the denominators, which
+    keeps the order of every sum and so, by the arguments below, the tour.
+    The optimum weight is that tour's weight on the graph as given, so its
+    type is ``Fraction`` exactly when one of the tour's edges is.
 
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
@@ -481,22 +484,26 @@ def min_tour(g: Graph) -> OracleAnswer:
     bounds would pick it. The tie-breaks therefore pick the same tour.
 
     Guessed bounds: the argument above needs only ``OPT <= UB``, so the DP
-    may run under any number ``B`` in place of ``UB``. If it then closes a
-    tour of weight at most ``B``, that tour's weight is ``OPT`` and the
-    tour is the one the DP under ``UB`` reads back: otherwise ``OPT`` would
-    be below that weight, so at most ``B``, and the DP would have closed
-    an optimum tour. If it closes none, ``OPT`` is above ``B``. A lower
-    ``B`` only lowers every limit, so by induction on ``|s|`` every row the
-    DP allocates under ``B`` it also allocates under ``UB``. When the DP
-    under ``UB`` passes ``RETRY_ROWS`` rows, the first tour is far from
-    the optimum or missing, and most of the work is still to come; the DP
-    is stopped and run again under guesses ``B`` that start an eighth of
-    the weight range above the whole-tour lower bound and double their
-    distance from it, each with penalties aimed at ``B``, until one closes
-    a tour. A guess below that lower bound is skipped without a DP, and
-    the last run is under ``UB`` again. So the answer and tour are those of
-    the DP under ``UB``, and ``TooLarge`` is raised only where that DP
-    would raise it; a guess may also finish where it would not.
+    may run under any number ``B`` in place of ``UB``, with any ``pi``. If
+    it then closes a tour of weight at most ``B``, that tour's weight is
+    ``OPT`` and the tour is the one the DP under ``UB`` reads back:
+    otherwise ``OPT`` would be below that weight, so at most ``B``, and the
+    DP would have closed an optimum tour. If it closes none, ``OPT`` is
+    above ``B``. So the DP runs first under guesses ``B`` that start an
+    eighth of the weight range above the whole-tour lower bound and double
+    their distance from it, until one closes a tour, and last under ``UB``;
+    no guess is made at or above ``UB``. The first guess keeps the ``pi``
+    aimed at ``UB``, and each later one re-aims ``pi`` at itself; a guess
+    below the whole-tour lower bound under its own ``pi`` is skipped
+    without a DP. Under the same ``pi`` a lower ``B`` only lowers every
+    limit, so by induction on ``|s|`` every row the DP allocates under
+    ``B`` it also allocates under ``UB``, with a cost no lower, and the
+    first guess never needs more rows than the DP under ``UB``. A re-aimed
+    ``pi`` carries no such guarantee, so a guess that passes
+    ``HELD_KARP_MAX_ROWS`` ends the guessing and the DP under ``UB`` runs.
+    So the answer and tour are those of the DP under ``UB``, and
+    ``TooLarge`` is raised exactly when that DP raises it and no guess has
+    closed a tour first.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -505,27 +512,32 @@ def min_tour(g: Graph) -> OracleAnswer:
         return OracleAnswer(None, None)
 
     weights = g.weights
+    scale = math.lcm(*(w.denominator for w in weights))
+    if scale > 1:  # some weight is a Fraction: run on ints, weigh the tour as given
+        answer = min_tour(Graph(n, tuple((u, v, w * scale) for u, v, w in g.edges)))
+        if answer.optimum_tour is None:
+            return answer
+        return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     bound, a1, a2 = _bounds(g, nbrs)
     if bound is None:
         bound = n * max(weights)
-    if HELD_KARP_MAX_ROWS > RETRY_ROWS:
-        try:
-            return _held_karp(g, nbrs, a1, a2, 2 * bound, RETRY_ROWS) or OracleAnswer(None, None)
-        except TooLarge:
-            pass
-        ends = _ends(g)
-        low = sum(a1) + sum(a2)  # twice a lower bound on every tour
-        # doubled guesses; the rise is an int, so int and Fraction sums stay exact
-        rise = (max(weights) - min(weights)) // 4 or 1
-        while low + rise < 2 * bound:
-            target = low + rise
-            rise *= 2
-            b1, b2 = _penalties(ends, target)
-            if sum(b1) + sum(b2) <= target:  # else every tour weighs more
+    low = sum(a1) + sum(a2)  # twice a lower bound on every tour
+    # doubled guesses; the first keeps the pairs aimed at the first bound
+    rise = (max(weights) - min(weights)) // 4 or 1
+    pairs = a1, a2
+    while low + rise < 2 * bound:
+        target = low + rise
+        rise *= 2
+        b1, b2 = pairs or _penalties(_ends(g), target)
+        pairs = None
+        if sum(b1) + sum(b2) <= target:  # else every tour weighs more
+            try:
                 found = _held_karp(g, nbrs, b1, b2, target, HELD_KARP_MAX_ROWS)
-                if found is not None:
-                    return found
+            except TooLarge:
+                break  # re-aimed pairs may need rows the first bound's do not
+            if found is not None:
+                return found
     return _held_karp(g, nbrs, a1, a2, 2 * bound, HELD_KARP_MAX_ROWS) or OracleAnswer(None, None)
 
 

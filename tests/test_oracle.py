@@ -319,10 +319,56 @@ def test_min_tour_row_budget_bounds_memory_at_24_vertices(monkeypatch):
 
 
 def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
-    # a budget of 8 rows under the first tour's bound stops nearly every DP
-    # and runs it again under guessed bounds: answers and tours, ties
-    # included, must stay the reference's, also without a first tour, on
-    # negative and fractional weights and without a Hamilton cycle
+    # min_tour runs the DP under guessed bounds before the first tour's:
+    # answers and tours, ties included, must stay the reference's, also
+    # without a first tour, on negative and fractional weights and without
+    # a Hamilton cycle
+    runs = []
+    run = oracle._held_karp
+
+    def spy(*args):
+        found = run(*args)
+        runs.append("none" if found is None else "found")
+        return found
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    rng = random.Random(27)
+    graphs = [petersen()]
+    for n in (6, 8, 10, 12):
+        for p in (0.3, 0.6):
+            g = random_connected_graph(rng, n, p, 1, 100)
+            graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
+    for witness in (oracle.WITNESS_NODES_PER_VERTEX, 0):
+        monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", witness)
+        for g in graphs:
+            assert min_tour(g) == min_tour_reference(g)
+    assert {"none", "found"} <= set(runs)
+
+
+def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
+    # without a first tour the DP is bounded only by n times the heaviest
+    # weight; a guess near the optimum needs far fewer rows
+    g = hamiltonian_draw(random.Random(28), 14, 0.5)
+    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
+    nbrs = all_neighbours(g)
+    bound, a1, a2 = oracle._bounds(g, nbrs)
+    assert bound is None
+    with pytest.raises(TooLarge, match="1000 rows"):
+        oracle._held_karp(g, nbrs, a1, a2, 2 * 14 * max(g.weights), 1000)
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
+    assert min_tour(g) == min_tour_reference(g)
+
+
+def test_a_guess_past_the_row_budget_leaves_the_answer_to_the_first_bound(monkeypatch):
+    # the second guess re-aims the penalties, and on this draw its DP needs
+    # 354 rows where the one under the first bound needs 352: under a budget
+    # of 353 the guess stops and the DP under the first bound answers
+    g = make_graph(11, [
+        (0, 2, 2), (0, 3, 1), (0, 4, 2), (0, 6, 1), (0, 8, 1), (1, 2, 1), (1, 3, 1),
+        (1, 5, 1), (1, 6, 1), (1, 7, 1), (1, 8, 1), (1, 9, 1), (2, 3, 2), (2, 8, 2),
+        (3, 5, 2), (3, 7, 2), (3, 8, 2), (4, 6, 2), (4, 8, 2), (4, 10, 2), (5, 10, 1),
+        (6, 7, 2), (6, 8, 1), (6, 9, 2), (6, 10, 1), (7, 9, 1),
+    ])
     runs = []
     run = oracle._held_karp
 
@@ -336,31 +382,57 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
         return found
 
     monkeypatch.setattr(oracle, "_held_karp", spy)
-    monkeypatch.setattr(oracle, "RETRY_ROWS", 8)
-    rng = random.Random(27)
-    graphs = [petersen()]
-    for n in (6, 8, 10, 12):
-        for p in (0.3, 0.6):
-            g = random_connected_graph(rng, n, p, 1, 100)
-            graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
-    for witness in (oracle.WITNESS_NODES_PER_VERTEX, 0):
-        monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", witness)
-        for g in graphs:
-            assert min_tour(g) == min_tour_reference(g)
-    assert {"stopped", "none", "found"} <= set(runs)
-
-
-def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
-    # without a first tour the DP is bounded only by n times the heaviest
-    # weight; a guess near the optimum needs far fewer rows
-    g = hamiltonian_draw(random.Random(28), 14, 0.5)
-    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
-    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
-    monkeypatch.setattr(oracle, "RETRY_ROWS", 1000)
-    with pytest.raises(TooLarge, match="1000 rows"):
-        min_tour(g)
-    monkeypatch.setattr(oracle, "RETRY_ROWS", 100)
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 353)
     assert min_tour(g) == min_tour_reference(g)
+    assert runs == ["none", "stopped", "found"]
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 351)
+    with pytest.raises(TooLarge, match="351 rows"):
+        min_tour(g)
+
+
+def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
+    # a first tour above the optimum leaves room for a guess below it: the
+    # first DP runs under that guess, with the pairs aimed at the first bound
+    rng = random.Random(29)
+    while True:
+        g = hamiltonian_draw(rng, 12, 0.5)
+        bound, a1, a2 = oracle._bounds(g, all_neighbours(g))
+        if bound > min_tour_reference(g).optimum_weight:
+            break
+    calls = []
+    run = oracle._held_karp
+
+    def spy(graph, nbrs, b1, b2, target, budget):
+        calls.append((b1, b2, target))
+        return run(graph, nbrs, b1, b2, target, budget)
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    assert min_tour(g) == min_tour_reference(g)
+    b1, b2, target = calls[0]
+    assert target < 2 * bound
+    assert (b1, b2) == (a1, a2)
+
+
+def test_fractional_weights_run_on_ints_and_keep_the_tours_weight(monkeypatch):
+    # a graph with fractional weights is scaled to ints for the DP; the
+    # optimum weight is then the tour's own, value and type
+    weights_seen = []
+    run = oracle._held_karp
+
+    def spy(graph, *args):
+        weights_seen.extend(graph.weights)
+        return run(graph, *args)
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    rng = random.Random(30)
+    for n in (6, 9, 12):
+        g = hamiltonian_draw(rng, n, 0.5)
+        for palette in ((-1, 0, Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4), 2)):
+            graph = reweighted(g, rng, palette)
+            answer = min_tour(graph)
+            assert answer == min_tour_reference(graph)
+            assert repr(answer.optimum_weight) == repr(tour_weight(graph, answer.optimum_tour))
+    assert weights_seen and all(type(w) is int for w in weights_seen)
 
 
 def two_lightest_sum(g):
