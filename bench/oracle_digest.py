@@ -13,9 +13,10 @@ same for copies whose weights are mapped to -1, 0 and 1/2 by ``w % 3``, so
 that negative and fractional weights are covered too. Two checkouts whose
 digests agree give the same answers and tours on every input. A third
 line per workload digests the ``is_hamiltonian`` verdict on every graph
-``set_up`` draws, the gated-out ones included. Stdlib only;
-it imports cycletrim from ``src/`` and the workloads from ``perfbench/`` of
-the checkout it lives in.
+``set_up`` draws, the gated-out ones included, and a fourth counts the
+inputs for which ``min_tour``'s budgeted search finds a first tour. Stdlib
+only; it imports cycletrim from ``src/`` and the workloads from
+``perfbench/`` of the checkout it lives in.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from cycletrim import Graph, is_hamiltonian, min_tour  # noqa: E402
+from cycletrim import Graph, is_hamiltonian, min_tour, oracle  # noqa: E402
 
 
 def tied(graph: Graph) -> Graph:
@@ -75,6 +76,9 @@ def main() -> int:
         hexdigest, spent = digest(inputs.drawn, is_hamiltonian)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
               f"is_hamiltonian sha256 {hexdigest} ({spent:.2f} s in is_hamiltonian)")
+        first = sum(oracle._bounds(g)[0] is not None for g in graphs)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: first tour for {first} "
+              f"of {len(graphs)} inputs")
     return 0
 
 

@@ -6,6 +6,15 @@ backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
 
+One backtracking search, :func:`_hamilton_cycle`, looks for a Hamilton
+cycle for two callers: the front gate :func:`is_hamiltonian` runs it to
+the end, and :func:`min_tour` runs it under a node budget for its first
+tour. It rejects a vertex of degree below 2 and a bipartite graph with
+sides of unequal size up front, and prunes a path that leaves an
+unvisited vertex short of edges, vertex 0 without a closing edge, or the
+unvisited vertices split. Still, a 2-connected graph without a Hamilton
+cycle can take it exponential time.
+
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
 sentinel above every path cost, and expands the sets in the order their
@@ -23,8 +32,8 @@ such neighbour, or two have one each, is dead and never expanded; with one
 such vertex, only the last vertices next to it are expanded. Every state on
 a Hamilton cycle passes, so answers and tours are those of the full DP.
 
-The DP is also bounded by a tour it finds first. A depth-first search with
-a node budget looks for some Hamilton cycle, and 2-opt and or-opt moves
+The DP is also bounded by a tour it finds first. The search, under its
+node budget, looks for some Hamilton cycle, and 2-opt and or-opt moves
 lower its weight: that weight is the upper bound. A path that ends at ``v``
 still needs one edge at ``v``, one at 0 and two at each unvisited vertex,
 so half the sum of the lightest such edge weights is a lower bound on the
@@ -112,9 +121,12 @@ def _unequal_sides(adj_mask: list[int]) -> bool:
 
 
 def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
-    """True iff some vertex of ``remaining`` has fewer than two neighbours
-    among ``remaining``, ``current`` and 0: the rest of a cycle from
-    ``current`` through ``remaining`` back to 0 cannot pass it."""
+    """True iff the rest of a cycle from ``current`` through the non-empty
+    ``remaining`` back to 0 cannot be threaded: 0 has no neighbour in
+    ``remaining`` for its closing edge, or some vertex of ``remaining`` has
+    fewer than two neighbours among ``remaining``, ``current`` and 0."""
+    if not nbrs[0] & remaining:
+        return True
     allowed = remaining | (1 << current) | 1
     while remaining:
         low = remaining & -remaining
@@ -124,76 +136,43 @@ def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
     return False
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    """Backtracking Hamilton-cycle existence test.
+def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
+    """Some Hamilton cycle from 0, as a vertex list, or None.
 
-    Rejects up front a vertex of degree below 2 and a bipartite graph with
-    sides of unequal size. Then prunes on degree (every unvisited vertex
-    needs two usable edges) and on connectivity of the unvisited remainder.
-    Sound and complete; exponential worst case, fine at oracle scale.
+    Rejects up front fewer than 3 vertices, a vertex of degree below 2 and
+    a bipartite graph with sides of unequal size. Then a depth-first search
+    goes first to the neighbour with the fewest unvisited neighbours, then
+    along the lightest edge, then to the lowest id (Warnsdorff's order). It
+    backs up as soon as :func:`_short_of_edges` holds or the unvisited
+    vertices are not all reachable from the current one through unvisited
+    vertices; each prune cuts only paths that no Hamilton cycle extends, so
+    the search finds the first cycle in that order. With ``budget`` None
+    the search is complete, and None means that the graph has no Hamilton
+    cycle: exponential worst case, fine at oracle scale. Otherwise it gives
+    up after ``budget`` search nodes, so None proves nothing.
     """
     n = g.vertex_count
     if n < 3 or any(d < 2 for d in g.degrees):
-        return False
-    adj_mask = mask_neighbours(g, (1 << g.edge_count) - 1)
+        return None
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    if _unequal_sides(nbrs):
+        return None
+    table = _weight_table(g)
     full = (1 << n) - 1
-    if _unequal_sides(adj_mask):
-        return False
-
-    def extend(current: int, visited: int, count: int) -> bool:
-        if count == n:
-            return bool(adj_mask[current] & 1)
-        remaining = full & ~visited
-        if _short_of_edges(adj_mask, current, remaining):
-            return False
-        # the rest of the cycle must reach every unvisited vertex from here
-        if remaining & ~reach(adj_mask, current, remaining):
-            return False
-        options = adj_mask[current] & ~visited
-        while options:
-            low = options & -options
-            nxt = low.bit_length() - 1
-            options ^= low
-            if extend(nxt, visited | low, count + 1):
-                return True
-        return False
-
-    return extend(0, 1, 1)
-
-
-def _weight_table(g: Graph) -> list:
-    """Edge weights as a flat ``n * n`` list, ``None`` where there is no edge."""
-    n = g.vertex_count
-    table: list = [None] * (n * n)
-    for u, v, w in g.edges:
-        table[u * n + v] = table[v * n + u] = w
-    return table
-
-
-def _witness(nbrs: list[int], table: list) -> list[int] | None:
-    """Some Hamilton cycle from 0, found by a depth-first search with a node budget.
-
-    The search goes first to the neighbour with the fewest unvisited
-    neighbours, then along the lightest edge (Warnsdorff's order), and backs
-    up as soon as an unvisited vertex has fewer than two usable edges left,
-    as :func:`is_hamiltonian` does. It gives up after
-    ``WITNESS_NODES_PER_VERTEX`` nodes per vertex, so ``None`` does not mean
-    that the graph has no Hamilton cycle.
-    """
-    n = len(nbrs)
-    full = (1 << n) - 1
-    budget = WITNESS_NODES_PER_VERTEX * n
+    left = math.inf if budget is None else budget
     path = [0]
 
     def extend(current: int, visited: int) -> bool:
-        nonlocal budget
+        nonlocal left
         if len(path) == n:
             return bool(nbrs[current] & 1)
-        budget -= 1
-        if budget < 0:
+        left -= 1
+        if left < 0:
             return False
         remaining = full & ~visited
         if _short_of_edges(nbrs, current, remaining):
+            return False
+        if remaining & ~reach(nbrs, current, remaining):
             return False
         options = []
         m = nbrs[current] & remaining
@@ -207,11 +186,25 @@ def _witness(nbrs: list[int], table: list) -> list[int] | None:
             if extend(nxt, visited | 1 << nxt):
                 return True
             path.pop()
-            if budget < 0:
+            if left < 0:
                 break
         return False
 
     return path if extend(0, 1) else None
+
+
+def is_hamiltonian(g: Graph) -> bool:
+    """Hamilton-cycle existence test: :func:`_hamilton_cycle` without a budget."""
+    return _hamilton_cycle(g, None) is not None
+
+
+def _weight_table(g: Graph) -> list:
+    """Edge weights as a flat ``n * n`` list, ``None`` where there is no edge."""
+    n = g.vertex_count
+    table: list = [None] * (n * n)
+    for u, v, w in g.edges:
+        table[u * n + v] = table[v * n + u] = w
+    return table
 
 
 def _two_opt(tour: list[int], table: list) -> bool:
@@ -335,18 +328,19 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     return best_a1, best_a2
 
 
-def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight | None, list, list]:
+def _bounds(g: Graph) -> tuple[Weight | None, list, list]:
     """``(UB, a1, a2)`` for :func:`min_tour`.
 
-    ``UB`` is the weight of a first tour: ``_witness``'s, lowered by
-    ``_improve``; ``None`` when the search finds none. ``a1(x) <= a2(x)``
+    ``UB`` is the weight of a first tour: the one :func:`_hamilton_cycle`
+    finds within ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex,
+    lowered by ``_improve``; ``None`` when it finds none. ``a1(x) <= a2(x)``
     are the two lightest reduced weights at each vertex, under the
     penalties ``_penalties`` picks, or under none without a first tour to
     aim them at.
     """
     ends = _ends(g)
     table = _weight_table(g)
-    tour = _witness(nbrs, table)
+    tour = _hamilton_cycle(g, WITNESS_NODES_PER_VERTEX * g.vertex_count)
     if tour is None:
         a1, a2, _ = _lightest_pairs(ends, [0] * len(ends))
         return None, a1, a2
@@ -436,10 +430,10 @@ def min_tour(g: Graph) -> OracleAnswer:
     they read belong to sets that hold a state on the optimum tour, so none
     is a dead set's dropped row.
 
-    Bounds: ``_witness`` looks for a Hamilton cycle within a budget of
-    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
+    Bounds: ``_hamilton_cycle`` looks for a Hamilton cycle within a budget
+    of ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
     lowers its weight by 2-opt and or-opt moves along existing edges. That
-    weight is the upper bound ``UB``; without a witness ``UB`` is ``n``
+    weight is the upper bound ``UB``; without a first tour ``UB`` is ``n``
     times the heaviest weight, which no tour exceeds. Given integer vertex
     penalties ``pi``, the reduced weight of edge ``{x, y}`` at its end
     ``x`` is ``w(x, y) + pi(y) - pi(x)``; its two ends' reduced weights add
@@ -456,7 +450,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     gives the plain two-lightest-edges bound; ``_penalties`` picks ``pi``
     by subgradient steps that raise ``sum of a1 + a2`` over all vertices,
     the same bound for a whole tour, never below its value at zero. Without
-    a witness ``pi`` is zero.
+    a first tour ``pi`` is zero.
     With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1 + a2)``, read from
     two tables over the low and high bits of ``s``, the entry (``s``,
     ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a path of
@@ -519,7 +513,7 @@ def min_tour(g: Graph) -> OracleAnswer:
             return answer
         return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    bound, a1, a2 = _bounds(g, nbrs)
+    bound, a1, a2 = _bounds(g)
     if bound is None:
         bound = n * max(weights)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour

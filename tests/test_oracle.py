@@ -37,10 +37,19 @@ from helpers import (
 from strategies import connected_graphs, hamiltonian_graphs
 
 
+def hamilton_cycle(g):
+    """The front gate's cycle, or None; ``tour_weight`` raises unless the
+    cycle is a Hamilton cycle of ``g``."""
+    cycle = oracle._hamilton_cycle(g, None)
+    if cycle is not None:
+        tour_weight(g, tuple(cycle))
+    return cycle
+
+
 def test_is_hamiltonian_basics():
-    assert is_hamiltonian(triangle())
-    assert is_hamiltonian(theta())
-    assert is_hamiltonian(k4_golden())
+    for g in (triangle(), theta(), k4_golden()):
+        assert is_hamiltonian(g)
+        assert hamilton_cycle(g) is not None
     assert not is_hamiltonian(path_graph(4))
     assert not is_hamiltonian(star_graph(3))
     assert not is_hamiltonian(petersen())
@@ -54,6 +63,7 @@ def test_is_hamiltonian_unbalanced_bipartite():
     assert not is_hamiltonian(complete_bipartite(11, 12))
     assert not is_hamiltonian(complete_bipartite(7, 8))
     assert is_hamiltonian(complete_bipartite(6, 6))
+    assert hamilton_cycle(complete_bipartite(6, 6)) is not None
 
 
 def test_min_tour_triangle():
@@ -145,6 +155,7 @@ def test_held_karp_agrees_with_enumeration(g):
     dp = min_tour(g)
     brute = min_tour_by_enumeration(g)
     assert dp.hamiltonian == brute.hamiltonian == is_hamiltonian(g)
+    assert (hamilton_cycle(g) is not None) == dp.hamiltonian
     if dp.hamiltonian:
         assert dp.optimum_weight == brute.optimum_weight
         assert dp.optimum_tour is not None
@@ -190,6 +201,7 @@ def hamiltonian_draw(rng, n, p):
     while True:
         g = random_connected_graph(rng, n, p, 1, 100)
         if is_hamiltonian(g):
+            assert hamilton_cycle(g) is not None
             return g
 
 
@@ -247,7 +259,7 @@ def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
         for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
             # tour_weight raises unless the tour is a Hamilton cycle of graph
             table = oracle._weight_table(graph)
-            tour = oracle._witness(all_neighbours(graph), table)
+            tour = oracle._hamilton_cycle(graph, oracle.WITNESS_NODES_PER_VERTEX * n)
             assert tour is not None
             weight = tour_weight(graph, tuple(tour))
             while oracle._two_opt(tour, table) or oracle._or_opt(tour, table):
@@ -257,31 +269,57 @@ def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
             assert weight >= min_tour(graph).optimum_weight
 
 
-def test_first_tour_search_keeps_its_budget(monkeypatch):
+def searched_nodes(g, budget) -> int:
+    """Search nodes ``_hamilton_cycle`` visits on ``g``, which has no Hamilton cycle."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "extend"
+
+    sys.setprofile(count)
+    try:
+        assert oracle._hamilton_cycle(g, budget) is None
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_first_tour_search_keeps_its_budget():
     # Petersen passes the degree and bipartite tests but has no Hamilton
     # cycle (test_min_tour_non_hamiltonian); the search gives up after its
     # budget and leaves the verdict to the DP
     g = petersen()
-    nbrs, table = all_neighbours(g), oracle._weight_table(g)
-
-    def searched() -> int:
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call" and frame.f_code.co_name == "extend"
-
-        sys.setprofile(count)
-        try:
-            assert oracle._witness(nbrs, table) is None
-        finally:
-            sys.setprofile(None)
-        return calls
-
     budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
-    assert searched() <= budget + 1
-    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 1000)
-    assert searched() > budget + 1  # the budget, not the search space, stopped it
+    assert searched_nodes(g, budget) <= budget + 1
+    assert searched_nodes(g, None) > budget + 1  # the budget, not the search space, stopped it
+
+
+def test_search_prunes_a_path_that_leaves_vertex_0_no_closing_edge():
+    # two K_8 sharing vertex 7: no Hamilton cycle, and nothing but the
+    # closing edge stops a path that crossed into the second K_8 having
+    # visited all of the first. The search visits 14,529 nodes with that
+    # prune and 6,249,009 without it
+    g = make_graph(15, [
+        (u, v, 1) for side in (range(0, 8), range(7, 15)) for u in side for v in side if u < v
+    ])
+    assert searched_nodes(g, None) < 20_000
+
+
+def test_budgeted_search_finds_the_unbudgeted_cycle_or_none():
+    # the budget only cuts the search short: whatever it finds is the cycle
+    # the whole search finds first
+    rng = random.Random(31)
+    found = 0
+    for n in range(8, 17):
+        for p in (0.2, 0.35, 0.5):
+            g = random_connected_graph(rng, n, p, 1, 100)
+            whole = hamilton_cycle(g)
+            for budget in (0, 1, n, 4 * n, oracle.WITNESS_NODES_PER_VERTEX * n):
+                cycle = oracle._hamilton_cycle(g, budget)
+                assert cycle is None or cycle == whole
+                found += cycle is not None
+    assert found
 
 
 def test_min_tour_row_budget(monkeypatch):
@@ -351,7 +389,7 @@ def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypat
     g = hamiltonian_draw(random.Random(28), 14, 0.5)
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
-    bound, a1, a2 = oracle._bounds(g, nbrs)
+    bound, a1, a2 = oracle._bounds(g)
     assert bound is None
     with pytest.raises(TooLarge, match="1000 rows"):
         oracle._held_karp(g, nbrs, a1, a2, 2 * 14 * max(g.weights), 1000)
@@ -396,7 +434,7 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     rng = random.Random(29)
     while True:
         g = hamiltonian_draw(rng, 12, 0.5)
-        bound, a1, a2 = oracle._bounds(g, all_neighbours(g))
+        bound, a1, a2 = oracle._bounds(g)
         if bound > min_tour_reference(g).optimum_weight:
             break
     calls = []
@@ -450,7 +488,7 @@ def test_penalised_lower_bound_is_below_every_tour():
         for p in (0.4, 0.7, 1.0):
             g = hamiltonian_draw(rng, n, p)
             for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
-                _, a1, a2 = oracle._bounds(graph, all_neighbours(graph))
+                _, a1, a2 = oracle._bounds(graph)
                 penalised = sum(a1) + sum(a2)
                 plain = two_lightest_sum(graph)
                 assert penalised >= plain
