@@ -30,7 +30,7 @@ from .harness import (
     run_campaign,
 )
 from .oracle import TooLarge, min_tour
-from .solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, TourResult
+from .solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, TourResult, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,8 +102,6 @@ def _result_json(result: TourResult) -> dict:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _load_graph(args.file)
-    from .solver import solve
-
     result = solve(graph)
     if args.json:
         print(json.dumps(_result_json(result)))

@@ -20,7 +20,9 @@ from .graphs import Graph, NotConnected, iter_bits, mask_vertices
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """A cycle basis of ``graph``: one edge bitmask per cycle, in chord order."""
+    """A cycle basis of ``graph``: one edge bitmask per cycle, in chord order.
+
+    The first read of :attr:`sharing` or :attr:`diagonals` builds both."""
 
     graph: Graph
     cycles: tuple[int, ...]
@@ -30,9 +32,34 @@ class CycleBasis:
     def dimension(self) -> int:
         return len(self.cycles)
 
+    @property
+    def sharing(self) -> tuple[int, ...]:
+        """Per cycle, the bitmask of the other cycles that share an edge with it."""
+        return self._pair_tables[0]
+
+    @property
+    def diagonals(self) -> tuple[int, ...]:
+        """Per cycle, the bitmask of the edge-disjoint cycles meeting it in one vertex."""
+        return self._pair_tables[1]
+
     @cached_property
-    def cycle_vertices(self) -> tuple[int, ...]:
-        return tuple(mask_vertices(self.graph, c) for c in self.cycles)
+    def _pair_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # both tables from one pass over the row pairs
+        rows = self.cycles
+        verts = [mask_vertices(self.graph, row) for row in rows]
+        sharing = [0] * len(rows)
+        diagonals = [0] * len(rows)
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if row & rows[j]:
+                    table = sharing
+                elif (verts[i] & verts[j]).bit_count() == 1:
+                    table = diagonals
+                else:
+                    continue
+                table[i] |= 1 << j
+                table[j] |= 1 << i
+        return tuple(sharing), tuple(diagonals)
 
 
 def count_covers(edge_count: int, rows: Iterable[int]) -> tuple[int, ...]:

@@ -9,11 +9,12 @@ faked with large weights.
 One backtracking search, :func:`_hamilton_cycle`, looks for a Hamilton
 cycle for two callers: the front gate :func:`is_hamiltonian` runs it to
 the end, and :func:`min_tour` runs it under a node budget for its first
-tour. It rejects a vertex of degree below 2 and a bipartite graph with
-sides of unequal size up front, and prunes a path that leaves an
-unvisited vertex short of edges, vertex 0 without a closing edge, or the
-unvisited vertices split. Still, a 2-connected graph without a Hamilton
-cycle can take it exponential time.
+tour. The search and :func:`min_tour` both start with
+:func:`_no_tour_up_front`, which rejects fewer than 3 vertices, a vertex
+of degree below 2 and a bipartite graph with sides of unequal size. The
+search prunes a path that leaves an unvisited vertex short of edges,
+vertex 0 without a closing edge, or the unvisited vertices split. Still, a
+2-connected graph without a Hamilton cycle can take it exponential time.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
@@ -91,8 +92,10 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
     return tour
 
 
-def _unequal_sides(adj_mask: list[int]) -> bool:
-    """True iff the component of vertex 0 is bipartite with sides of unequal size.
+def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
+    """True iff ``g``, with neighbour bitmasks ``adj_mask``, has fewer than 3
+    vertices, a vertex of degree below 2, or a component of vertex 0 that is
+    bipartite with sides of unequal size: each rules out a Hamilton cycle.
 
     A Hamilton cycle alternates the sides of a bipartite graph, so such a
     graph has none; nor has a graph with vertices outside that component.
@@ -100,6 +103,8 @@ def _unequal_sides(adj_mask: list[int]) -> bool:
     cycle. The walk is its own, not :func:`~cycletrim.graphs.reach`, since
     it needs the levels.
     """
+    if g.vertex_count < 3 or any(d < 2 for d in g.degrees):
+        return True
     sides = [0, 0]
     seen = frontier = 1
     level = 0
@@ -139,10 +144,10 @@ def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
 def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
     """Some Hamilton cycle from 0, as a vertex list, or None.
 
-    Rejects up front fewer than 3 vertices, a vertex of degree below 2 and
-    a bipartite graph with sides of unequal size. Then a depth-first search
-    goes first to the neighbour with the fewest unvisited neighbours, then
-    along the lightest edge, then to the lowest id (Warnsdorff's order). It
+    Returns None up front when :func:`_no_tour_up_front` holds. Then a
+    depth-first search goes first to the neighbour with the fewest unvisited
+    neighbours, then along the lightest edge, then to the lowest id
+    (Warnsdorff's order). It
     backs up as soon as :func:`_short_of_edges` holds or the unvisited
     vertices are not all reachable from the current one through unvisited
     vertices; each prune cuts only paths that no Hamilton cycle extends, so
@@ -152,10 +157,8 @@ def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
     up after ``budget`` search nodes, so None proves nothing.
     """
     n = g.vertex_count
-    if n < 3 or any(d < 2 for d in g.degrees):
-        return None
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    if _unequal_sides(nbrs):
+    if _no_tour_up_front(g, nbrs):
         return None
     table = _weight_table(g)
     full = (1 << n) - 1
@@ -371,7 +374,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     Raises :class:`TooLarge` above 24 vertices, and when the DP under the
     first bound would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every
     visited set at n <= 20, unless a guess finishes first; returns a
-    non-Hamiltonian answer at once when a vertex has degree below 2.
+    non-Hamiltonian answer at once when :func:`_no_tour_up_front` holds.
     Runtime is O(n^2 * 2^n) at worst. Memory is one row of n costs per
     reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows, so sizes
     near the cap are slow and large in pure Python but stay exact.
@@ -502,7 +505,8 @@ def min_tour(g: Graph) -> OracleAnswer:
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
-    if n < 3 or any(d < 2 for d in g.degrees):
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    if _no_tour_up_front(g, nbrs):
         return OracleAnswer(None, None)
 
     weights = g.weights
@@ -512,7 +516,6 @@ def min_tour(g: Graph) -> OracleAnswer:
         if answer.optimum_tour is None:
             return answer
         return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     bound, a1, a2 = _bounds(g)
     if bound is None:
         bound = n * max(weights)
@@ -527,20 +530,20 @@ def min_tour(g: Graph) -> OracleAnswer:
         pairs = None
         if sum(b1) + sum(b2) <= target:  # else every tour weighs more
             try:
-                found = _held_karp(g, nbrs, b1, b2, target, HELD_KARP_MAX_ROWS)
+                found = _held_karp(g, nbrs, b1, b2, target)
             except TooLarge:
                 break  # re-aimed pairs may need rows the first bound's do not
             if found is not None:
                 return found
-    return _held_karp(g, nbrs, a1, a2, 2 * bound, HELD_KARP_MAX_ROWS) or OracleAnswer(None, None)
+    return _held_karp(g, nbrs, a1, a2, 2 * bound) or OracleAnswer(None, None)
 
 
 def _held_karp(
-    g: Graph, nbrs: list[int], a1: list, a2: list, target: Weight, budget: int
+    g: Graph, nbrs: list[int], a1: list, a2: list, target: Weight
 ) -> OracleAnswer | None:
     """The DP of :func:`min_tour` with ``target`` as ``2 * UB``: the optimum
     when some tour weighs at most ``target / 2``, else None. Raises
-    :class:`TooLarge` once it would allocate more than ``budget`` rows."""
+    :class:`TooLarge` past ``HELD_KARP_MAX_ROWS`` rows."""
     n = g.vertex_count
     weights = g.weights
     adjacency = g.adjacency
@@ -617,8 +620,8 @@ def _held_karp(
                 nxt = cost.get(to)
                 if nxt is None:
                     rows += 1
-                    if rows > budget:
-                        raise TooLarge(f"the Held-Karp DP needs more than {budget} rows")
+                    if rows > HELD_KARP_MAX_ROWS:
+                        raise TooLarge(f"the Held-Karp DP needs more than {rows - 1} rows")
                     nxt = cost[to] = [inf] * n
                     order.append(to)
                 if w < nxt[nb]:

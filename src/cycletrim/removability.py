@@ -7,9 +7,12 @@ every *diagonal cluster* of the cycle still reduces to a single cycle graph.
 
 A diagonal of cycle ``c`` is a retained cycle that is edge-disjoint from
 ``c`` and meets it in exactly one vertex. Its cluster is the transitive
-closure of retained cycles connected to it by edge sharing; the union of
-their edges is handed to the reducer as neighbour bitmasks on the parent
-graph's vertex ids (:func:`~cycletrim.graphs.mask_neighbours`). The cluster
+closure of retained cycles connected to it by edge sharing. Both relations
+depend only on the rows, so each is a per-cycle table of the basis
+(``diagonals``, ``sharing``) masked by the retained set, and the closure is
+:func:`~cycletrim.graphs.reach` over ``sharing``. The union of the cluster's
+edges is handed to the reducer as neighbour bitmasks on the parent graph's
+vertex ids (:func:`~cycletrim.graphs.mask_neighbours`). The cluster
 reducer repeatedly (a) removes an edge that cannot lie on a spanning cycle
 because one endpoint already has two degree-2 neighbors forcing its tour
 edges, or else (b) contracts a run of adjacent degree-2 vertices by one
@@ -111,38 +114,7 @@ def find_diagonals(state: SolverState, c: int) -> int:
     """Bitmask of the retained cycles edge-disjoint from ``c`` sharing exactly one vertex."""
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
-    row = state.basis.cycles[c]
-    verts = state.basis.cycle_vertices[c]
-    out = 0
-    for d in iter_bits(state.retained & ~(1 << c)):
-        state.counters.row_ops += 1
-        if row & state.basis.cycles[d]:
-            continue
-        if (verts & state.basis.cycle_vertices[d]).bit_count() == 1:
-            out |= 1 << d
-    return out
-
-
-def _cluster_members(state: SolverState, seed: int) -> int:
-    # transitive closure of edge sharing among retained cycles, as a bitmask;
-    # every member has the same closure, so one walk answers for all of them
-    # on this state. It walks rows, not neighbour bitmasks, because each row
-    # it scans is counted in ``row_ops``.
-    known = state.cluster_closures.get(seed)
-    if known is not None:
-        return known
-    members = 1 << seed
-    frontier = [seed]
-    while frontier:
-        row = state.basis.cycles[frontier.pop()]
-        for other in iter_bits(state.retained & ~members):
-            state.counters.row_ops += 1
-            if row & state.basis.cycles[other]:
-                members |= 1 << other
-                frontier.append(other)
-    for m in iter_bits(members):
-        state.cluster_closures[m] = members
-    return members
+    return state.basis.diagonals[c] & state.retained
 
 
 def reduce_cluster(adjacency: Sequence[int]) -> ReductionOutcome:
@@ -216,8 +188,8 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     then the diagonal clusters. Verdicts, with the deletion record, are
     cached per (retained bitmask, cycle), and :func:`~cycletrim.solver.apply_deletion`
     takes its record from that cache; cluster reductions are cached per
-    member bitmask and cluster closures per state. ``solve`` asks each verdict on
-    its start state once and shares the answer among all partitions.
+    member bitmask. ``solve`` asks each verdict on its start state once and
+    shares the answer among all partitions.
     """
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
@@ -251,7 +223,7 @@ def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
         return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
 
     for d in iter_bits(find_diagonals(state, c)):
-        members = _cluster_members(state, d)
+        members = reach(state.basis.sharing, d, state.retained)
         outcome_tag = state.cluster_cache.get(members)
         if outcome_tag is None:
             mask = 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal
 
 from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
@@ -45,7 +44,8 @@ class Counters:
     """Work accounting for one solver run.
 
     ``row_ops`` counts one per basis-row scan actually performed (the
-    matrix-level work); ``reduce_calls`` counts cluster reductions actually
+    matrix-level work), plus one per pair of rows for the basis' sharing and
+    diagonal tables; ``reduce_calls`` counts cluster reductions actually
     executed.
     """
 
@@ -66,9 +66,7 @@ class SolverState:
     always consistent with the retained rows; the union is the set of edges
     with a nonzero cover count, and the graph is ``basis.graph``. Counters
     and memo caches ride along by reference and are excluded from equality,
-    so structurally identical states compare equal. ``cluster_closures`` is
-    not a field: every new state starts without it, so it never outlives its
-    retained set.
+    so structurally identical states compare equal.
     """
 
     basis: CycleBasis
@@ -80,11 +78,6 @@ class SolverState:
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
     cluster_cache: dict = field(default_factory=dict, compare=False, repr=False)
     verdict_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property
-    def cluster_closures(self) -> dict[int, int]:
-        """Cluster closures (member bitmasks) taken on this retained set, by member cycle."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -124,18 +117,21 @@ class TourResult:
 
 
 def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
-    """Fresh state retaining the whole basis, with new counters and caches."""
+    """Fresh state retaining the whole basis, with new counters and caches;
+    it builds the basis' sharing and diagonal tables."""
     union = 0
     for row in basis.cycles:
         union |= row
+    basis.sharing  # builds both tables
     return SolverState(
         basis=basis,
         partition=partition,
         retained=(1 << basis.dimension) - 1,
         cover_counts=basis.cover_counts,
         union_adjacency=tuple(mask_neighbours(basis.graph, union)),
-        # one row op per basis row, for the cover counts the basis carries
-        counters=Counters(row_ops=basis.dimension),
+        # one row op per basis row, for the cover counts the basis carries,
+        # and one per pair of rows, for the tables: d + d(d - 1)/2 in all
+        counters=Counters(row_ops=basis.dimension * (basis.dimension + 1) // 2),
     )
 
 

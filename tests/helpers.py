@@ -217,8 +217,8 @@ def bits(indices) -> int:
 
 
 def cluster_members_reference(state: SolverState, seed: int) -> int:
-    """Unmemoised transitive closure of edge sharing among retained cycles,
-    walked over a set and returned as a bitmask."""
+    """Transitive closure of edge sharing among retained cycles, walked over
+    the rows and a set and returned as a bitmask."""
     retained = set(iter_bits(state.retained))
     members = {seed}
     frontier = [seed]

@@ -5,7 +5,7 @@ import pytest
 from cycletrim import harness, serialize_graph
 from cycletrim.cli import main
 
-from helpers import cycle_graph, k4_golden, petersen, theta
+from helpers import complete_bipartite, cycle_graph, k4_golden, petersen, theta
 
 
 def write_graph(tmp_path, g, name="g.edges"):
@@ -85,6 +85,26 @@ def test_oracle_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "optimum weight: 14" in out
     assert main(["oracle", write_graph(tmp_path, petersen())]) == 3
+
+
+def test_oracle_rejects_unequal_bipartite_sides(tmp_path, capsys):
+    # K_{11,12} has no Hamilton cycle, and the oracle settles it up front
+    assert main(["oracle", write_graph(tmp_path, complete_bipartite(11, 12))]) == 3
+    assert capsys.readouterr().out == "hamiltonian: no\n"
+
+
+def test_compare_skips_the_oracle_on_gate_rejected_input(tmp_path, capsys, monkeypatch):
+    # the gate's verdict is exact, so compare takes "no optimum" from it
+    def no_oracle(g):
+        raise AssertionError("min_tour ran")
+
+    monkeypatch.setattr(harness, "min_tour", no_oracle)
+    g = complete_bipartite(11, 12)
+    report = harness.compare_graph(g, instance_id="k11_12", seed=0).report
+    assert report.status == "not_hamiltonian_input"
+    assert report.opt_weight is None and report.match is None
+    assert main(["compare", write_graph(tmp_path, g), "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["opt_weight"] is None
 
 
 def test_compare_json(tmp_path, capsys):

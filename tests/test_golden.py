@@ -9,10 +9,11 @@ large sizes (n 14-16 at p 0.5, n 18 at p 0.2).
 
 ``row_ops`` counts one per basis-row scan the solver actually performs: the
 basis rows once per solve, the deletion-record scan of each evaluated
-candidate, the diagonal and cluster-closure scans, the rows merged into each
-reduced cluster, and the cover update of each deletion, whose record comes
-with its cached verdict. Cached verdicts and memoised closures cost nothing,
-and closures taken on the start state serve every partition.
+candidate, the rows merged into each reduced cluster, and the cover update
+of each deletion, whose record comes with its cached verdict. The basis'
+sharing and diagonal tables cost one per pair of rows, once per solve;
+diagonals and cluster closures are read from them and cost nothing, and so
+do cached verdicts.
 
 A change that only moves ``row_ops`` re-pins ``REPORT_SHA256`` and leaves
 ``STRIPPED_REPORT_SHA256`` as it is: that digest passing is the proof that
@@ -27,7 +28,7 @@ from cycletrim import CampaignConfig, is_hamiltonian, random_connected_graph, ru
 from cycletrim.cli import _result_json
 from cycletrim.harness import report_line
 
-REPORT_SHA256 = "bed3214dde82b83241b14f3061b1bf35b464d4b85e103b0137c755a000603871"
+REPORT_SHA256 = "9679065639676490b389a9c5d0fece474f157754d67b95116be2c776585689f3"
 STRIPPED_REPORT_SHA256 = "f90b939099f7c800f8d66ac980ecf6937be41159947b1c6092934174cfa990f4"
 TRACE_SHA256 = "6d82c75d78a323176b084b1d4971bc00ccac835023b2c33c9b70b63f2080c014"
 LARGE_TRACE_SHA256 = "5311b2212ad15a7ac53e84b4eeff0901353519c1c5f6f9f25b0fcd85b6777dee"

@@ -92,6 +92,18 @@ def test_min_tour_non_hamiltonian():
     assert answer.optimum_tour is None
 
 
+def test_min_tour_rejects_unequal_bipartite_sides(monkeypatch):
+    # the side-size check settles K_{11,12} before any DP; the DP under the
+    # first bound would pass the row cap and raise TooLarge
+    def no_dp(*args):
+        raise AssertionError("the Held-Karp DP ran")
+
+    monkeypatch.setattr(oracle, "_held_karp", no_dp)
+    answer = min_tour(complete_bipartite(11, 12))
+    assert not answer.hamiltonian
+    assert answer.optimum_weight is None
+
+
 def test_min_tour_low_degree_allocates_nothing():
     # a 24-vertex path fails the degree test before the DP builds anything
     g = path_graph(24)
@@ -391,9 +403,9 @@ def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypat
     nbrs = all_neighbours(g)
     bound, a1, a2 = oracle._bounds(g)
     assert bound is None
-    with pytest.raises(TooLarge, match="1000 rows"):
-        oracle._held_karp(g, nbrs, a1, a2, 2 * 14 * max(g.weights), 1000)
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
+    with pytest.raises(TooLarge, match="1000 rows"):
+        oracle._held_karp(g, nbrs, a1, a2, 2 * 14 * max(g.weights))
     assert min_tour(g) == min_tour_reference(g)
 
 
@@ -440,9 +452,9 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     calls = []
     run = oracle._held_karp
 
-    def spy(graph, nbrs, b1, b2, target, budget):
+    def spy(graph, nbrs, b1, b2, target):
         calls.append((b1, b2, target))
-        return run(graph, nbrs, b1, b2, target, budget)
+        return run(graph, nbrs, b1, b2, target)
 
     monkeypatch.setattr(oracle, "_held_karp", spy)
     assert min_tour(g) == min_tour_reference(g)

@@ -15,7 +15,7 @@ from cycletrim import (
     reduce_cluster,
     solve,
 )
-from cycletrim.graphs import iter_bits, mask_neighbours
+from cycletrim.graphs import iter_bits, mask_neighbours, reach
 from cycletrim.removability import (
     BLOCKED_BY_CLUSTER,
     BLOCKED_BY_NEIGHBORS,
@@ -23,7 +23,6 @@ from cycletrim.removability import (
     REDUCED_ACYCLIC,
     REDUCED_CYCLE_GRAPH,
     REMOVABLE,
-    _cluster_members,
 )
 from cycletrim.solver import apply_deletion
 
@@ -116,6 +115,37 @@ def test_degree_two_neighbor_count():
 
 # --- diagonals and clusters ------------------------------------------------
 
+def closure(state, c):
+    """The cluster of retained cycle ``c``, as ``_evaluate`` takes it."""
+    return reach(state.basis.sharing, c, state.retained)
+
+
+def pair_tables_reference(g, rows):
+    """``(sharing, diagonals)`` of ``rows`` from edge and vertex sets, pair by pair."""
+    edge_sets = [set(iter_bits(row)) for row in rows]
+    vertex_sets = [{x for e in edges for x in g.edges[e][:2]} for edges in edge_sets]
+    sharing, diagonals = [], []
+    for i in range(len(rows)):
+        others = [j for j in range(len(rows)) if j != i]
+        sharing.append(bits(j for j in others if edge_sets[i] & edge_sets[j]))
+        diagonals.append(bits(
+            j for j in others
+            if not edge_sets[i] & edge_sets[j] and len(vertex_sets[i] & vertex_sets[j]) == 1
+        ))
+    return tuple(sharing), tuple(diagonals)
+
+
+@given(connected_graphs(max_vertices=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_tables_match_brute_force(g, data):
+    basis = fundamental_basis(g)
+    assert (basis.sharing, basis.diagonals) == pair_tables_reference(g, basis.cycles)
+    # hand-picked rows need not be cycles, and may repeat or share every edge
+    rows = data.draw(st.lists(st.integers(1, (1 << g.edge_count) - 1), max_size=8))
+    state = crafted_state(g, rows, solution=())
+    assert (state.basis.sharing, state.basis.diagonals) == pair_tables_reference(g, rows)
+
+
 def test_theta_cycles_not_diagonal():
     _, _, state = state_for(theta())
     assert find_diagonals(state, 0) == 0
@@ -162,7 +192,7 @@ def test_bowtie_cluster_is_single_triangle():
     right = sum(1 << g.edge_index(u, v) for u, v in [(0, 3), (0, 4), (3, 4)])
     left = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (0, 2), (1, 2)])
     state = crafted_state(g, [left, right], solution=(0,))
-    assert _cluster_members(state, 1) == bits({1})
+    assert closure(state, 1) == bits({1})
 
 
 def test_cluster_closure_is_transitive():
@@ -176,32 +206,26 @@ def test_cluster_closure_is_transitive():
     t2 = (1 << e(1, 2)) | (1 << e(1, 3)) | (1 << e(2, 3))
     t3 = (1 << e(2, 3)) | (1 << e(2, 4)) | (1 << e(3, 4))
     state = crafted_state(g, [t1, t2, t3], solution=(1,))
-    assert _cluster_members(state, 0) == bits({0, 1, 2})
+    assert closure(state, 0) == bits({0, 1, 2})
 
     # dropping the middle cycle splits the chain
     state2 = crafted_state(g, [t1, t2, t3], solution=(1,), retained=bits({0, 2}))
-    assert _cluster_members(state2, 0) == bits({0})
+    assert closure(state2, 0) == bits({0})
 
 
 def test_two_cycle_cluster():
     _, _, state = state_for(theta())
-    assert _cluster_members(state, 0) == bits({0, 1})  # both triangles share the edge ab
+    assert closure(state, 0) == bits({0, 1})  # both triangles share the edge ab
 
 
 @given(connected_graphs(max_vertices=8), st.data())
 @settings(max_examples=40, deadline=None)
-def test_memoised_closure_matches_reference(g, data):
+def test_table_closure_matches_reference(g, data):
     rows = list(fundamental_basis(g).cycles)
     retained = data.draw(st.sets(st.sampled_from(range(len(rows)))) if rows else st.just(set()))
-    for order in (sorted(retained), sorted(retained, reverse=True)):
-        state = crafted_state(g, rows, solution=(), retained=bits(retained))
-        for c in order:
-            assert _cluster_members(state, c) == cluster_members_reference(state, c)
-        # every closure is now memoised: asking again scans no row
-        spent = state.counters.row_ops
-        for c in order:
-            _cluster_members(state, c)
-        assert state.counters.row_ops == spent
+    state = crafted_state(g, rows, solution=(), retained=bits(retained))
+    for c in retained:
+        assert closure(state, c) == cluster_members_reference(state, c)
 
 
 # --- the cluster reducer ----------------------------------------------------
@@ -419,7 +443,7 @@ def test_cached_verdicts_match_fresh_ones(g):
                 assert apply_deletion(state, c) == scanned
                 assert cached.record == scanned.trace[-1]
         for c in iter_bits(state.retained):
-            assert _cluster_members(state, c) == cluster_members_reference(state, c)
+            assert closure(state, c) == cluster_members_reference(state, c)
         if step < len(result.trace):
             state = apply_deletion(state, result.trace[step].cycle)
     assert state == result.final_state
