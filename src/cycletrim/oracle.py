@@ -42,13 +42,14 @@ rest of the tour. The weights are first reduced by integer vertex penalties
 (Held and Karp 1970), which keeps the bound valid and raises it. A state
 whose cost plus lower bound is above the upper bound is neither expanded
 nor written; every state on an optimum tour passes, so answers and tours
-are again those of the full DP. Any number at least the optimum serves as
-the upper bound, so the DP runs first under guessed bounds just above the
-lower bound, raised until one closes a tour no heavier than the guess, and
-only then under the first tour's bound. The first guess keeps the
-penalties aimed at the first tour. The DP raises :class:`TooLarge` once it
-would allocate more than ``HELD_KARP_MAX_ROWS`` rows. Fractional weights
-are scaled to ints first. See :func:`min_tour`.
+are again those of the full DP. Without a first tour the bound is
+``n`` times the heaviest weight. The penalties are aimed once, at the
+bound. Any number at least the optimum serves as the upper bound, so the DP
+runs first under guessed bounds just above the lower bound, raised until
+one closes a tour no heavier than the guess, and only then under the
+bound; every run uses the same penalties. The DP raises :class:`TooLarge`
+once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. Fractional
+weights are scaled to ints first. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -197,7 +198,14 @@ def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """Hamilton-cycle existence test: :func:`_hamilton_cycle` without a budget."""
+    """Hamilton-cycle existence test: :func:`_hamilton_cycle` without a budget.
+
+    Raises :class:`TooLarge` above 24 vertices, as :func:`min_tour` does;
+    the search recurses once per vertex on its path.
+    """
+    n = g.vertex_count
+    if n > HELD_KARP_MAX_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the front gate's cap of {HELD_KARP_MAX_VERTICES}")
     return _hamilton_cycle(g, None) is not None
 
 
@@ -300,8 +308,8 @@ def _lightest_pairs(ends: list, pi: list[int]) -> tuple[list, list, list[int]]:
 
 def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     """``(a1, a2)`` of :func:`_lightest_pairs` under integer vertex
-    penalties that raise ``sum of a1 + a2`` toward ``target``, twice a
-    tour weight or a guess at one.
+    penalties that raise ``sum of a1 + a2`` toward ``target``, twice
+    :func:`min_tour`'s upper bound.
 
     ``PENALTY_STEPS`` subgradient steps (Held and Karp 1970): the excess is
     a subgradient of the sum, and a Polyak step of ``scale * (target -
@@ -331,25 +339,23 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     return best_a1, best_a2
 
 
-def _bounds(g: Graph) -> tuple[Weight | None, list, list]:
+def _bounds(g: Graph) -> tuple[Weight, list, list]:
     """``(UB, a1, a2)`` for :func:`min_tour`.
 
     ``UB`` is the weight of a first tour: the one :func:`_hamilton_cycle`
     finds within ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex,
-    lowered by ``_improve``; ``None`` when it finds none. ``a1(x) <= a2(x)``
-    are the two lightest reduced weights at each vertex, under the
-    penalties ``_penalties`` picks, or under none without a first tour to
-    aim them at.
+    lowered by ``_improve``. When it finds none, ``UB`` is ``n`` times the
+    heaviest weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two
+    lightest reduced weights at each vertex, under the penalties
+    ``_penalties`` aims at ``UB``.
     """
-    ends = _ends(g)
-    table = _weight_table(g)
     tour = _hamilton_cycle(g, WITNESS_NODES_PER_VERTEX * g.vertex_count)
     if tour is None:
-        a1, a2, _ = _lightest_pairs(ends, [0] * len(ends))
-        return None, a1, a2
-    _improve(tour, table)
-    bound = tour_weight(g, tuple(tour))
-    return (bound, *_penalties(ends, 2 * bound))
+        bound = g.vertex_count * max(g.weights)
+    else:
+        _improve(tour, _weight_table(g))
+        bound = tour_weight(g, tuple(tour))
+    return (bound, *_penalties(_ends(g), 2 * bound))
 
 
 def _ends(g: Graph) -> list:
@@ -452,8 +458,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     every comparison exact. Any ``pi`` gives a valid bound, and all zero
     gives the plain two-lightest-edges bound; ``_penalties`` picks ``pi``
     by subgradient steps that raise ``sum of a1 + a2`` over all vertices,
-    the same bound for a whole tour, never below its value at zero. Without
-    a first tour ``pi`` is zero.
+    the same bound for a whole tour, never below its value at zero.
     With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1 + a2)``, read from
     two tables over the low and high bits of ``s``, the entry (``s``,
     ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a path of
@@ -481,26 +486,21 @@ def min_tour(g: Graph) -> OracleAnswer:
     bounds would pick it. The tie-breaks therefore pick the same tour.
 
     Guessed bounds: the argument above needs only ``OPT <= UB``, so the DP
-    may run under any number ``B`` in place of ``UB``, with any ``pi``. If
-    it then closes a tour of weight at most ``B``, that tour's weight is
-    ``OPT`` and the tour is the one the DP under ``UB`` reads back:
-    otherwise ``OPT`` would be below that weight, so at most ``B``, and the
-    DP would have closed an optimum tour. If it closes none, ``OPT`` is
-    above ``B``. So the DP runs first under guesses ``B`` that start an
-    eighth of the weight range above the whole-tour lower bound and double
-    their distance from it, until one closes a tour, and last under ``UB``;
-    no guess is made at or above ``UB``. The first guess keeps the ``pi``
-    aimed at ``UB``, and each later one re-aims ``pi`` at itself; a guess
-    below the whole-tour lower bound under its own ``pi`` is skipped
-    without a DP. Under the same ``pi`` a lower ``B`` only lowers every
-    limit, so by induction on ``|s|`` every row the DP allocates under
-    ``B`` it also allocates under ``UB``, with a cost no lower, and the
-    first guess never needs more rows than the DP under ``UB``. A re-aimed
-    ``pi`` carries no such guarantee, so a guess that passes
-    ``HELD_KARP_MAX_ROWS`` ends the guessing and the DP under ``UB`` runs.
-    So the answer and tour are those of the DP under ``UB``, and
-    ``TooLarge`` is raised exactly when that DP raises it and no guess has
-    closed a tour first.
+    may run under any number ``B`` in place of ``UB``. If it then closes a
+    tour of weight at most ``B``, that tour's weight is ``OPT`` and the
+    tour is the one the DP under ``UB`` reads back: otherwise ``OPT`` would
+    be below that weight, so at most ``B``, and the DP would have closed an
+    optimum tour. If it closes none, ``OPT`` is above ``B``. So the DP runs
+    first under guesses ``B`` that start an eighth of the weight range
+    above the whole-tour lower bound and double their distance from it,
+    until one closes a tour, and last under ``UB``; no guess is made at or
+    above ``UB``. Every run uses the ``pi`` aimed at ``UB``. Under the same
+    ``pi`` a lower ``B`` only lowers every limit, so by induction on
+    ``|s|`` every row the DP allocates under ``B`` it also allocates under
+    ``UB``, with a cost no lower: a guess never needs more rows than the DP
+    under ``UB``. So the answer and tour are those of the DP under ``UB``,
+    and ``TooLarge`` is raised only when that DP raises it, and then
+    exactly when no guess has closed a tour first.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -517,24 +517,13 @@ def min_tour(g: Graph) -> OracleAnswer:
             return answer
         return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
     bound, a1, a2 = _bounds(g)
-    if bound is None:
-        bound = n * max(weights)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
-    # doubled guesses; the first keeps the pairs aimed at the first bound
     rise = (max(weights) - min(weights)) // 4 or 1
-    pairs = a1, a2
     while low + rise < 2 * bound:
-        target = low + rise
+        found = _held_karp(g, nbrs, a1, a2, low + rise)
+        if found is not None:
+            return found
         rise *= 2
-        b1, b2 = pairs or _penalties(_ends(g), target)
-        pairs = None
-        if sum(b1) + sum(b2) <= target:  # else every tour weighs more
-            try:
-                found = _held_karp(g, nbrs, b1, b2, target)
-            except TooLarge:
-                break  # re-aimed pairs may need rows the first bound's do not
-            if found is not None:
-                return found
     return _held_karp(g, nbrs, a1, a2, 2 * bound) or OracleAnswer(None, None)
 
 

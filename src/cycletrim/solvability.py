@@ -36,19 +36,18 @@ def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
     return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
-def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[SolutionPartition, ...]:
-    """All solution subsets, smallest first then lexicographic, up to ``cap``.
+def enumerate_solutions(basis: CycleBasis) -> tuple[SolutionPartition, ...]:
+    """All solution subsets, smallest first then lexicographic, up to
+    ``SOLUTION_CAP``.
 
     Every cycle contributes at least 1 to the total, so solutions have at
     most ``vertex_count - 2`` members. ``sums[i][k]`` is the bitmask of the
     totals, up to the target, that ``k`` cycles from index ``i`` on can
     reach; the search enters a cycle only when the rest of the target is
     reachable after it, so every call leads to a solution and there are at
-    most ``cap * (vertex_count - 1)`` calls. An empty result means the
-    identity has no solutions under this basis.
+    most ``SOLUTION_CAP * (vertex_count - 1)`` calls. An empty result means
+    the identity has no solutions under this basis.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     target = basis.graph.vertex_count - 2
     values = [c.bit_count() - 2 for c in basis.cycles]
     dim = len(values)
@@ -66,7 +65,7 @@ def enumerate_solutions(basis: CycleBasis, *, cap: int = SOLUTION_CAP) -> tuple[
     def extend(start: int, rest: int, remaining: int) -> bool:
         if remaining == 0:
             found.append(tuple(chosen))
-            return len(found) >= cap
+            return len(found) >= SOLUTION_CAP
         for i in range(start, dim - remaining + 1):
             need = rest - values[i]
             if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:

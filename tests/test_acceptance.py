@@ -25,6 +25,7 @@ from cycletrim import (
     solve,
     tour_weight,
 )
+from cycletrim import solvability
 from cycletrim.removability import REDUCED_ACYCLIC, REDUCED_CYCLE_GRAPH
 
 from helpers import (
@@ -137,7 +138,7 @@ def test_criterion_4_exactness_measurement(tmp_path):
     )
 
 
-def test_criterion_5_equation_properties():
+def test_criterion_5_equation_properties(monkeypatch):
     rng = random.Random(55)
     corpus = [triangle(), theta(), k4_golden(), cycle_graph(6)]
     for _ in range(40):
@@ -147,7 +148,8 @@ def test_criterion_5_equation_properties():
         b = fundamental_basis(g)
         if b.dimension > 12:
             continue
-        parts = enumerate_solutions(b, cap=1 << max(b.dimension, 1))
+        monkeypatch.setattr(solvability, "SOLUTION_CAP", 1 << max(b.dimension, 1))
+        parts = enumerate_solutions(b)
         assert {p.solution for p in parts} == naive_solutions(b)
         for p in parts:
             assert solution_sum(b, p.solution) == g.vertex_count - 2

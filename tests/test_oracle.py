@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,11 @@ def test_size_caps():
         min_tour(big_ring)
     with pytest.raises(TooLarge):
         enumerate_tours(cycle_graph(11), 10)
+    # the gate's search recurses once per vertex on its path
+    assert is_hamiltonian(cycle_graph(24))
+    for n in (25, 1501):
+        with pytest.raises(TooLarge):
+            is_hamiltonian(cycle_graph(n))
 
 
 @given(connected_graphs(max_vertices=7))
@@ -397,52 +403,73 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
 
 def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
     # without a first tour the DP is bounded only by n times the heaviest
-    # weight; a guess near the optimum needs far fewer rows
+    # weight and needs 7,267 rows on this draw; the guess that closes a
+    # tour needs 2,665
     g = hamiltonian_draw(random.Random(28), 14, 0.5)
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
     bound, a1, a2 = oracle._bounds(g)
-    assert bound is None
-    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
-    with pytest.raises(TooLarge, match="1000 rows"):
-        oracle._held_karp(g, nbrs, a1, a2, 2 * 14 * max(g.weights))
+    assert bound == 14 * max(g.weights)
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 4000)
+    with pytest.raises(TooLarge, match="4000 rows"):
+        oracle._held_karp(g, nbrs, a1, a2, 2 * bound)
     assert min_tour(g) == min_tour_reference(g)
 
 
-def test_a_guess_past_the_row_budget_leaves_the_answer_to_the_first_bound(monkeypatch):
-    # the second guess re-aims the penalties, and on this draw its DP needs
-    # 354 rows where the one under the first bound needs 352: under a budget
-    # of 353 the guess stops and the DP under the first bound answers
-    g = make_graph(11, [
+def rows_needed(*args):
+    """The least row budget under which ``_held_karp(*args)`` finishes."""
+    low, high = 0, oracle.HELD_KARP_MAX_ROWS
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            with patch.object(oracle, "HELD_KARP_MAX_ROWS", mid):
+                oracle._held_karp(*args)
+            high = mid
+        except TooLarge:
+            low = mid
+    return high
+
+
+def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch):
+    # every DP runs on the pairs aimed at the first bound, so a guess
+    # allocates only rows the DP under that bound allocates too: with the
+    # budget around the rows that DP needs, min_tour raises TooLarge only
+    # where that DP raises, and otherwise returns the reference answer
+    graphs = [make_graph(11, [
         (0, 2, 2), (0, 3, 1), (0, 4, 2), (0, 6, 1), (0, 8, 1), (1, 2, 1), (1, 3, 1),
         (1, 5, 1), (1, 6, 1), (1, 7, 1), (1, 8, 1), (1, 9, 1), (2, 3, 2), (2, 8, 2),
         (3, 5, 2), (3, 7, 2), (3, 8, 2), (4, 6, 2), (4, 8, 2), (4, 10, 2), (5, 10, 1),
         (6, 7, 2), (6, 8, 1), (6, 9, 2), (6, 10, 1), (7, 9, 1),
-    ])
-    runs = []
-    run = oracle._held_karp
-
-    def spy(*args):
-        try:
-            found = run(*args)
-        except TooLarge:
-            runs.append("stopped")
-            raise
-        runs.append("none" if found is None else "found")
-        return found
-
-    monkeypatch.setattr(oracle, "_held_karp", spy)
-    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 353)
-    assert min_tour(g) == min_tour_reference(g)
-    assert runs == ["none", "stopped", "found"]
-    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 351)
-    with pytest.raises(TooLarge, match="351 rows"):
-        min_tour(g)
+    ])]
+    rng = random.Random(31)
+    for n in (8, 10, 12):
+        g = hamiltonian_draw(rng, n, 0.5)
+        graphs += [g, reweighted(g, rng, (1, 2))]
+    outcomes = set()
+    for g in graphs:
+        nbrs = all_neighbours(g)
+        bound, a1, a2 = oracle._bounds(g)
+        first = (g, nbrs, a1, a2, 2 * bound)
+        need = rows_needed(*first)
+        expected = min_tour_reference(g)
+        for rows in (need // 2, need - 1, need, need + 1, need + 2):
+            monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows)
+            try:
+                answer = min_tour(g)
+            except TooLarge:
+                with pytest.raises(TooLarge):
+                    oracle._held_karp(*first)
+                outcomes.add("raised")
+                continue
+            assert answer == expected
+            outcomes.add("answered")
+    assert outcomes == {"raised", "answered"}
 
 
 def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     # a first tour above the optimum leaves room for a guess below it: the
-    # first DP runs under that guess, with the pairs aimed at the first bound
+    # first DP runs under that guess, and every DP with the pairs aimed at
+    # the first bound
     rng = random.Random(29)
     while True:
         g = hamiltonian_draw(rng, 12, 0.5)
@@ -458,9 +485,8 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
 
     monkeypatch.setattr(oracle, "_held_karp", spy)
     assert min_tour(g) == min_tour_reference(g)
-    b1, b2, target = calls[0]
-    assert target < 2 * bound
-    assert (b1, b2) == (a1, a2)
+    assert calls[0][2] < 2 * bound
+    assert all((b1, b2) == (a1, a2) for b1, b2, _ in calls)
 
 
 def test_fractional_weights_run_on_ints_and_keep_the_tours_weight(monkeypatch):

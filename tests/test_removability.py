@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cycletrim import (
     reduce_cluster,
     solve,
 )
+from cycletrim import solvability
 from cycletrim.graphs import iter_bits, mask_neighbours, reach
 from cycletrim.removability import (
     BLOCKED_BY_CLUSTER,
@@ -395,7 +397,8 @@ def test_removable_unions_stay_hamiltonian(g):
     from cycletrim import enumerate_solutions, fundamental_basis, initial_state
 
     basis = fundamental_basis(g)
-    parts = enumerate_solutions(basis, cap=4)
+    with patch.object(solvability, "SOLUTION_CAP", 4):
+        parts = enumerate_solutions(basis)
     if not parts:
         return
     state = initial_state(basis, parts[0])

@@ -1,5 +1,6 @@
 import random
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cycletrim import (
     random_connected_graph,
     solution_sum,
 )
+from cycletrim import solvability
 from cycletrim.graphs import iter_bits
 from cycletrim.solvability import SOLUTION_CAP
 
@@ -62,13 +64,12 @@ def test_enumerate_no_solution():
     assert enumerate_solutions(b) == ()
 
 
-def test_enumerate_order_and_cap():
+def test_enumerate_order_and_cap(monkeypatch):
     b = fundamental_basis(k4_golden())
     parts = enumerate_solutions(b)
     assert [p.solution for p in parts] == [(0, 1), (0, 2), (1, 2)]
-    assert [p.solution for p in enumerate_solutions(b, cap=2)] == [(0, 1), (0, 2)]
-    with pytest.raises(ValueError):
-        enumerate_solutions(b, cap=0)
+    monkeypatch.setattr(solvability, "SOLUTION_CAP", 2)
+    assert [p.solution for p in enumerate_solutions(b)] == [(0, 1), (0, 2)]
 
 
 def test_partition_shape():
@@ -85,14 +86,15 @@ def test_enumerate_matches_naive_filter(g):
     b = fundamental_basis(g)
     if b.dimension > 12:
         return
-    parts = enumerate_solutions(b, cap=1 << max(b.dimension, 1))
+    with patch.object(solvability, "SOLUTION_CAP", 1 << max(b.dimension, 1)):
+        parts = enumerate_solutions(b)
     assert {p.solution for p in parts} == naive_solutions(b)
     target = g.vertex_count - 2
     for p in parts:
         assert solution_sum(b, p.solution) == target
 
 
-def test_record_solvability_of_small_hamiltonian_graphs():
+def test_record_solvability_of_small_hamiltonian_graphs(monkeypatch):
     """Recorded observation, not an assertion: how often Hamiltonian inputs
     with n <= 7 admit a solution under the fundamental basis."""
     import random
@@ -100,19 +102,20 @@ def test_record_solvability_of_small_hamiltonian_graphs():
     from cycletrim import random_connected_graph
 
     rng = random.Random(7)
+    monkeypatch.setattr(solvability, "SOLUTION_CAP", 1)
     total = solvable = 0
     for _ in range(120):
         g = random_connected_graph(rng, rng.randint(4, 7), 0.55, 1, 9)
         if not is_hamiltonian(g):
             continue
         total += 1
-        if enumerate_solutions(fundamental_basis(g), cap=1):
+        if enumerate_solutions(fundamental_basis(g)):
             solvable += 1
     print(f"\nsolvable Hamiltonian inputs (n<=7): {solvable}/{total}")
     assert total > 0
 
 
-def _extend_calls(basis, cap: int) -> tuple[int, tuple]:
+def _extend_calls(basis) -> tuple[int, tuple]:
     calls = 0
 
     def count(frame, event, arg):
@@ -121,19 +124,20 @@ def _extend_calls(basis, cap: int) -> tuple[int, tuple]:
 
     sys.setprofile(count)
     try:
-        parts = enumerate_solutions(basis, cap=cap)
+        parts = enumerate_solutions(basis)
     finally:
         sys.setprofile(None)
     return calls, parts
 
 
-def test_enumerate_matches_reference_on_campaign_draws():
+def test_enumerate_matches_reference_on_campaign_draws(monkeypatch):
     rng = random.Random(2)
     for _ in range(150):
         g = random_connected_graph(rng, rng.randint(4, 12), rng.choice((0.3, 0.5, 0.8)), 1, 100)
         b = fundamental_basis(g)
         for cap in (1, 3, 64, 4096):
-            got = tuple(p.solution for p in enumerate_solutions(b, cap=cap))
+            monkeypatch.setattr(solvability, "SOLUTION_CAP", cap)
+            got = tuple(p.solution for p in enumerate_solutions(b))
             assert got == enumerate_solutions_reference(b, cap)
 
 
@@ -143,7 +147,7 @@ def test_enumerate_calls_lead_to_solutions_on_a_dense_draw():
     # ends in each of the at most ``cap`` solutions
     n = 16
     b = fundamental_basis(random_connected_graph(random.Random(3), n, 0.8, 1, 100))
-    calls, parts = _extend_calls(b, SOLUTION_CAP)
+    calls, parts = _extend_calls(b)
     assert len(parts) == SOLUTION_CAP
     assert calls <= SOLUTION_CAP * (n - 1)
     assert tuple(p.solution for p in parts) == enumerate_solutions_reference(b, SOLUTION_CAP)
