@@ -43,7 +43,8 @@ rest of the tour. The weights are first reduced by integer vertex penalties
 whose cost plus lower bound is above the upper bound is neither expanded
 nor written; every state on an optimum tour passes, so answers and tours
 are again those of the full DP. Without a first tour the bound is
-``n`` times the heaviest weight. The penalties are aimed once, at the
+``n`` times the heaviest weight. The penalties are aimed once per call, at
+the bound, or without a first tour at a point between it and the lower
 bound. Any number at least the optimum serves as the upper bound, so the DP
 runs first under guessed bounds just above the lower bound, raised until
 one closes a tour no heavier than the guess, and only then under the
@@ -200,8 +201,10 @@ def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
 def is_hamiltonian(g: Graph) -> bool:
     """Hamilton-cycle existence test: :func:`_hamilton_cycle` without a budget.
 
-    Raises :class:`TooLarge` above 24 vertices, as :func:`min_tour` does;
-    the search recurses once per vertex on its path.
+    Raises :class:`TooLarge` above 24 vertices, the cap that ``solver.solve``
+    and :func:`min_tour` share. Uncapped, the search, which recurses once
+    per vertex on its path, would raise ``RecursionError`` on inputs of
+    about a thousand vertices.
     """
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -308,8 +311,8 @@ def _lightest_pairs(ends: list, pi: list[int]) -> tuple[list, list, list[int]]:
 
 def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     """``(a1, a2)`` of :func:`_lightest_pairs` under integer vertex
-    penalties that raise ``sum of a1 + a2`` toward ``target``, twice
-    :func:`min_tour`'s upper bound.
+    penalties that raise ``sum of a1 + a2`` toward ``target``, which
+    :func:`_bounds` picks.
 
     ``PENALTY_STEPS`` subgradient steps (Held and Karp 1970): the excess is
     a subgradient of the sum, and a Polyak step of ``scale * (target -
@@ -347,15 +350,22 @@ def _bounds(g: Graph) -> tuple[Weight, list, list]:
     lowered by ``_improve``. When it finds none, ``UB`` is ``n`` times the
     heaviest weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two
     lightest reduced weights at each vertex, under the penalties
-    ``_penalties`` aims at ``UB``.
+    ``_penalties`` aims at ``2 * UB``, or, without a first tour, a quarter
+    of the way to it from the sum without penalties: on dense graphs ``n``
+    times the heaviest weight is so far above the optimum that steps aimed
+    at it overshoot every time and leave the sum where it was without
+    penalties.
     """
+    ends = _ends(g)
     tour = _hamilton_cycle(g, WITNESS_NODES_PER_VERTEX * g.vertex_count)
-    if tour is None:
-        bound = g.vertex_count * max(g.weights)
-    else:
+    if tour is not None:
         _improve(tour, _weight_table(g))
         bound = tour_weight(g, tuple(tour))
-    return (bound, *_penalties(_ends(g), 2 * bound))
+        return (bound, *_penalties(ends, 2 * bound))
+    bound = g.vertex_count * max(g.weights)
+    a1, a2, _ = _lightest_pairs(ends, [0] * len(ends))
+    plain = sum(a1) + sum(a2)
+    return (bound, *_penalties(ends, plain + (2 * bound - plain) // 4))
 
 
 def _ends(g: Graph) -> list:
@@ -494,9 +504,9 @@ def min_tour(g: Graph) -> OracleAnswer:
     first under guesses ``B`` that start an eighth of the weight range
     above the whole-tour lower bound and double their distance from it,
     until one closes a tour, and last under ``UB``; no guess is made at or
-    above ``UB``. Every run uses the ``pi`` aimed at ``UB``. Under the same
-    ``pi`` a lower ``B`` only lowers every limit, so by induction on
-    ``|s|`` every row the DP allocates under ``B`` it also allocates under
+    above ``UB``. Every run uses the ``pi`` that ``_bounds`` aims. Under
+    the same ``pi`` a lower ``B`` only lowers every limit, so by induction
+    on ``|s|`` every row the DP allocates under ``B`` it also allocates under
     ``UB``, with a cost no lower: a guess never needs more rows than the DP
     under ``UB``. So the answer and tour are those of the DP under ``UB``,
     and ``TooLarge`` is raised only when that DP raises it, and then

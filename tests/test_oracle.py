@@ -403,15 +403,15 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
 
 def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
     # without a first tour the DP is bounded only by n times the heaviest
-    # weight and needs 7,267 rows on this draw; the guess that closes a
-    # tour needs 2,665
+    # weight and needs 7,267 rows on this draw; min_tour's guess that
+    # closes a tour needs 258
     g = hamiltonian_draw(random.Random(28), 14, 0.5)
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
     bound, a1, a2 = oracle._bounds(g)
     assert bound == 14 * max(g.weights)
-    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 4000)
-    with pytest.raises(TooLarge, match="4000 rows"):
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
+    with pytest.raises(TooLarge, match="1000 rows"):
         oracle._held_karp(g, nbrs, a1, a2, 2 * bound)
     assert min_tour(g) == min_tour_reference(g)
 
