@@ -14,7 +14,10 @@ that negative and fractional weights are covered too. Two checkouts whose
 digests agree give the same answers and tours on every input. A third
 line per workload digests the ``is_hamiltonian`` verdict on every graph
 ``set_up`` draws, the gated-out ones included, and a fourth counts the
-inputs for which ``min_tour``'s budgeted search finds a first tour. Stdlib
+inputs for which ``min_tour``'s budgeted search finds a first tour. A fifth
+digests the cycle, or None, that the gate's whole search returns on every
+drawn graph: it is the first in the search's order, so prunes that cut
+only paths no Hamilton cycle extends leave it as it is. Stdlib
 only; it imports cycletrim from ``src/`` and the workloads from
 ``perfbench/`` of the checkout it lives in.
 """
@@ -80,6 +83,9 @@ def main() -> int:
         first = sum(oracle._hamilton_cycle(g, budget * g.vertex_count) is not None for g in graphs)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: first tour for {first} "
               f"of {len(graphs)} inputs")
+        hexdigest, spent = digest(inputs.drawn, lambda g: oracle._hamilton_cycle(g, None))
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
+              f"gate cycle sha256 {hexdigest} ({spent:.2f} s in the search)")
     return 0
 
 

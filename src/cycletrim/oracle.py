@@ -6,15 +6,25 @@ backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
 
-One backtracking search, :func:`_hamilton_cycle`, looks for a Hamilton
+One backtracking search, :func:`_search_cycle`, looks for a Hamilton
 cycle for two callers: the front gate :func:`is_hamiltonian` runs it to
 the end, and :func:`min_tour` runs it under a node budget for its first
-tour. The search and :func:`min_tour` both start with
-:func:`_no_tour_up_front`, which rejects fewer than 3 vertices, a vertex
-of degree below 2 and a bipartite graph with sides of unequal size. The
-search prunes a path that leaves an unvisited vertex short of edges,
-vertex 0 without a closing edge, or the unvisited vertices split. Still, a
-2-connected graph without a Hamilton cycle can take it exponential time.
+tour. Both first run :func:`_no_tour_up_front` once, which rejects fewer
+than 3 vertices, a vertex of degree below 2, a bipartite graph with sides
+of unequal size, and forced edges that rule out a tour: a vertex with two
+edges must use both, so a vertex with two forced edges drops its others,
+and the input has no tour if then some vertex is left with fewer than two
+usable edges or more than two forced ones, or the forced edges close a
+cycle that misses a vertex. The search prunes a path that leaves an
+unvisited vertex short of edges, vertex 0 without a closing edge, more
+unvisited vertices with two usable edges leaning on the path's end, on
+vertex 0 or on one unvisited vertex than it has edges free, or the
+unvisited vertices split. These are the standard prunes of Hamilton-cycle
+backtracking (Rubin 1974; Vandegriend and Culberson 1998); each cuts only
+paths and inputs with no Hamilton cycle, so verdicts and the first cycle
+found stay those of the plain search. Still, a 2-connected graph without
+a Hamilton cycle and without a vertex of degree 2 can take it exponential
+time.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
@@ -59,7 +69,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, Weight, mask_neighbours, reach, tour_weight
+from .graphs import Graph, Weight, iter_bits, mask_neighbours, reach, tour_weight
 
 HELD_KARP_MAX_VERTICES = 24
 #: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
@@ -96,8 +106,10 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
 
 def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     """True iff ``g``, with neighbour bitmasks ``adj_mask``, has fewer than 3
-    vertices, a vertex of degree below 2, or a component of vertex 0 that is
-    bipartite with sides of unequal size: each rules out a Hamilton cycle.
+    vertices, a vertex of degree below 2, forced edges that rule out a
+    Hamilton cycle (:func:`_forced_edges_rule_out`), or a component of
+    vertex 0 that is bipartite with sides of unequal size: each rules out a
+    Hamilton cycle.
 
     A Hamilton cycle alternates the sides of a bipartite graph, so such a
     graph has none; nor has a graph with vertices outside that component.
@@ -106,6 +118,8 @@ def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     it needs the levels.
     """
     if g.vertex_count < 3 or any(d < 2 for d in g.degrees):
+        return True
+    if 2 in g.degrees and _forced_edges_rule_out(adj_mask):
         return True
     sides = [0, 0]
     seen = frontier = 1
@@ -127,41 +141,115 @@ def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     return sides[0].bit_count() != sides[1].bit_count()
 
 
+def _forced_edges_rule_out(nbrs: list[int]) -> bool:
+    """True iff forcing edges rules out a Hamilton cycle of the graph with
+    neighbour bitmasks ``nbrs``, in which every vertex has two neighbours
+    or more.
+
+    An edge is usable until it is dropped. Rounds alternate until nothing
+    changes: every vertex with exactly two usable edges forces both, and
+    every vertex with two forced edges drops its other edges. Then there is
+    no Hamilton cycle if some vertex has more than two forced edges or
+    fewer than two usable ones, or if the forced edges close a cycle that
+    misses a vertex. Sound by induction over the rounds: a Hamilton cycle
+    uses two edges at each vertex, so it uses every forced edge and no
+    dropped one, and a cycle inside it is the whole of it.
+    """
+    n = len(nbrs)
+    usable = list(nbrs)
+    forced = [0] * n
+    while True:
+        for v, ends in enumerate(usable):
+            if ends.bit_count() == 2 and forced[v] != ends:
+                forced[v] = ends
+                for u in iter_bits(ends):
+                    forced[u] |= 1 << v
+        dropped = False
+        for v, ends in enumerate(forced):
+            if ends.bit_count() > 2:
+                return True
+            if ends.bit_count() == 2 and usable[v] != ends:
+                for w in iter_bits(usable[v] & ~ends):
+                    usable[w] &= ~(1 << v)
+                usable[v] = ends
+                dropped = True
+        if not dropped:
+            break
+        if any(ends.bit_count() < 2 for ends in usable):
+            return True
+    everyone = (1 << n) - 1
+    checked = 0
+    for v, ends in enumerate(forced):
+        if ends.bit_count() == 2 and not checked >> v & 1:
+            part = reach(forced, v, everyone)
+            checked |= part
+            if part != everyone and all(forced[x].bit_count() == 2 for x in iter_bits(part)):
+                return True
+    return False
+
+
 def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
     """True iff the rest of a cycle from ``current`` through the non-empty
-    ``remaining`` back to 0 cannot be threaded: 0 has no neighbour in
-    ``remaining`` for its closing edge, or some vertex of ``remaining`` has
-    fewer than two neighbours among ``remaining``, ``current`` and 0."""
+    ``remaining`` back to 0 cannot be threaded because some vertex is short
+    of edges or asked for too many.
+
+    The rest of the cycle uses one edge at ``current``, one at 0 and two at
+    each vertex of ``remaining``, all among those vertices; at the root,
+    where ``current`` is 0, vertex 0 has both its edges free. So it cannot
+    be threaded if 0 has no neighbour in ``remaining`` for its closing edge,
+    or some vertex of ``remaining`` has fewer than two neighbours among
+    ``remaining``, ``current`` and 0. A vertex with exactly two such
+    neighbours needs an edge at both, so it also cannot be threaded if two
+    of these need ``current`` or two need 0 (three at the root), or three
+    need one vertex of ``remaining``.
+    """
     if not nbrs[0] & remaining:
         return True
     allowed = remaining | (1 << current) | 1
+    # vertices that at least one, two and three vertices with two usable neighbours need
+    once = twice = thrice = 0
     while remaining:
         low = remaining & -remaining
         remaining ^= low
-        if (nbrs[low.bit_length() - 1] & allowed).bit_count() < 2:
+        usable = nbrs[low.bit_length() - 1] & allowed
+        count = usable.bit_count()
+        if count < 2:
             return True
-    return False
+        if count == 2:
+            thrice |= twice & usable
+            twice |= once & usable
+            once |= usable
+    return bool(thrice or current and twice & ((1 << current) | 1))
 
 
 def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
     """Some Hamilton cycle from 0, as a vertex list, or None.
 
-    Returns None up front when :func:`_no_tour_up_front` holds. Then a
-    depth-first search goes first to the neighbour with the fewest unvisited
-    neighbours, then along the lightest edge, then to the lowest id
-    (Warnsdorff's order). It
-    backs up as soon as :func:`_short_of_edges` holds or the unvisited
-    vertices are not all reachable from the current one through unvisited
-    vertices; each prune cuts only paths that no Hamilton cycle extends, so
-    the search finds the first cycle in that order. With ``budget`` None
-    the search is complete, and None means that the graph has no Hamilton
-    cycle: exponential worst case, fine at oracle scale. Otherwise it gives
-    up after ``budget`` search nodes, so None proves nothing.
+    Returns None when :func:`_no_tour_up_front` holds, and otherwise what
+    :func:`_search_cycle` returns. With ``budget`` None the search is
+    complete, and None means that the graph has no Hamilton cycle:
+    exponential worst case, fine at oracle scale. Otherwise it gives up
+    after ``budget`` search nodes, so None proves nothing.
     """
-    n = g.vertex_count
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     if _no_tour_up_front(g, nbrs):
         return None
+    return _search_cycle(g, nbrs, budget)
+
+
+def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | None:
+    """The depth-first search of :func:`_hamilton_cycle`, on a graph with
+    neighbour bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
+
+    It goes first to the neighbour with the fewest unvisited neighbours,
+    then along the lightest edge, then to the lowest id (Warnsdorff's
+    order). It backs up as soon as :func:`_short_of_edges` holds or the
+    unvisited vertices are not all reachable from the current one through
+    unvisited vertices; each prune cuts only paths that no Hamilton cycle
+    extends, so the search finds the first cycle in that order, and a
+    budget only cuts it short.
+    """
+    n = g.vertex_count
     table = _weight_table(g)
     full = (1 << n) - 1
     left = math.inf if budget is None else budget
@@ -345,7 +433,7 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
 def _bounds(g: Graph) -> tuple[Weight, list, list]:
     """``(UB, a1, a2)`` for :func:`min_tour`.
 
-    ``UB`` is the weight of a first tour: the one :func:`_hamilton_cycle`
+    ``UB`` is the weight of a first tour: the one :func:`_search_cycle`
     finds within ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex,
     lowered by ``_improve``. When it finds none, ``UB`` is ``n`` times the
     heaviest weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two
@@ -357,7 +445,8 @@ def _bounds(g: Graph) -> tuple[Weight, list, list]:
     penalties.
     """
     ends = _ends(g)
-    tour = _hamilton_cycle(g, WITNESS_NODES_PER_VERTEX * g.vertex_count)
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
     if tour is not None:
         _improve(tour, _weight_table(g))
         bound = tour_weight(g, tuple(tour))
@@ -449,7 +538,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     they read belong to sets that hold a state on the optimum tour, so none
     is a dead set's dropped row.
 
-    Bounds: ``_hamilton_cycle`` looks for a Hamilton cycle within a budget
+    Bounds: ``_search_cycle`` looks for a Hamilton cycle within a budget
     of ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
     lowers its weight by 2-opt and or-opt moves along existing edges. That
     weight is the upper bound ``UB``; without a first tour ``UB`` is ``n``
@@ -515,10 +604,6 @@ def min_tour(g: Graph) -> OracleAnswer:
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    if _no_tour_up_front(g, nbrs):
-        return OracleAnswer(None, None)
-
     weights = g.weights
     scale = math.lcm(*(w.denominator for w in weights))
     if scale > 1:  # some weight is a Fraction: run on ints, weigh the tour as given
@@ -526,6 +611,9 @@ def min_tour(g: Graph) -> OracleAnswer:
         if answer.optimum_tour is None:
             return answer
         return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    if _no_tour_up_front(g, nbrs):
+        return OracleAnswer(None, None)
     bound, a1, a2 = _bounds(g)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
     rise = (max(weights) - min(weights)) // 4 or 1

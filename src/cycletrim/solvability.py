@@ -59,28 +59,26 @@ def enumerate_solutions(basis: CycleBasis) -> tuple[SolutionPartition, ...]:
     for i in range(dim - 1, -1, -1):
         for k in range(1, most + 1):
             sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
-    found: list[tuple[int, ...]] = []
+    everything = (1 << dim) - 1
+    found: list[SolutionPartition] = []
     chosen: list[int] = []
 
-    def extend(start: int, rest: int, remaining: int) -> bool:
+    def extend(start: int, rest: int, remaining: int, mask: int) -> bool:
         if remaining == 0:
-            found.append(tuple(chosen))
+            found.append(SolutionPartition(tuple(chosen), everything & ~mask))
             return len(found) >= SOLUTION_CAP
         for i in range(start, dim - remaining + 1):
             need = rest - values[i]
             if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
                 continue
             chosen.append(i)
-            stop = extend(i + 1, need, remaining - 1)
+            stop = extend(i + 1, need, remaining - 1, mask | 1 << i)
             chosen.pop()
             if stop:
                 return True
         return False
 
     for size in range(1, most + 1):
-        if (sums[0][size] >> target) & 1 and extend(0, target, size):
+        if (sums[0][size] >> target) & 1 and extend(0, target, size, 0):
             break
-    everything = (1 << dim) - 1
-    return tuple(
-        SolutionPartition(sol, everything & ~sum(1 << i for i in sol)) for sol in found
-    )
+    return tuple(found)

@@ -20,6 +20,7 @@ from cycletrim import (
     tour_weight,
 )
 from cycletrim import oracle
+from cycletrim.graphs import iter_bits
 
 from helpers import (
     all_neighbours,
@@ -303,11 +304,20 @@ def searched_nodes(g, budget) -> int:
     return calls
 
 
+def hubbed_cliques(k: int) -> Graph:
+    """Three K_k, every vertex of which is joined to the same two hubs,
+    numbered last: no Hamilton cycle, since taking out the two hubs leaves
+    three parts, yet no vertex has degree 2."""
+    n = 3 * k + 2
+    cliques = [(c * k + i, c * k + j, 1) for c in range(3) for i in range(k) for j in range(i + 1, k)]
+    return make_graph(n, cliques + [(x, hub, 1) for x in range(3 * k) for hub in (n - 2, n - 1)])
+
+
 def test_first_tour_search_keeps_its_budget():
-    # Petersen passes the degree and bipartite tests but has no Hamilton
-    # cycle (test_min_tour_non_hamiltonian); the search gives up after its
-    # budget and leaves the verdict to the DP
-    g = petersen()
+    # three triangles on two hubs pass every up-front test but have no
+    # Hamilton cycle; the whole search takes 979 nodes, so the search gives
+    # up after its budget and leaves the verdict to the DP
+    g = hubbed_cliques(3)
     budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
     assert searched_nodes(g, budget) <= budget + 1
     assert searched_nodes(g, None) > budget + 1  # the budget, not the search space, stopped it
@@ -317,7 +327,7 @@ def test_search_prunes_a_path_that_leaves_vertex_0_no_closing_edge():
     # two K_8 sharing vertex 7: no Hamilton cycle, and nothing but the
     # closing edge stops a path that crossed into the second K_8 having
     # visited all of the first. The search visits 14,529 nodes with that
-    # prune and 6,249,009 without it
+    # prune and 2,620,209 without it
     g = make_graph(15, [
         (u, v, 1) for side in (range(0, 8), range(7, 15)) for u in side for v in side if u < v
     ])
@@ -338,6 +348,119 @@ def test_budgeted_search_finds_the_unbudgeted_cycle_or_none():
                 assert cycle is None or cycle == whole
                 found += cycle is not None
     assert found
+
+
+def short_of_edges_without_capacity(nbrs, current, remaining):
+    """``oracle._short_of_edges`` without its check of the vertices that need
+    both their usable edges."""
+    if not nbrs[0] & remaining:
+        return True
+    allowed = remaining | (1 << current) | 1
+    return any((nbrs[x] & allowed).bit_count() < 2 for x in iter_bits(remaining))
+
+
+def test_forced_edges_and_capacity_prunes_keep_the_first_cycle(monkeypatch):
+    # each prune cuts only paths and inputs without a Hamilton cycle, so
+    # with either patched to never fire the whole search returns the same
+    # cycle, or None, and visits at least as many nodes; on these draws
+    # each prune saves some
+    nodes = 0
+    check = oracle._short_of_edges
+
+    def counting(*args):
+        nonlocal nodes
+        nodes += 1
+        return check(*args)
+
+    def search(g):
+        nonlocal nodes
+        nodes = 0
+        return hamilton_cycle(g), nodes
+
+    rng = random.Random(32)
+    graphs = [random_connected_graph(rng, n, p, 1, 100)
+              for n in range(6, 17) for p in (0.2, 0.35, 0.5) for _ in range(3)]
+    monkeypatch.setattr(oracle, "_short_of_edges", counting)
+    pruned = [search(g) for g in graphs]
+    monkeypatch.setattr(oracle, "_forced_edges_rule_out", lambda nbrs: False)
+    no_forced = [search(g) for g in graphs]
+    monkeypatch.undo()
+    check = short_of_edges_without_capacity
+    monkeypatch.setattr(oracle, "_short_of_edges", counting)
+    no_capacity = [search(g) for g in graphs]
+    assert any(cycle is not None for cycle, _ in pruned)
+    assert any(cycle is None and count for cycle, count in no_forced)
+    for without in (no_forced, no_capacity):
+        assert [cycle for cycle, _ in without] == [cycle for cycle, _ in pruned]
+        assert all(a <= b for (_, a), (_, b) in zip(pruned, without))
+        assert sum(count for _, count in pruned) < sum(count for _, count in without)
+
+
+def short_of_edges(n, edges, path):
+    """``oracle._short_of_edges`` for the path ``path`` from 0 on a unit-weight graph."""
+    g = make_graph(n, [(u, v, 1) for u, v in edges])
+    visited = sum(1 << v for v in path)
+    return oracle._short_of_edges(all_neighbours(g), path[-1], ((1 << n) - 1) & ~visited)
+
+
+def test_short_of_edges_counts_the_vertices_that_need_both_their_edges():
+    # a vertex with exactly two usable neighbours needs an edge at both: an
+    # unvisited vertex has two edges for them, the path's end and vertex 0
+    # one each, and vertex 0 two at the root, where it is the path's end
+    hubs = [(0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (5, 6)]
+    spokes = [(x, hub) for x in (2, 3, 4) for hub in (5, 6)]
+    assert short_of_edges(7, hubs + spokes, [0, 1])  # 2, 3 and 4 all need 5 and 6
+    assert not short_of_edges(7, hubs + spokes[:4] + [(4, 0), (4, 1)], [0, 1])
+    ends = [(0, 1), (2, 4), (3, 4), (4, 5), (0, 4), (0, 5), (1, 5)]
+    assert short_of_edges(6, ends + [(1, 2), (1, 3)], [0, 1])  # 2 and 3 need the end 1
+    assert not short_of_edges(6, ends + [(1, 2), (3, 5)], [0, 1])
+    assert short_of_edges(6, ends + [(0, 2), (0, 3)], [0, 1])  # 2 and 3 need 0
+    root = ends + [(1, 4), (0, 2), (0, 3)]
+    assert not short_of_edges(6, root, [0])  # which has two edges free at the root
+    assert short_of_edges(7, root + [(0, 6), (5, 6)], [0])  # 2, 3 and 6 need 0
+
+
+def test_gate_agrees_with_enumeration_on_sparse_draws():
+    # sparse draws have many vertices of degree 2, where the forced edges decide
+    rng = random.Random(33)
+    verdicts = set()
+    for n in range(4, 10):
+        for p in (0.2, 0.3, 0.4):
+            for _ in range(6):
+                g = random_connected_graph(rng, n, p, 1, 100)
+                verdict = is_hamiltonian(g)
+                assert verdict == min_tour_by_enumeration(g).hamiltonian
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_forced_edges_reject_a_vertex_that_three_need():
+    # 4, 5 and 6 have degree 2 and all need vertex 0, which can take two;
+    # the K_4 on 0-3 makes the graph non-bipartite, and no vertex is left
+    # with fewer than two usable edges
+    g = make_graph(7, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)]
+                   + [(0, 4, 1), (1, 4, 1), (0, 5, 1), (2, 5, 1), (0, 6, 1), (3, 6, 1)])
+    assert oracle._no_tour_up_front(g, all_neighbours(g))
+    assert not is_hamiltonian(g)
+
+
+def test_forced_edges_reject_a_vertex_left_with_one_usable_edge():
+    # 1, 3 and 5 have degree 2, so 2 and 4 get two forced edges each and
+    # drop 0-2, 2-6, 0-4 and 4-6, which leaves 0 and 6 one usable edge each
+    g = make_graph(7, [(0, 2, 1), (0, 4, 1), (0, 5, 1), (1, 2, 1), (1, 4, 1), (2, 3, 1),
+                       (2, 6, 1), (3, 6, 1), (4, 5, 1), (4, 6, 1)])
+    assert oracle._no_tour_up_front(g, all_neighbours(g))
+    assert not is_hamiltonian(g)
+
+
+def test_forced_edges_reject_a_forced_cycle_that_misses_a_vertex():
+    # 1 and 2 have degree 2, so the triangle 0-1-2 is forced and drops the
+    # edge 0-3; 3 keeps three edges into the K_4 on 3-6, so only the short
+    # forced cycle rules out a Hamilton cycle
+    g = make_graph(7, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, 1)]
+                   + [(u, v, 1) for u in range(3, 7) for v in range(u + 1, 7)])
+    assert oracle._no_tour_up_front(g, all_neighbours(g))
+    assert not is_hamiltonian(g)
 
 
 def test_min_tour_row_budget(monkeypatch):
