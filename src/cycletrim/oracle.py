@@ -115,11 +115,13 @@ def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     graph has none; nor has a graph with vertices outside that component.
     BFS levels alternate sides, and an edge inside one level closes an odd
     cycle. The walk is its own, not :func:`~cycletrim.graphs.reach`, since
-    it needs the levels.
+    it needs the levels. Degrees are read from ``adj_mask``, so a graph the
+    gate rejects never builds :attr:`Graph.adjacency`.
     """
-    if g.vertex_count < 3 or any(d < 2 for d in g.degrees):
+    degrees = [m.bit_count() for m in adj_mask]
+    if g.vertex_count < 3 or min(degrees) < 2:
         return True
-    if 2 in g.degrees and _forced_edges_rule_out(adj_mask):
+    if 2 in degrees and _forced_edges_rule_out(adj_mask):
         return True
     sides = [0, 0]
     seen = frontier = 1
