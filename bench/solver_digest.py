@@ -1,0 +1,81 @@
+"""One sha256 over the solver's results on a benchmark workload's inputs.
+
+Run from the root of a checkout:
+
+    python3 bench/solver_digest.py --seed 1 [--seconds 30] [--workload mine_ref ...]
+
+The inputs are those ``perfbench/run.py`` draws for the same workload, seed
+and ``--seconds``: the Hamiltonian graphs that ``workloads.set_up`` keeps.
+For each input the digest takes ``cli._result_json(solve(graph))`` (status,
+tour, weight, counters and trace) together with the two counters it leaves
+out, ``row_ops`` and ``max_candidates_per_pass``. Two checkouts whose
+digests agree give the same results, traces and counters on every input.
+Each line also counts, over all inputs, the deletions applied, the distinct
+(input, retained set) pairs the solver's states reach (the start set
+included), and the verdicts evaluated (entries of the verdict cache). Stdlib
+only; it imports cycletrim from ``src/`` and the workloads from
+``perfbench/`` of the checkout it lives in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from time import process_time
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from cycletrim import cli, solve, solver  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=int, default=30)
+    args = parser.parse_args()
+
+    reached: set[int] = set()
+    real_apply = solver.apply_deletion
+
+    def apply_deletion(state, c):
+        after = real_apply(state, c)
+        reached.add(after.retained)
+        return after
+
+    solver.apply_deletion = apply_deletion
+    for workload in args.workload or workloads.WORKLOADS:
+        inputs = workloads.set_up(workload, args.seed, workloads.input_size(workload, args.seconds))
+        sha = hashlib.sha256()
+        deletions = retained_sets = evaluations = 0
+        spent = 0.0
+        for graph in inputs.kept:
+            reached.clear()
+            start = process_time()
+            result = solve(graph)
+            spent += process_time() - start
+            counters = result.counters
+            answer = {
+                **cli._result_json(result),
+                "row_ops": counters.row_ops,
+                "max_candidates_per_pass": counters.max_candidates_per_pass,
+            }
+            sha.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
+            deletions += counters.deletions
+            if result.final_state is not None:
+                reached.add((1 << result.final_state.basis.dimension) - 1)
+                evaluations += len(result.final_state.verdict_cache)
+            retained_sets += len(reached)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.kept)} inputs, "
+              f"sha256 {sha.hexdigest()}; {deletions} deletions, {retained_sets} retained sets, "
+              f"{evaluations} evaluations ({spent:.2f} s in solve)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,11 +17,19 @@ reducer repeatedly (a) removes an edge that cannot lie on a spanning cycle
 because one endpoint already has two degree-2 neighbors forcing its tour
 edges, or else (b) contracts a run of adjacent degree-2 vertices by one
 vertex, until the edges left form a single cycle or no move applies.
+
+A solve keeps one entry per retained set it reaches, in the states'
+``_retained_sets`` table keyed by the retained bitmask. The entry holds what
+depends only on that set: the cover counts and union adjacency, the union's
+degree-2 vertices and the vertices already over the neighbour cap, the
+sharing components walked so far, and which verdicts are known and
+removable. States of different partitions that retain the same cycles share
+it, so each is built once per solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .graphs import Weight, iter_bits, mask_neighbours, reach
@@ -180,50 +188,148 @@ def verdict_key(state: SolverState, c: int) -> tuple[int, int]:
     return (state.retained, c)
 
 
+@dataclass(eq=False, slots=True)
+class _RetainedSet:
+    """What one solve knows about one retained set, shared by every state of
+    every partition that retains it.
+
+    ``cover_counts`` and ``union_adjacency`` are the states' fields of the
+    same names. ``degree_two`` is the bitmask of the union's degree-2
+    vertices and ``over_cap`` of the vertices with three or more of them as
+    union neighbours. ``components`` maps each retained cycle whose sharing
+    component has been walked to that component's bitmask. Bit ``c`` of
+    ``asked`` is set once the verdict on ``c`` is known, and of
+    ``removable`` when that verdict is removable.
+    """
+
+    cover_counts: tuple[int, ...]
+    union_adjacency: tuple[int, ...]
+    degree_two: int
+    over_cap: int
+    components: dict[int, int] = field(default_factory=dict)
+    asked: int = 0
+    removable: int = 0
+
+
+def _retained_set(state: SolverState) -> _RetainedSet:
+    """The solve's entry for ``state.retained``; a state whose set has none
+    yet gets one from a scan of its union adjacency."""
+    entry = state._retained_sets.get(state.retained)
+    if entry is None:
+        adjacency = state.union_adjacency
+        degree_two = 0
+        for x, nbrs in enumerate(adjacency):
+            if nbrs.bit_count() == 2:
+                degree_two |= 1 << x
+        over_cap = 0
+        for x, nbrs in enumerate(adjacency):
+            if (nbrs & degree_two).bit_count() >= 3:
+                over_cap |= 1 << x
+        entry = _RetainedSet(state.cover_counts, adjacency, degree_two, over_cap)
+        state._retained_sets[state.retained] = entry
+    return entry
+
+
+def _retained_set_after(state: SolverState, record: DeletionRecord) -> _RetainedSet:
+    """The solve's entry for the set ``state`` retains without ``record.cycle``.
+
+    The first state to reach the set builds it from ``state``'s: covers drop
+    on the cycle's row, the union loses the removed edge, and the masks come
+    from :func:`_cap_after`. Every later one takes it from the table.
+    """
+    retained = state.retained & ~(1 << record.cycle)
+    entry = state._retained_sets.get(retained)
+    if entry is None:
+        covers = list(state.cover_counts)
+        for e in iter_bits(state.basis.cycles[record.cycle]):
+            covers[e] -= 1
+        u, v, _ = state.basis.graph.edges[record.removed_edge]
+        adjacency = list(state.union_adjacency)
+        adjacency[u] &= ~(1 << v)
+        adjacency[v] &= ~(1 << u)
+        degree_two, over_cap = _cap_after(_retained_set(state), u, v)
+        entry = _RetainedSet(tuple(covers), tuple(adjacency), degree_two, over_cap)
+        state._retained_sets[retained] = entry
+    return entry
+
+
+def _cap_after(entry: _RetainedSet, u: int, v: int) -> tuple[int, int]:
+    """``(degree_two, over_cap)`` of the entry's union without the edge ``u``-``v``.
+
+    The edge is a cycle's only once-covered edge, and each of the cycle's
+    other edges at ``u`` and ``v`` lies on a second retained cycle (every
+    basis row is a cycle), so both
+    ends have degree 3 or more before the deletion and 2 or more after it.
+    Their own counts of degree-2 neighbours therefore stay as they were. An
+    end that drops to degree 2 raises the count of each of its neighbours,
+    so only those are counted again; every other vertex keeps its bit of
+    ``over_cap``.
+    """
+    adjacency = entry.union_adjacency
+    two = entry.degree_two
+    near = 0
+    after = adjacency[u] & ~(1 << v)
+    if after.bit_count() == 2:
+        two |= 1 << u
+        near |= after
+    after = adjacency[v] & ~(1 << u)
+    if after.bit_count() == 2:
+        two |= 1 << v
+        near |= after
+    over = entry.over_cap & ~near
+    while near:
+        low = near & -near
+        if (adjacency[low.bit_length() - 1] & two).bit_count() >= 3:
+            over |= low
+        near ^= low
+    return two, over
+
+
 def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """Full removability verdict for retained cycle ``c``.
 
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
-    the post-deletion union (popcounts over the state's neighbour bitmasks),
-    then the diagonal clusters. Verdicts, with the deletion record, are
-    cached per (retained bitmask, cycle), and :func:`~cycletrim.solver.apply_deletion`
-    takes its record from that cache; cluster reductions are cached per
-    member bitmask. ``solve`` asks each verdict on its start state once and
-    shares the answer among all partitions.
+    the post-deletion union, then the diagonal clusters. The cap is read
+    from the state's retained-set entry: only the removed edge's endpoints
+    and their neighbours are counted again. Verdicts, with the deletion
+    record, are cached per (retained bitmask, cycle), one ``verdict_cache``
+    entry per verdict evaluated, and
+    :func:`~cycletrim.solver.apply_deletion` takes its record from that
+    cache; the entry's ``asked`` and ``removable`` bits record the verdict
+    too, so ``solve`` reads a pass's candidates from them and asks each
+    verdict once per solve. Cluster reductions are cached per member
+    bitmask.
     """
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
+    entry = _retained_set(state)
     key = verdict_key(state, c)
-    cached = state.verdict_cache.get(key)
-    if cached is not None:
-        return cached
-    ctx = _evaluate(state, c)
-    state.verdict_cache[key] = ctx
+    ctx = state.verdict_cache.get(key)
+    if ctx is None:
+        ctx = state.verdict_cache[key] = _evaluate(state, entry, c)
+    entry.asked |= 1 << c
+    if ctx.verdict == REMOVABLE:
+        entry.removable |= 1 << c
     return ctx
 
 
-def _evaluate(state: SolverState, c: int) -> RemovabilityContext:
+def _evaluate(state: SolverState, entry: _RetainedSet, c: int) -> RemovabilityContext:
     g = state.basis.graph
     try:
         record = deletion_record(state, c)
     except NotRemovable:
         return RemovabilityContext(NOT_CANDIDATE, None)
 
-    # the union after the deletion, as neighbour bitmasks: only the removed
-    # edge's two endpoints change
-    after = list(state.union_adjacency)
     u, v, _ = g.edges[record.removed_edge]
-    after[u] &= ~(1 << v)
-    after[v] &= ~(1 << u)
-    degree_two = 0
-    for x, nbrs in enumerate(after):
-        if nbrs.bit_count() == 2:
-            degree_two |= 1 << x
-    if any((nbrs & degree_two).bit_count() >= 3 for nbrs in after):
+    if _cap_after(entry, u, v)[1]:
         return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
 
     for d in iter_bits(find_diagonals(state, c)):
-        members = reach(state.basis.sharing, d, state.retained)
+        members = entry.components.get(d)
+        if members is None:
+            members = reach(state.basis.sharing, d, state.retained)
+            for m in iter_bits(members):
+                entry.components[m] = members
         outcome_tag = state.cluster_cache.get(members)
         if outcome_tag is None:
             mask = 0

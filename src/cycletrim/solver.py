@@ -22,9 +22,10 @@ from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
 from .graphs import Graph, Weight, iter_bits, mask_neighbours, mask_weight, tour_from_edge_mask
 from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
 from .removability import (
-    REMOVABLE,
     DeletionRecord,
     NotRemovable,
+    _retained_set,
+    _retained_set_after,
     deletion_record,
     is_removable,
     verdict_key,
@@ -43,10 +44,11 @@ STATUS_STUCK: Status = "stuck"
 class Counters:
     """Work accounting for one solver run.
 
-    ``row_ops`` counts one per basis-row scan actually performed (the
-    matrix-level work), plus one per pair of rows for the basis' sharing and
-    diagonal tables; ``reduce_calls`` counts cluster reductions actually
-    executed.
+    ``row_ops`` counts one per basis-row scan of the matrix-level work,
+    plus one per pair of rows for the basis' sharing and diagonal tables;
+    each applied deletion counts one for its cover update, also when it
+    takes the cover counts from the solve's table of retained sets without
+    a scan. ``reduce_calls`` counts cluster reductions actually executed.
     """
 
     candidates_tested: int = 0
@@ -66,7 +68,11 @@ class SolverState:
     always consistent with the retained rows; the union is the set of edges
     with a nonzero cover count, and the graph is ``basis.graph``. Counters
     and memo caches ride along by reference and are excluded from equality,
-    so structurally identical states compare equal.
+    so structurally identical states compare equal. ``_retained_sets`` is
+    the solve's table of retained-set entries, keyed by the retained
+    bitmask: states of different partitions that retain the same cycles
+    share one entry's cover counts, union adjacency, neighbour-cap masks,
+    sharing components and verdict bits.
     """
 
     basis: CycleBasis
@@ -78,6 +84,7 @@ class SolverState:
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
     cluster_cache: dict = field(default_factory=dict, compare=False, repr=False)
     verdict_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _retained_sets: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -158,9 +165,12 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     """Delete co-solution cycle ``c`` from the retained set.
 
     The union loses exactly the cycle's boundary edge; cover counts drop on
-    the cycle's edges; the deletion is appended to the trace. A verdict on
-    ``c`` cached for this retained set already carries the deletion record,
-    so the deletion then scans the cycle's row once, for the cover counts.
+    the cycle's edges; the deletion is appended to the trace. The cover
+    counts and union adjacency of the set left are built once per solve, by
+    the first deletion that reaches it, and taken from the solve's table by
+    every later one. A verdict on ``c`` cached for this retained set already
+    carries the deletion record; without one the cycle's row is scanned for
+    it.
     """
     if not (state.retained >> c) & 1:
         raise NotRemovable(f"cycle {c} is not retained")
@@ -171,26 +181,23 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
         rec = known.record
     else:
         rec = deletion_record(state, c)
-    covers = list(state.cover_counts)
-    for e in iter_bits(state.basis.cycles[c]):
-        covers[e] -= 1
-    u, v, _ = state.basis.graph.edges[rec.removed_edge]
-    adjacency = list(state.union_adjacency)
-    adjacency[u] &= ~(1 << v)
-    adjacency[v] &= ~(1 << u)
+    after = _retained_set_after(state, rec)
     counters = state.counters
+    # one per deletion for the cover update, also when the table already
+    # held the set's covers
     counters.row_ops += 1
     counters.deletions += 1
     return SolverState(
         basis=state.basis,
         partition=state.partition,
         retained=state.retained & ~(1 << c),
-        cover_counts=tuple(covers),
-        union_adjacency=tuple(adjacency),
+        cover_counts=after.cover_counts,
+        union_adjacency=after.union_adjacency,
         trace=state.trace + (rec,),
         counters=counters,
         cluster_cache=state.cluster_cache,
         verdict_cache=state.verdict_cache,
+        _retained_sets=state._retained_sets,
     )
 
 
@@ -199,16 +206,25 @@ def _count_pass(counters: Counters, pool_size: int) -> None:
     counters.max_candidates_per_pass = max(counters.max_candidates_per_pass, pool_size)
 
 
+def _removable_records(state: SolverState, pool: int) -> list[DeletionRecord]:
+    # one greedy pass over ``pool``: the verdicts not yet known on this
+    # retained set are asked, and the removable cycles are read from its entry
+    _count_pass(state.counters, pool.bit_count())
+    entry = _retained_set(state)
+    for c in iter_bits(pool & ~entry.asked):
+        is_removable(state, c)
+    return [
+        state.verdict_cache[verdict_key(state, c)].record for c in iter_bits(pool & entry.removable)
+    ]
+
+
 def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverState:
     # S2 delete the cheapest removable cycle; S1 collect the removable
     # co-solution cycles left; S3 repeat until the pool empties or nothing is
     # removable. ``records`` is the first pass, answered on the start state.
     while records:
         state = apply_deletion(state, select_deletion(state, records).cycle)
-        pool = state.partition.co_solution & state.retained
-        _count_pass(state.counters, pool.bit_count())
-        contexts = [is_removable(state, c) for c in iter_bits(pool)]
-        records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
+        records = _removable_records(state, state.partition.co_solution & state.retained)
     return state
 
 
@@ -219,8 +235,10 @@ def solve(graph: Graph) -> TourResult:
     front gate runs. Front gate: inputs that the exhaustive Hamiltonicity
     test rejects come back as ``not_hamiltonian_input``. Other failures never
     raise; they surface as statuses with the trace of the last attempted
-    partition. Counters and caches are shared by every partition tried, and
-    so are the verdicts on the start state, asked once per solve.
+    partition. Counters, caches and the table of retained-set entries are
+    shared by every partition tried: every partition starts from the full
+    basis, so each verdict on the start state, like each on any retained
+    set, is asked once per solve.
     """
     n = graph.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -232,22 +250,11 @@ def solve(graph: Graph) -> TourResult:
     if not partitions:
         return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
     start = initial_state(basis, partitions[0])
-    counters = start.counters
-    # Every partition starts from the full basis, so its first pass asks
-    # verdicts on the one start state. Each is asked once per solve: bit c of
-    # ``asked`` is set once cycle c's verdict is known, and of
-    # ``removable_at_start`` when that verdict is removable.
-    asked = removable_at_start = 0
     start_mask = boundary_mask(start)
     start_tour = tour_from_edge_mask(graph, start_mask)
     for tried, partition in enumerate(partitions, 1):
-        pool = partition.co_solution
-        _count_pass(counters, pool.bit_count())
-        for c in iter_bits(pool & ~asked):
-            if is_removable(start, c).verdict == REMOVABLE:
-                removable_at_start |= 1 << c
-        asked |= pool
-        first = [is_removable(start, c).record for c in iter_bits(pool & removable_at_start)]
+        # the start state retains every cycle, so the pool is the co-solution
+        first = _removable_records(start, partition.co_solution)
         if first:
             state = _run_partition(dataclasses.replace(start, partition=partition), first)
             mask = boundary_mask(state)

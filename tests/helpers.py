@@ -296,6 +296,20 @@ def check_state(state: SolverState) -> None:
     assert state.union_adjacency == _union_adjacency(state.basis.graph, union)
 
 
+def cap_masks_reference(adjacency) -> tuple[int, int]:
+    """``(degree_two, over_cap)`` of a union by a scan of every vertex: the
+    degree-2 vertices, and those with three or more of them as neighbours."""
+    degree_two = 0
+    for x, nbrs in enumerate(adjacency):
+        if nbrs.bit_count() == 2:
+            degree_two |= 1 << x
+    over_cap = 0
+    for x, nbrs in enumerate(adjacency):
+        if (nbrs & degree_two).bit_count() >= 3:
+            over_cap |= 1 << x
+    return degree_two, over_cap
+
+
 def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -> bool:
     """The neighbour cap by degree count and a scan of every adjacency list.
 

@@ -33,6 +33,7 @@ from helpers import (
     bits,
     blocked_by_neighbors_reference,
     bowtie,
+    cap_masks_reference,
     check_state,
     cluster_members_reference,
     crafted_state,
@@ -113,6 +114,37 @@ def test_degree_two_neighbor_count():
     # in K4 the deletion leaves vertices 0 and 1 two degree-2 neighbors each
     _, parts, state = state_for(k4_golden())
     assert is_removable(state, next(iter_bits(parts[0].co_solution))).verdict == REMOVABLE
+
+
+def test_neighbour_cap_keeps_a_far_vertex_over_the_cap():
+    # vertex 0 has four degree-2 union neighbours before the deletion, and
+    # the removed edge 2-6 touches neither 0 nor a neighbour of 0; only the
+    # over-cap bits the state's entry carries can block the deletion
+    g = make_graph(7, [
+        (0, 1, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 2, 1),
+        (2, 4, 1), (2, 6, 1), (3, 6, 1), (5, 6, 1),
+    ])
+    state = crafted_state(g, list(fundamental_basis(g).cycles), solution=())
+    assert cap_masks_reference(state.union_adjacency)[1] == bits({0})
+    ctx = is_removable(state, 1)
+    assert ctx.record.removed_edge == g.edge_index(2, 6)
+    assert not state.union_adjacency[0] & bits({2, 6})
+    assert ctx.verdict == BLOCKED_BY_NEIGHBORS
+    assert blocked_by_neighbors_reference(state, ctx.record)
+
+
+def test_neighbour_cap_counts_the_neighbours_of_an_end_that_drops_to_degree_two():
+    # K_{2,3} on {0, 1} x {2, 3, 4} plus the edge 3-4, which only the
+    # triangle 0-3-4 covers: no vertex is over the cap before the deletion,
+    # which takes 3 and 4 from degree 3 to 2 and so gives their neighbours 0
+    # and 1 three degree-2 neighbours each
+    g = make_graph(5, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (3, 4, 1)])
+    state = crafted_state(g, list(fundamental_basis(g).cycles), solution=())
+    assert cap_masks_reference(state.union_adjacency)[1] == 0
+    ctx = is_removable(state, 2)
+    assert ctx.record.removed_edge == g.edge_index(3, 4)
+    assert ctx.verdict == BLOCKED_BY_NEIGHBORS
+    assert blocked_by_neighbors_reference(state, ctx.record)
 
 
 # --- diagonals and clusters ------------------------------------------------
@@ -433,7 +465,9 @@ def test_cached_verdicts_match_fresh_ones(g):
             if not (state.retained >> c) & 1:
                 continue
             cached = is_removable(state, c)
-            fresh_state = dataclasses.replace(state, verdict_cache={}, cluster_cache={})
+            fresh_state = dataclasses.replace(
+                state, verdict_cache={}, cluster_cache={}, _retained_sets={}
+            )
             assert cached == is_removable(fresh_state, c)
             if cached.record is not None:
                 assert (cached.verdict == BLOCKED_BY_NEIGHBORS) == blocked_by_neighbors_reference(
@@ -442,7 +476,9 @@ def test_cached_verdicts_match_fresh_ones(g):
             if cached.verdict == REMOVABLE:
                 # the record apply_deletion takes from the cache is the one a
                 # fresh row scan builds
-                scanned = apply_deletion(dataclasses.replace(state, verdict_cache={}), c)
+                scanned = apply_deletion(
+                    dataclasses.replace(state, verdict_cache={}, _retained_sets={}), c
+                )
                 assert apply_deletion(state, c) == scanned
                 assert cached.record == scanned.trace[-1]
         for c in iter_bits(state.retained):

@@ -16,6 +16,7 @@ from cycletrim import (
     fundamental_basis,
     initial_state,
     is_hamiltonian,
+    is_removable,
     min_tour,
     random_connected_graph,
     select_deletion,
@@ -24,11 +25,15 @@ from cycletrim import (
 )
 from cycletrim.cycle_space import edges_with_cover
 from cycletrim.graphs import iter_bits
+from cycletrim.removability import REMOVABLE
 from cycletrim.solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
 from helpers import (
+    _union_adjacency,
     bits,
+    cap_masks_reference,
     check_state,
+    cluster_members_reference,
     crafted_state,
     k4_golden,
     make_graph,
@@ -267,6 +272,54 @@ def test_solve_matches_the_every_partition_reference_on_campaign_draws():
         if is_hamiltonian(g):
             _assert_same_as_reference(g)
             compared += 1
+
+
+def test_retained_set_entries_match_a_recount(monkeypatch):
+    # seeded draws as `cycletrim mine` makes them; after each solve, every
+    # entry of its retained-set table against a recount of the retained rows,
+    # a scan of the union and the verdicts of a cache-free state
+    import cycletrim.solver
+
+    partitions_reaching = {}
+    real = cycletrim.solver.apply_deletion
+
+    def recorded(state, c):
+        after = real(state, c)
+        key = (state.basis.graph, after.retained)
+        partitions_reaching.setdefault(key, set()).add(after.partition.solution)
+        return after
+
+    monkeypatch.setattr(cycletrim.solver, "apply_deletion", recorded)
+    rng = random.Random(20)
+    solved = 0
+    while solved < 40:
+        g = random_connected_graph(rng, rng.randint(5, 12), 0.5, 1, 100)
+        if not is_hamiltonian(g):
+            continue
+        result = solve(g)
+        if result.final_state is None:
+            continue
+        solved += 1
+        rows = list(result.final_state.basis.cycles)
+        for retained, entry in result.final_state._retained_sets.items():
+            kept = [rows[i] for i in iter_bits(retained)]
+            union = 0
+            for row in kept:
+                union |= row
+            assert entry.cover_counts == count_covers(g.edge_count, kept)
+            assert entry.union_adjacency == _union_adjacency(g, union)
+            assert (entry.degree_two, entry.over_cap) == cap_masks_reference(entry.union_adjacency)
+            fresh = crafted_state(g, rows, solution=(), retained=retained)
+            assert entry.asked & ~retained == 0
+            assert entry.removable & ~entry.asked == 0
+            for c in iter_bits(entry.asked):
+                removable = is_removable(fresh, c).verdict == REMOVABLE
+                assert (entry.removable >> c) & 1 == removable
+            for c, members in entry.components.items():
+                assert members == cluster_members_reference(fresh, c)
+    # the sharing path is taken: some retained set is reached by deletions
+    # in two different partitions
+    assert any(len(solutions) > 1 for solutions in partitions_reaching.values())
 
 
 def test_determinism():
