@@ -258,12 +258,11 @@ def _cap_after(entry: _RetainedSet, u: int, v: int) -> tuple[int, int]:
 
     The edge is a cycle's only once-covered edge, and each of the cycle's
     other edges at ``u`` and ``v`` lies on a second retained cycle (every
-    basis row is a cycle), so both
-    ends have degree 3 or more before the deletion and 2 or more after it.
-    Their own counts of degree-2 neighbours therefore stay as they were. An
-    end that drops to degree 2 raises the count of each of its neighbours,
-    so only those are counted again; every other vertex keeps its bit of
-    ``over_cap``.
+    basis row is a cycle), so both ends have degree 3 or more before the
+    deletion and 2 or more after it. Their own counts of degree-2
+    neighbours therefore stay as they were. An end that drops to degree 2
+    raises the count of each of its neighbours, so only those are counted
+    again; every other vertex keeps its bit of ``over_cap``.
     """
     adjacency = entry.union_adjacency
     two = entry.degree_two
@@ -290,8 +289,8 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
 
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
     the post-deletion union, then the diagonal clusters. The cap is read
-    from the state's retained-set entry: only the removed edge's endpoints
-    and their neighbours are counted again. Verdicts, with the deletion
+    from the state's retained-set entry, and only the neighbours of a
+    removed-edge end that drops to degree 2 are counted again. Verdicts, with the deletion
     record, are cached per (retained bitmask, cycle), one ``verdict_cache``
     entry per verdict evaluated, and
     :func:`~cycletrim.solver.apply_deletion` takes its record from that
