@@ -12,7 +12,8 @@ out, ``row_ops`` and ``max_candidates_per_pass``. Two checkouts whose
 digests agree give the same results, traces and counters on every input.
 Each line also counts, over all inputs, the deletions applied, the distinct
 (input, retained set) pairs the solver's states reach (the start set
-included), and the verdicts evaluated (entries of the verdict cache). Stdlib
+included: the entries of the basis' table of retained sets), and the
+verdicts evaluated (the sum of those entries' verdicts). Stdlib
 only; it imports cycletrim from ``src/`` and the workloads from
 ``perfbench/`` of the checkout it lives in.
 """
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from cycletrim import cli, solve, solver  # noqa: E402
+from cycletrim import cli, solve  # noqa: E402
 
 
 def main() -> int:
@@ -40,22 +41,12 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args()
 
-    reached: set[int] = set()
-    real_apply = solver.apply_deletion
-
-    def apply_deletion(state, c):
-        after = real_apply(state, c)
-        reached.add(after.retained)
-        return after
-
-    solver.apply_deletion = apply_deletion
     for workload in args.workload or workloads.WORKLOADS:
         inputs = workloads.set_up(workload, args.seed, workloads.input_size(workload, args.seconds))
         sha = hashlib.sha256()
         deletions = retained_sets = evaluations = 0
         spent = 0.0
         for graph in inputs.kept:
-            reached.clear()
             start = process_time()
             result = solve(graph)
             spent += process_time() - start
@@ -68,9 +59,9 @@ def main() -> int:
             sha.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
             deletions += counters.deletions
             if result.final_state is not None:
-                reached.add((1 << result.final_state.basis.dimension) - 1)
-                evaluations += len(result.final_state.verdict_cache)
-            retained_sets += len(reached)
+                table = result.final_state.basis._retained_sets
+                retained_sets += len(table)
+                evaluations += sum(len(entry.verdicts) for entry in table.values())
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.kept)} inputs, "
               f"sha256 {sha.hexdigest()}; {deletions} deletions, {retained_sets} retained sets, "
               f"{evaluations} evaluations ({spent:.2f} s in solve)")

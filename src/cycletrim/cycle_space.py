@@ -11,7 +11,7 @@ are *boundary* edges.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,11 +22,20 @@ from .graphs import Graph, NotConnected, iter_bits, mask_vertices
 class CycleBasis:
     """A cycle basis of ``graph``: one edge bitmask per cycle, in chord order.
 
-    The first read of :attr:`sharing` or :attr:`diagonals` builds both."""
+    The first read of :attr:`sharing` or :attr:`diagonals` builds both. The
+    basis also carries what a solve learns about its rows, which depends on
+    nothing else: ``_retained_sets``, the table of retained-set entries
+    keyed by the retained bitmask, and ``_cluster_tags``, the reduction tag
+    of each cluster keyed by its member bitmask. ``solve`` builds one basis
+    per call, so they last one solve; neither takes part in equality, and
+    ``dataclasses.replace(basis)`` starts both empty.
+    """
 
     graph: Graph
     cycles: tuple[int, ...]
     cover_counts: tuple[int, ...]
+    _retained_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _cluster_tags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:

@@ -7,9 +7,11 @@ int/Fraction arithmetic is exact, so no other module picks a weight type.
 The edge list is kept in canonical order (sorted by endpoints) and the
 position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
 passed around as integer bitmasks over those indices, and vertex subsets as
-integer bitmasks over vertex ids. Past the parser, adjacency is one form: a
-list with one bitmask of neighbours per vertex, built by
+integer bitmasks over vertex ids. Past the parser, adjacency is mostly one
+form: a list with one bitmask of neighbours per vertex, built by
 :func:`mask_neighbours` for any edge subset and walked by :func:`reach`.
+Readers that need edge indices take :attr:`Graph.adjacency`'s
+``(neighbor, edge_index)`` lists instead.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and

@@ -18,13 +18,15 @@ because one endpoint already has two degree-2 neighbors forcing its tour
 edges, or else (b) contracts a run of adjacent degree-2 vertices by one
 vertex, until the edges left form a single cycle or no move applies.
 
-A solve keeps one entry per retained set it reaches, in the states'
-``_retained_sets`` table keyed by the retained bitmask. The entry holds what
-depends only on that set: the cover counts and union adjacency, the union's
-degree-2 vertices and the vertices already over the neighbour cap, the
-sharing components walked so far, and which verdicts are known and
-removable. States of different partitions that retain the same cycles share
-it, so each is built once per solve.
+A solve keeps one entry per retained set it reaches, in the basis'
+``_retained_sets`` table keyed by the retained bitmask. The entry is the one
+home of what depends only on that set: the cover counts and union
+adjacency, the union's degree-2 vertices and the vertices already over the
+neighbour cap, the sharing components walked so far, and the verdicts on
+its cycles, indexed by bitmasks of the cycles asked and found removable.
+States of different partitions that retain the same cycles share it, so
+each entry is built, and each verdict evaluated, once per solve. Cluster
+tags live beside the table on the basis, keyed by the member bitmask.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from .cycle_space import count_covers
 from .graphs import Weight, iter_bits, mask_neighbours, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
@@ -101,11 +104,12 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
     Raises :class:`NotRemovable` for any other cycle.
     """
     row = state.basis.cycles[c]
+    covers = state.cover_counts
     state.counters.row_ops += 1
     removed = None
     newly = added = 0
     for e in iter_bits(row):
-        cover = state.cover_counts[e]
+        cover = covers[e]
         if cover == 1:
             if removed is not None:
                 raise NotRemovable(f"cycle {c} has more than one boundary edge")
@@ -182,24 +186,22 @@ def reduce_cluster(adjacency: Sequence[int]) -> ReductionOutcome:
                 return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
 
 
-def verdict_key(state: SolverState, c: int) -> tuple[int, int]:
-    """Where ``state.verdict_cache`` keeps the verdict on ``c``: one per retained
-    bitmask and cycle."""
-    return (state.retained, c)
-
-
 @dataclass(eq=False, slots=True)
 class _RetainedSet:
     """What one solve knows about one retained set, shared by every state of
     every partition that retains it.
 
-    ``cover_counts`` and ``union_adjacency`` are the states' fields of the
-    same names. ``degree_two`` is the bitmask of the union's degree-2
+    ``cover_counts`` and ``union_adjacency`` (one bitmask of union
+    neighbours per vertex) are what the states' properties of the same
+    names read. ``degree_two`` is the bitmask of the union's degree-2
     vertices and ``over_cap`` of the vertices with three or more of them as
     union neighbours. ``components`` maps each retained cycle whose sharing
-    component has been walked to that component's bitmask. Bit ``c`` of
-    ``asked`` is set once the verdict on ``c`` is known, and of
-    ``removable`` when that verdict is removable.
+    component has been walked to that component's bitmask. ``verdicts``
+    maps each cycle whose verdict on the set has been evaluated to it, with
+    its deletion record. ``asked`` and ``removable`` index it by bit: bit
+    ``c`` of ``asked`` is set when ``c`` has a verdict, and of
+    ``removable`` when that verdict is removable, so a pass reads its
+    candidates by two masks.
     """
 
     cover_counts: tuple[int, ...]
@@ -207,16 +209,24 @@ class _RetainedSet:
     degree_two: int
     over_cap: int
     components: dict[int, int] = field(default_factory=dict)
+    verdicts: dict[int, RemovabilityContext] = field(default_factory=dict)
     asked: int = 0
     removable: int = 0
 
 
 def _retained_set(state: SolverState) -> _RetainedSet:
-    """The solve's entry for ``state.retained``; a state whose set has none
-    yet gets one from a scan of its union adjacency."""
-    entry = state._retained_sets.get(state.retained)
+    """The solve's entry for ``state.retained``; a set without one yet gets
+    it from the basis rows, and the full set takes the basis' cover counts."""
+    basis = state.basis
+    entry = basis._retained_sets.get(state.retained)
     if entry is None:
-        adjacency = state.union_adjacency
+        rows = [basis.cycles[i] for i in iter_bits(state.retained)]
+        full = len(rows) == basis.dimension
+        covers = basis.cover_counts if full else count_covers(basis.graph.edge_count, rows)
+        union = 0
+        for row in rows:
+            union |= row
+        adjacency = tuple(mask_neighbours(basis.graph, union))
         degree_two = 0
         for x, nbrs in enumerate(adjacency):
             if nbrs.bit_count() == 2:
@@ -225,8 +235,8 @@ def _retained_set(state: SolverState) -> _RetainedSet:
         for x, nbrs in enumerate(adjacency):
             if (nbrs & degree_two).bit_count() >= 3:
                 over_cap |= 1 << x
-        entry = _RetainedSet(state.cover_counts, adjacency, degree_two, over_cap)
-        state._retained_sets[state.retained] = entry
+        entry = _RetainedSet(covers, adjacency, degree_two, over_cap)
+        basis._retained_sets[state.retained] = entry
     return entry
 
 
@@ -238,18 +248,19 @@ def _retained_set_after(state: SolverState, record: DeletionRecord) -> _Retained
     from :func:`_cap_after`. Every later one takes it from the table.
     """
     retained = state.retained & ~(1 << record.cycle)
-    entry = state._retained_sets.get(retained)
+    entry = state.basis._retained_sets.get(retained)
     if entry is None:
-        covers = list(state.cover_counts)
+        before = _retained_set(state)
+        covers = list(before.cover_counts)
         for e in iter_bits(state.basis.cycles[record.cycle]):
             covers[e] -= 1
         u, v, _ = state.basis.graph.edges[record.removed_edge]
-        adjacency = list(state.union_adjacency)
+        adjacency = list(before.union_adjacency)
         adjacency[u] &= ~(1 << v)
         adjacency[v] &= ~(1 << u)
-        degree_two, over_cap = _cap_after(_retained_set(state), u, v)
+        degree_two, over_cap = _cap_after(before, u, v)
         entry = _RetainedSet(tuple(covers), tuple(adjacency), degree_two, over_cap)
-        state._retained_sets[retained] = entry
+        state.basis._retained_sets[retained] = entry
     return entry
 
 
@@ -290,25 +301,23 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
     the post-deletion union, then the diagonal clusters. The cap is read
     from the state's retained-set entry, and only the neighbours of a
-    removed-edge end that drops to degree 2 are counted again. Verdicts, with the deletion
-    record, are cached per (retained bitmask, cycle), one ``verdict_cache``
-    entry per verdict evaluated, and
-    :func:`~cycletrim.solver.apply_deletion` takes its record from that
-    cache; the entry's ``asked`` and ``removable`` bits record the verdict
-    too, so ``solve`` reads a pass's candidates from them and asks each
-    verdict once per solve. Cluster reductions are cached per member
-    bitmask.
+    removed-edge end that drops to degree 2 are counted again. The verdict,
+    with its deletion record, is kept in that entry, which gains one key and
+    its ``asked`` (and, if removable, ``removable``) bit per verdict
+    evaluated; a verdict asked again is read from there. ``solve`` reads a
+    pass's candidates from those bits, and
+    :func:`~cycletrim.solver.apply_deletion` its record from the entry.
+    Cluster tags are kept on the basis per member bitmask.
     """
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
     entry = _retained_set(state)
-    key = verdict_key(state, c)
-    ctx = state.verdict_cache.get(key)
+    ctx = entry.verdicts.get(c)
     if ctx is None:
-        ctx = state.verdict_cache[key] = _evaluate(state, entry, c)
-    entry.asked |= 1 << c
-    if ctx.verdict == REMOVABLE:
-        entry.removable |= 1 << c
+        ctx = entry.verdicts[c] = _evaluate(state, entry, c)
+        entry.asked |= 1 << c
+        if ctx.verdict == REMOVABLE:
+            entry.removable |= 1 << c
     return ctx
 
 
@@ -329,14 +338,14 @@ def _evaluate(state: SolverState, entry: _RetainedSet, c: int) -> RemovabilityCo
             members = reach(state.basis.sharing, d, state.retained)
             for m in iter_bits(members):
                 entry.components[m] = members
-        outcome_tag = state.cluster_cache.get(members)
+        outcome_tag = state.basis._cluster_tags.get(members)
         if outcome_tag is None:
             mask = 0
             for m in iter_bits(members):
                 mask |= state.basis.cycles[m]
             state.counters.row_ops += members.bit_count()
             outcome_tag = reduce_cluster(mask_neighbours(g, mask)).tag
-            state.cluster_cache[members] = outcome_tag
+            state.basis._cluster_tags[members] = outcome_tag
             state.counters.reduce_calls += 1
         if outcome_tag == REDUCED_ACYCLIC:
             return RemovabilityContext(BLOCKED_BY_CLUSTER, record)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
-from .graphs import Graph, Weight, iter_bits, mask_neighbours, mask_weight, tour_from_edge_mask
+from .graphs import Graph, Weight, iter_bits, mask_weight, tour_from_edge_mask
 from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
 from .removability import (
     DeletionRecord,
@@ -28,7 +28,6 @@ from .removability import (
     _retained_set_after,
     deletion_record,
     is_removable,
-    verdict_key,
 )
 from .solvability import SolutionPartition, enumerate_solutions
 
@@ -63,28 +62,34 @@ class Counters:
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
-    ``retained`` is the bitmask of the retained cycles. ``cover_counts`` and
-    ``union_adjacency`` (one bitmask of union neighbours per vertex) are
-    always consistent with the retained rows; the union is the set of edges
-    with a nonzero cover count, and the graph is ``basis.graph``. Counters
-    and memo caches ride along by reference and are excluded from equality,
-    so structurally identical states compare equal. ``_retained_sets`` is
-    the solve's table of retained-set entries, keyed by the retained
-    bitmask: states of different partitions that retain the same cycles
-    share one entry's cover counts, union adjacency, neighbour-cap masks,
-    sharing components and verdict bits.
+    ``retained`` is the bitmask of the retained cycles. What depends only
+    on that set lives in its entry in the basis' table of retained sets,
+    which states of every partition of the solve share; ``cover_counts``
+    and ``union_adjacency`` (one bitmask of union neighbours per vertex)
+    are read-only views of it, always consistent with the retained rows.
+    The union is the set of edges with a nonzero cover count, and the graph
+    is ``basis.graph``. Counters ride along by reference and are excluded
+    from equality, so structurally identical states compare equal.
     """
 
     basis: CycleBasis
     partition: SolutionPartition
     retained: int
-    cover_counts: tuple[int, ...]
-    union_adjacency: tuple[int, ...]
     trace: tuple[DeletionRecord, ...] = ()
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
-    cluster_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    verdict_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _retained_sets: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def cover_counts(self) -> tuple[int, ...]:
+        return _retained_set(self).cover_counts
+
+    @property
+    def union_adjacency(self) -> tuple[int, ...]:
+        return _retained_set(self).union_adjacency
+
+    @property
+    def verdict_cache(self) -> dict:
+        # perfbench/layers.py counts a verdict cache hit by this length
+        return _retained_set(self).verdicts
 
 
 @dataclass(frozen=True)
@@ -124,18 +129,15 @@ class TourResult:
 
 
 def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverState:
-    """Fresh state retaining the whole basis, with new counters and caches;
-    it builds the basis' sharing and diagonal tables."""
-    union = 0
-    for row in basis.cycles:
-        union |= row
+    """Fresh state retaining the whole basis, with new counters; it builds
+    the basis' sharing and diagonal tables. The state shares the basis'
+    table of retained sets, whose full-set entry takes the basis' cover
+    counts."""
     basis.sharing  # builds both tables
     return SolverState(
         basis=basis,
         partition=partition,
         retained=(1 << basis.dimension) - 1,
-        cover_counts=basis.cover_counts,
-        union_adjacency=tuple(mask_neighbours(basis.graph, union)),
         # one row op per basis row, for the cover counts the basis carries,
         # and one per pair of rows, for the tables: d + d(d - 1)/2 in all
         counters=Counters(row_ops=basis.dimension * (basis.dimension + 1) // 2),
@@ -165,23 +167,20 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     """Delete co-solution cycle ``c`` from the retained set.
 
     The union loses exactly the cycle's boundary edge; cover counts drop on
-    the cycle's edges; the deletion is appended to the trace. The cover
-    counts and union adjacency of the set left are built once per solve, by
-    the first deletion that reaches it, and taken from the solve's table by
-    every later one. A verdict on ``c`` cached for this retained set already
-    carries the deletion record; without one the cycle's row is scanned for
-    it.
+    the cycle's edges; the deletion is appended to the trace. The entry of
+    the set left, with its cover counts and union adjacency, is built once
+    per solve, by the first deletion that reaches it, and taken from the
+    basis' table by every later one. A verdict on ``c`` in this retained
+    set's entry already carries the deletion record; without one the
+    cycle's row is scanned for it.
     """
     if not (state.retained >> c) & 1:
         raise NotRemovable(f"cycle {c} is not retained")
     if not (state.partition.co_solution >> c) & 1:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
-    known = state.verdict_cache.get(verdict_key(state, c))
-    if known is not None and known.record is not None:
-        rec = known.record
-    else:
-        rec = deletion_record(state, c)
-    after = _retained_set_after(state, rec)
+    known = _retained_set(state).verdicts.get(c)
+    rec = deletion_record(state, c) if known is None or known.record is None else known.record
+    _retained_set_after(state, rec)
     counters = state.counters
     # one per deletion for the cover update, also when the table already
     # held the set's covers
@@ -191,13 +190,8 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
         basis=state.basis,
         partition=state.partition,
         retained=state.retained & ~(1 << c),
-        cover_counts=after.cover_counts,
-        union_adjacency=after.union_adjacency,
         trace=state.trace + (rec,),
         counters=counters,
-        cluster_cache=state.cluster_cache,
-        verdict_cache=state.verdict_cache,
-        _retained_sets=state._retained_sets,
     )
 
 
@@ -213,9 +207,7 @@ def _removable_records(state: SolverState, pool: int) -> list[DeletionRecord]:
     entry = _retained_set(state)
     for c in iter_bits(pool & ~entry.asked):
         is_removable(state, c)
-    return [
-        state.verdict_cache[verdict_key(state, c)].record for c in iter_bits(pool & entry.removable)
-    ]
+    return [entry.verdicts[c].record for c in iter_bits(pool & entry.removable)]
 
 
 def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverState:
@@ -235,10 +227,12 @@ def solve(graph: Graph) -> TourResult:
     front gate runs. Front gate: inputs that the exhaustive Hamiltonicity
     test rejects come back as ``not_hamiltonian_input``. Other failures never
     raise; they surface as statuses with the trace of the last attempted
-    partition. Counters, caches and the table of retained-set entries are
-    shared by every partition tried: every partition starts from the full
-    basis, so each verdict on the start state, like each on any retained
-    set, is asked once per solve.
+    partition. The one basis built per call carries the solve's memo, its
+    table of retained-set entries (each with its verdicts) and its cluster
+    tags; it and the counters are shared by every partition tried. Every
+    partition starts from the full basis, so each verdict on the start
+    state, like each on any retained set, is evaluated once per solve, and
+    no solve reads another's memo.
     """
     n = graph.vertex_count
     if n > HELD_KARP_MAX_VERTICES:

@@ -15,7 +15,6 @@ from cycletrim import (
     SolverState,
     TourResult,
     count_covers,
-    edges_with_cover,
     enumerate_solutions,
     fundamental_basis,
     initial_state,
@@ -257,24 +256,15 @@ def crafted_state(
 ) -> SolverState:
     """Build a solver state from hand-picked basis rows (unit-test rigging).
 
-    ``retained`` is a bitmask of row indices; every row by default.
+    ``retained`` is a bitmask of row indices; every row by default. The
+    state's basis is new, so nothing is known about it yet.
     """
     everything = (1 << len(rows)) - 1
     if retained is None:
         retained = everything
-    covers = count_covers(graph.edge_count, (rows[i] for i in iter_bits(retained)))
     basis = CycleBasis(graph, tuple(rows), count_covers(graph.edge_count, rows))
     partition = SolutionPartition(solution, everything & ~bits(solution))
-    union = 0
-    for i in iter_bits(retained):
-        union |= rows[i]
-    return SolverState(
-        basis=basis,
-        partition=partition,
-        retained=retained,
-        cover_counts=covers,
-        union_adjacency=_union_adjacency(graph, union),
-    )
+    return SolverState(basis=basis, partition=partition, retained=retained)
 
 
 def check_state(state: SolverState) -> None:
@@ -332,9 +322,9 @@ def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -
 def solve_reference(graph: Graph) -> TourResult:
     """The solver loop that runs every partition from a copy of the start state.
 
-    Each partition asks its first pass through the verdict cache again and
-    decodes its own boundary; ``solve`` must give the same result in every
-    field, and the same counters apart from ``row_ops``.
+    Each partition asks its first pass again, reading the verdicts from the
+    start set's entry, and decodes its own boundary; ``solve`` must give the
+    same result in every field, and the same counters apart from ``row_ops``.
     """
     if not is_hamiltonian(graph):
         return TourResult(STATUS_NOT_HAMILTONIAN, None, None, 0, None)
@@ -491,10 +481,6 @@ def edge_subgraph_reference(g: Graph, mask: int) -> Graph:
         for e in iter_bits(mask)
     )
     return Graph(len(new_id), edges)
-
-
-def boundary_edges(state: SolverState) -> int:
-    return edges_with_cover(state.cover_counts, 1)
 
 
 def min_tour_reference(g: Graph) -> OracleAnswer:

@@ -97,10 +97,6 @@ def test_enumerate_matches_naive_filter(g):
 def test_record_solvability_of_small_hamiltonian_graphs(monkeypatch):
     """Recorded observation, not an assertion: how often Hamiltonian inputs
     with n <= 7 admit a solution under the fundamental basis."""
-    import random
-
-    from cycletrim import random_connected_graph
-
     rng = random.Random(7)
     monkeypatch.setattr(solvability, "SOLUTION_CAP", 1)
     total = solvable = 0

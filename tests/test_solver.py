@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import cycletrim.solver
 from cycletrim import (
     NotRemovable,
     TooLarge,
@@ -12,7 +13,6 @@ from cycletrim import (
     apply_deletion,
     boundary_mask,
     count_covers,
-    enumerate_solutions,
     fundamental_basis,
     initial_state,
     is_hamiltonian,
@@ -39,6 +39,7 @@ from helpers import (
     make_graph,
     petersen,
     solve_reference,
+    state_for,
     theta,
     triangle,
     union_mask,
@@ -82,8 +83,6 @@ def test_solve_petersen():
 
 def test_solve_rejects_oversized_input_before_the_front_gate(monkeypatch):
     # K_{12,13}: 25 vertices, and a gate search that does not end in practice
-    import cycletrim.solver
-
     def gate(graph):
         raise AssertionError("the front gate ran")
 
@@ -94,8 +93,6 @@ def test_solve_rejects_oversized_input_before_the_front_gate(monkeypatch):
 
 
 def test_solve_builds_one_initial_state(monkeypatch):
-    import cycletrim.solver
-
     built = []
     real = cycletrim.solver.initial_state
 
@@ -118,9 +115,7 @@ def test_solve_wheel_gets_stuck():
 
 
 def test_deletion_delta_k4():
-    basis = fundamental_basis(k4_golden())
-    parts = enumerate_solutions(basis)
-    state = initial_state(basis, parts[0])
+    basis, parts, state = state_for(k4_golden())
     c = next(iter_bits(parts[0].co_solution))
     rec = apply_deletion(state, c).trace[-1]
     g = state.basis.graph
@@ -181,8 +176,7 @@ def test_deletion_delta_rejects_non_removable():
 
 
 def test_select_deletion_tie_breaks():
-    basis = fundamental_basis(k4_golden())
-    state = initial_state(basis, enumerate_solutions(basis)[0])
+    _, _, state = state_for(k4_golden())
     from cycletrim.solver import DeletionRecord
 
     a = DeletionRecord(2, 0, 0, Fraction(5))
@@ -199,9 +193,7 @@ def test_select_deletion_tie_breaks():
 
 
 def test_apply_deletion_contract():
-    basis = fundamental_basis(k4_golden())
-    parts = enumerate_solutions(basis)
-    state = initial_state(basis, parts[0])
+    basis, parts, state = state_for(k4_golden())
     c = next(iter_bits(parts[0].co_solution))
     after = apply_deletion(state, c)
     assert union_mask(after).bit_count() == union_mask(state).bit_count() - 1
@@ -232,8 +224,7 @@ def test_trace_replay_reproduces_final_state():
         result = solve(g)
         if result.partition is None:
             continue
-        basis = fundamental_basis(g)
-        state = initial_state(basis, result.partition)
+        state = initial_state(fundamental_basis(g), result.partition)
         solution = bits(result.partition.solution)
         check_state(state)
         for rec in result.trace:
@@ -276,10 +267,11 @@ def test_solve_matches_the_every_partition_reference_on_campaign_draws():
 
 def test_retained_set_entries_match_a_recount(monkeypatch):
     # seeded draws as `cycletrim mine` makes them; after each solve, every
-    # entry of its retained-set table against a recount of the retained rows,
-    # a scan of the union and the verdicts of a cache-free state
-    import cycletrim.solver
-
+    # entry of its basis' retained-set table against a recount of the
+    # retained rows, a scan of the union and the verdicts of a state over a
+    # memo-free copy of the basis. The memo lasts one solve: a second solve
+    # of the graph does the same work in every counter, which a memo kept
+    # past the solve (on the graph, say) would cut
     partitions_reaching = {}
     real = cycletrim.solver.apply_deletion
 
@@ -300,8 +292,12 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
         if result.final_state is None:
             continue
         solved += 1
+        again = solve(g)
+        assert again == result and again.counters == result.counters
+        copy = dataclasses.replace(result.final_state.basis)
+        assert not copy._retained_sets and not copy._cluster_tags
         rows = list(result.final_state.basis.cycles)
-        for retained, entry in result.final_state._retained_sets.items():
+        for retained, entry in result.final_state.basis._retained_sets.items():
             kept = [rows[i] for i in iter_bits(retained)]
             union = 0
             for row in kept:
@@ -312,9 +308,11 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
             fresh = crafted_state(g, rows, solution=(), retained=retained)
             assert entry.asked & ~retained == 0
             assert entry.removable & ~entry.asked == 0
-            for c in iter_bits(entry.asked):
-                removable = is_removable(fresh, c).verdict == REMOVABLE
-                assert (entry.removable >> c) & 1 == removable
+            # the entry is the one verdict memo, and its bits index its verdicts
+            assert entry.asked == bits(entry.verdicts)
+            for c, ctx in entry.verdicts.items():
+                assert is_removable(fresh, c) == ctx
+                assert (entry.removable >> c) & 1 == (ctx.verdict == REMOVABLE)
             for c, members in entry.components.items():
                 assert members == cluster_members_reference(fresh, c)
     # the sharing path is taken: some retained set is reached by deletions
@@ -328,10 +326,6 @@ def test_determinism():
 
 
 def test_scale_covariance():
-    import random
-
-    from cycletrim import is_hamiltonian, random_connected_graph
-
     rng = random.Random(17)
     samples = [k4_golden()]
     while len(samples) < 6:
