@@ -10,6 +10,11 @@ For each input the digest takes ``cli._result_json(solve(graph))`` (status,
 tour, weight, counters and trace) together with the two counters it leaves
 out, ``row_ops`` and ``max_candidates_per_pass``. Two checkouts whose
 digests agree give the same results, traces and counters on every input.
+A second, outcome sha256 takes only what a solve's answer and its deletion
+path fix: status, tour, weight, trace, ``solvable``, ``deletions``,
+``comparisons`` and ``reduce_calls``. It leaves out the counts of
+partitions tried and candidates tested, which a solve that stops early
+lowers without changing its answer.
 Each line also counts, over all inputs, the deletions applied, the distinct
 (input, retained set) pairs the solver's states reach (the start set
 included: the entries of the basis' table of retained sets), and the
@@ -26,6 +31,11 @@ import json
 import sys
 from pathlib import Path
 from time import process_time
+
+#: the ``cli._result_json`` fields the outcome sha256 takes
+OUTCOME_FIELDS = (
+    "status", "tour", "weight", "trace", "solvable", "deletions", "comparisons", "reduce_calls",
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -44,6 +54,7 @@ def main() -> int:
     for workload in args.workload or workloads.WORKLOADS:
         inputs = workloads.set_up(workload, args.seed, workloads.input_size(workload, args.seconds))
         sha = hashlib.sha256()
+        outcome = hashlib.sha256()
         deletions = retained_sets = evaluations = 0
         spent = 0.0
         for graph in inputs.kept:
@@ -57,13 +68,15 @@ def main() -> int:
                 "max_candidates_per_pass": counters.max_candidates_per_pass,
             }
             sha.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
+            fixed = {name: answer[name] for name in OUTCOME_FIELDS}
+            outcome.update(json.dumps(fixed, sort_keys=True).encode() + b"\n")
             deletions += counters.deletions
             if result.final_state is not None:
                 table = result.final_state.basis._retained_sets
                 retained_sets += len(table)
                 evaluations += sum(len(entry.verdicts) for entry in table.values())
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.kept)} inputs, "
-              f"sha256 {sha.hexdigest()}; {deletions} deletions, {retained_sets} retained sets, "
+              f"sha256 {sha.hexdigest()}, outcome sha256 {outcome.hexdigest()}; {deletions} deletions, {retained_sets} retained sets, "
               f"{evaluations} evaluations ({spent:.2f} s in solve)")
     return 0
 

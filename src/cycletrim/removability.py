@@ -21,12 +21,15 @@ vertex, until the edges left form a single cycle or no move applies.
 A solve keeps one entry per retained set it reaches, in the basis'
 ``_retained_sets`` table keyed by the retained bitmask. The entry is the one
 home of what depends only on that set: the cover counts and union
-adjacency, the union's degree-2 vertices and the vertices already over the
+adjacency, the bitmasks of the edges covered exactly once and exactly
+twice, the union's degree-2 vertices and the vertices already over the
 neighbour cap, the sharing components walked so far, and the verdicts on
 its cycles, indexed by bitmasks of the cycles asked and found removable.
-States of different partitions that retain the same cycles share it, so
-each entry is built, and each verdict evaluated, once per solve. Cluster
-tags live beside the table on the basis, keyed by the member bitmask.
+With the two edge masks, candidacy and the edges a deletion adds to the
+boundary are each one AND with the cycle's row. States of different
+partitions that retain the same cycles share the entry, so each entry is
+built, and each verdict evaluated, once per solve. Cluster tags live
+beside the table on the basis, keyed by the member bitmask.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .cycle_space import count_covers
+from .cycle_space import count_covers, edges_with_cover
 from .graphs import Weight, iter_bits, mask_neighbours, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
@@ -96,30 +99,34 @@ class ReductionOutcome:
 
 
 def deletion_record(state: SolverState, c: int) -> DeletionRecord:
-    """What deleting ``c`` does to the union, from one scan of its row.
+    """What deleting ``c`` does to the union, read from its row and the
+    retained set's edge masks.
 
-    A cycle is a candidate exactly when one of its edges is covered once;
+    A cycle is a candidate exactly when one of its edges is covered once:
+    its row ANDed with the entry's once-covered mask holds one bit, and
     that edge leaves the union. Its other edges are covered at least twice,
-    so they stay in the union and no vertex of ``c`` is left isolated.
-    Raises :class:`NotRemovable` for any other cycle.
+    so they stay in the union and no vertex of ``c`` is left isolated; its
+    row ANDed with the twice-covered mask is the edges that join the
+    boundary. Raises :class:`NotRemovable` for any other cycle. Counts one
+    row op, as the scan of the row it stands for did.
     """
     row = state.basis.cycles[c]
-    covers = state.cover_counts
+    entry = _retained_set(state)
     state.counters.row_ops += 1
-    removed = None
-    newly = added = 0
-    for e in iter_bits(row):
-        cover = covers[e]
-        if cover == 1:
-            if removed is not None:
-                raise NotRemovable(f"cycle {c} has more than one boundary edge")
-            removed = e
-        elif cover == 2:
-            newly |= 1 << e
-            added += state.basis.graph.weights[e]
-    if removed is None:
+    hit = row & entry.once
+    if not hit:
         raise NotRemovable(f"cycle {c} has no boundary edge")
-    return DeletionRecord(c, removed, newly, added)
+    if hit & (hit - 1):
+        raise NotRemovable(f"cycle {c} has more than one boundary edge")
+    newly = row & entry.twice
+    weights = state.basis.graph.weights
+    added = 0
+    m = newly
+    while m:
+        low = m & -m
+        added += weights[low.bit_length() - 1]
+        m ^= low
+    return DeletionRecord(c, hit.bit_length() - 1, newly, added)
 
 
 def find_diagonals(state: SolverState, c: int) -> int:
@@ -193,9 +200,12 @@ class _RetainedSet:
 
     ``cover_counts`` and ``union_adjacency`` (one bitmask of union
     neighbours per vertex) are what the states' properties of the same
-    names read. ``degree_two`` is the bitmask of the union's degree-2
-    vertices and ``over_cap`` of the vertices with three or more of them as
-    union neighbours. ``components`` maps each retained cycle whose sharing
+    names read. ``once`` and ``twice`` are the bitmasks of the edges
+    covered exactly once (the boundary) and exactly twice, from which
+    :func:`deletion_record` reads a cycle's candidacy and the edges its
+    deletion adds to the boundary. ``degree_two`` is the bitmask of the
+    union's degree-2 vertices and ``over_cap`` of the vertices with three
+    or more of them as union neighbours. ``components`` maps each retained cycle whose sharing
     component has been walked to that component's bitmask. ``verdicts``
     maps each cycle whose verdict on the set has been evaluated to it, with
     its deletion record. ``asked`` and ``removable`` index it by bit: bit
@@ -206,6 +216,8 @@ class _RetainedSet:
 
     cover_counts: tuple[int, ...]
     union_adjacency: tuple[int, ...]
+    once: int
+    twice: int
     degree_two: int
     over_cap: int
     components: dict[int, int] = field(default_factory=dict)
@@ -223,6 +235,7 @@ def _retained_set(state: SolverState) -> _RetainedSet:
         rows = [basis.cycles[i] for i in iter_bits(state.retained)]
         full = len(rows) == basis.dimension
         covers = basis.cover_counts if full else count_covers(basis.graph.edge_count, rows)
+        once, twice = edges_with_cover(covers, 1), edges_with_cover(covers, 2)
         union = 0
         for row in rows:
             union |= row
@@ -235,7 +248,7 @@ def _retained_set(state: SolverState) -> _RetainedSet:
         for x, nbrs in enumerate(adjacency):
             if (nbrs & degree_two).bit_count() >= 3:
                 over_cap |= 1 << x
-        entry = _RetainedSet(covers, adjacency, degree_two, over_cap)
+        entry = _RetainedSet(covers, adjacency, once, twice, degree_two, over_cap)
         basis._retained_sets[state.retained] = entry
     return entry
 
@@ -244,22 +257,29 @@ def _retained_set_after(state: SolverState, record: DeletionRecord) -> _Retained
     """The solve's entry for the set ``state`` retains without ``record.cycle``.
 
     The first state to reach the set builds it from ``state``'s: covers drop
-    on the cycle's row, the union loses the removed edge, and the masks come
-    from :func:`_cap_after`. Every later one takes it from the table.
+    on the cycle's row, the union loses the removed edge, the row's
+    twice-covered edges become once-covered, its once-covered edge leaves,
+    and the vertex masks come from :func:`_cap_after`. Every later one
+    takes it from the table.
     """
     retained = state.retained & ~(1 << record.cycle)
     entry = state.basis._retained_sets.get(retained)
     if entry is None:
         before = _retained_set(state)
+        row = state.basis.cycles[record.cycle]
         covers = list(before.cover_counts)
-        for e in iter_bits(state.basis.cycles[record.cycle]):
+        twice = before.twice & ~row
+        for e in iter_bits(row):
             covers[e] -= 1
+            if covers[e] == 2:
+                twice |= 1 << e
+        once = (before.once & ~row) | (before.twice & row)
         u, v, _ = state.basis.graph.edges[record.removed_edge]
         adjacency = list(before.union_adjacency)
         adjacency[u] &= ~(1 << v)
         adjacency[v] &= ~(1 << u)
         degree_two, over_cap = _cap_after(before, u, v)
-        entry = _RetainedSet(tuple(covers), tuple(adjacency), degree_two, over_cap)
+        entry = _RetainedSet(tuple(covers), tuple(adjacency), once, twice, degree_two, over_cap)
         state.basis._retained_sets[retained] = entry
     return entry
 

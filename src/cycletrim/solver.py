@@ -5,7 +5,9 @@ removable co-solution cycle — the one whose deletion commits the least extra
 weight to the boundary (edges covered exactly once) — until nothing can be
 deleted. If the boundary edges then form a spanning cycle, that cycle is the
 answer; otherwise the next solution partition is tried. The solution cycles
-themselves are never deleted.
+themselves are never deleted. Every partition starts from the same full
+basis, so when no basis cycle is removable there, every partition would end
+on the start boundary, and the solve stops after the first.
 
 The run is fully deterministic: candidates are scanned in index order and
 ties on the weight increment break by smaller removed-edge weight, then by
@@ -14,12 +16,11 @@ cycle index.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .cycle_space import CycleBasis, edges_with_cover, fundamental_basis
-from .graphs import Graph, Weight, iter_bits, mask_weight, tour_from_edge_mask
+from .cycle_space import CycleBasis, fundamental_basis
+from .graphs import Graph, Weight, mask_weight, tour_from_edge_mask
 from .oracle import HELD_KARP_MAX_VERTICES, TooLarge, is_hamiltonian
 from .removability import (
     DeletionRecord,
@@ -29,7 +30,7 @@ from .removability import (
     deletion_record,
     is_removable,
 )
-from .solvability import SolutionPartition, enumerate_solutions
+from .solvability import SolutionPartition, _first_solution, enumerate_solutions
 
 Status = Literal["ok", "not_hamiltonian_input", "no_solution", "stuck"]
 
@@ -45,9 +46,14 @@ class Counters:
 
     ``row_ops`` counts one per basis-row scan of the matrix-level work,
     plus one per pair of rows for the basis' sharing and diagonal tables;
-    each applied deletion counts one for its cover update, also when it
-    takes the cover counts from the solve's table of retained sets without
-    a scan. ``reduce_calls`` counts cluster reductions actually executed.
+    each evaluated verdict counts one for its candidacy, read with two ANDs
+    of the cycle's row and the retained set's edge masks, and each applied
+    deletion one for its cover update, also when it takes the cover counts
+    from the solve's table of retained sets without a scan.
+    ``reduce_calls`` counts cluster reductions actually executed. Both
+    also count the start verdicts that a solve whose first partition
+    deletes nothing asks of that partition's solution cycles (see
+    :func:`solve`).
     """
 
     candidates_tested: int = 0
@@ -98,7 +104,11 @@ class TourResult:
 
     ``tour`` is the vertex sequence (start repeated implicitly) and
     ``weight`` its exact edge-weight sum, both present only for status
-    ``ok``. ``solutions_tried`` counts the partitions attempted.
+    ``ok``. ``solutions_tried`` counts the partitions attempted. A solve
+    that stops because no basis cycle is removable at the start is
+    ``stuck`` with ``solutions_tried == 1``, since every other partition
+    would end on the same boundary; its ``partition`` is the first one,
+    and its ``candidates_tested`` that partition's co-solution size.
     ``final_state`` is the last attempted partition's end state, present
     whenever a partition was tried; ``trace``, ``counters``, ``partition``
     and ``solvable`` are read from it.
@@ -146,7 +156,7 @@ def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverStat
 
 def boundary_mask(state: SolverState) -> int:
     """Edges covered exactly once by the retained cycles."""
-    return edges_with_cover(state.cover_counts, 1)
+    return _retained_set(state).once
 
 
 def select_deletion(state: SolverState, records: list[DeletionRecord]) -> DeletionRecord:
@@ -205,9 +215,19 @@ def _removable_records(state: SolverState, pool: int) -> list[DeletionRecord]:
     # retained set are asked, and the removable cycles are read from its entry
     _count_pass(state.counters, pool.bit_count())
     entry = _retained_set(state)
-    for c in iter_bits(pool & ~entry.asked):
-        is_removable(state, c)
-    return [entry.verdicts[c].record for c in iter_bits(pool & entry.removable)]
+    m = pool & ~entry.asked
+    while m:
+        low = m & -m
+        is_removable(state, low.bit_length() - 1)
+        m ^= low
+    verdicts = entry.verdicts
+    records = []
+    m = pool & entry.removable
+    while m:
+        low = m & -m
+        records.append(verdicts[low.bit_length() - 1].record)
+        m ^= low
+    return records
 
 
 def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverState:
@@ -218,6 +238,24 @@ def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverS
         state = apply_deletion(state, select_deletion(state, records).cycle)
         records = _removable_records(state, state.partition.co_solution & state.retained)
     return state
+
+
+def _attempt(
+    start: SolverState,
+    partition: SolutionPartition,
+    start_mask: int,
+    start_tour: tuple[int, ...] | None,
+) -> tuple[SolverState, int, tuple[int, ...] | None]:
+    # one partition from the full basis: (end state, boundary, tour or None).
+    # The start state retains every cycle, so the first pass's pool is the
+    # co-solution; a partition that deletes nothing ends on the start boundary
+    first = _removable_records(start, partition.co_solution)
+    state = SolverState(start.basis, partition, start.retained, counters=start.counters)
+    if not first:
+        return state, start_mask, start_tour
+    state = _run_partition(state, first)
+    mask = boundary_mask(state)
+    return state, mask, tour_from_edge_mask(start.basis.graph, mask)
 
 
 def solve(graph: Graph) -> TourResult:
@@ -233,6 +271,15 @@ def solve(graph: Graph) -> TourResult:
     partition starts from the full basis, so each verdict on the start
     state, like each on any retained set, is evaluated once per solve, and
     no solve reads another's memo.
+
+    The first partition is read from the solution table without
+    enumerating the others. When it deletes nothing and its boundary is not
+    a tour, the start verdicts of its solution cycles are asked as well,
+    outside any counted pass. If no basis cycle is removable, every
+    partition's first pass would find nothing and end on this boundary, so
+    the solve is ``stuck`` after one partition, on its start state. Only
+    otherwise are the partitions enumerated, and the solve goes on from the
+    second.
     """
     n = graph.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
@@ -240,26 +287,23 @@ def solve(graph: Graph) -> TourResult:
     if not is_hamiltonian(graph):
         return TourResult(STATUS_NOT_HAMILTONIAN, None, None, 0, None)
     basis = fundamental_basis(graph)
-    partitions = enumerate_solutions(basis)
-    if not partitions:
+    first = _first_solution(basis)
+    if first is None:
         return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
-    start = initial_state(basis, partitions[0])
+    start = initial_state(basis, first)
     start_mask = boundary_mask(start)
     start_tour = tour_from_edge_mask(graph, start_mask)
-    for tried, partition in enumerate(partitions, 1):
-        # the start state retains every cycle, so the pool is the co-solution
-        first = _removable_records(start, partition.co_solution)
-        if first:
-            state = _run_partition(dataclasses.replace(start, partition=partition), first)
-            mask = boundary_mask(state)
-            tour = tour_from_edge_mask(graph, mask)
-        else:
-            # nothing goes: the partition ends on the start state
-            state, mask, tour = None, start_mask, start_tour
-        if tour is not None:
-            break
-    if state is None:
-        state = dataclasses.replace(start, partition=partition)
+    state, mask, tour = _attempt(start, first, start_mask, start_tour)
+    tried = 1
+    if tour is None and not state.trace:
+        # nothing went: ask the rest of the start verdicts, outside any pass
+        for c in first.solution:
+            is_removable(start, c)
+    if tour is None and _retained_set(start).removable:
+        for tried, partition in enumerate(enumerate_solutions(basis)[1:], 2):
+            state, mask, tour = _attempt(start, partition, start_mask, start_tour)
+            if tour is not None:
+                break
     if tour is None:
         return TourResult(STATUS_STUCK, None, None, tried, state)
     return TourResult(STATUS_OK, tour, mask_weight(graph, mask), tried, state)

@@ -286,6 +286,19 @@ def check_state(state: SolverState) -> None:
     assert state.union_adjacency == _union_adjacency(state.basis.graph, union)
 
 
+def deletion_record_reference(state: SolverState, c: int) -> DeletionRecord | None:
+    """What deleting ``c`` does, by a scan of its row against the cover
+    counts: None unless exactly one of its edges is covered once; otherwise
+    that edge, the bitmask of its edges covered twice and their weight."""
+    covers = state.cover_counts
+    once = [e for e in iter_bits(state.basis.cycles[c]) if covers[e] == 1]
+    twice = [e for e in iter_bits(state.basis.cycles[c]) if covers[e] == 2]
+    if len(once) != 1:
+        return None
+    added = sum((state.basis.graph.weights[e] for e in twice), start=Fraction(0))
+    return DeletionRecord(c, once[0], bits(twice), added)
+
+
 def cap_masks_reference(adjacency) -> tuple[int, int]:
     """``(degree_two, over_cap)`` of a union by a scan of every vertex: the
     degree-2 vertices, and those with three or more of them as neighbours."""

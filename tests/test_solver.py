@@ -8,11 +8,12 @@ from hypothesis import given, settings
 import cycletrim.solver
 from cycletrim import (
     NotRemovable,
+    SolverState,
     TooLarge,
-    TourResult,
     apply_deletion,
     boundary_mask,
     count_covers,
+    enumerate_solutions,
     fundamental_basis,
     initial_state,
     is_hamiltonian,
@@ -24,9 +25,9 @@ from cycletrim import (
     tour_weight,
 )
 from cycletrim.cycle_space import edges_with_cover
-from cycletrim.graphs import iter_bits
-from cycletrim.removability import REMOVABLE
-from cycletrim.solver import STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
+from cycletrim.graphs import Graph, iter_bits, tour_from_edge_mask
+from cycletrim.removability import BLOCKED_BY_CLUSTER, REMOVABLE
+from cycletrim.solver import STATUS_NO_SOLUTION, STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
 from helpers import (
     _union_adjacency,
@@ -35,6 +36,7 @@ from helpers import (
     check_state,
     cluster_members_reference,
     crafted_state,
+    deletion_record_reference,
     k4_golden,
     make_graph,
     petersen,
@@ -92,7 +94,18 @@ def test_solve_rejects_oversized_input_before_the_front_gate(monkeypatch):
         solve(k_12_13)
 
 
+def _draw_trying_several_partitions() -> Graph:
+    # the first seeded campaign-style draw whose solve goes past its first
+    # partition
+    rng = random.Random(24)
+    while True:
+        g = random_connected_graph(rng, rng.randint(5, 10), 0.5, 1, 100)
+        if is_hamiltonian(g) and solve(g).solutions_tried > 1:
+            return g
+
+
 def test_solve_builds_one_initial_state(monkeypatch):
+    g = _draw_trying_several_partitions()
     built = []
     real = cycletrim.solver.initial_state
 
@@ -101,17 +114,67 @@ def test_solve_builds_one_initial_state(monkeypatch):
         return real(basis, partition)
 
     monkeypatch.setattr(cycletrim.solver, "initial_state", counted)
-    result = solve(wheel5())
+    result = solve(g)
     assert result.solutions_tried > 1
     assert len(built) == 1
 
 
 def test_solve_wheel_gets_stuck():
-    # every co-solution rim triangle is blocked by its diagonal cluster
+    # every basis triangle is blocked by its diagonal cluster, so the solve
+    # stops after its first partition
     result = solve(wheel5())
     assert result.status == STATUS_STUCK
-    assert result.solutions_tried == 4
+    assert result.solutions_tried == 1
     assert result.solvable
+    assert {ctx.verdict for ctx in result.final_state.verdict_cache.values()} == {
+        BLOCKED_BY_CLUSTER
+    }
+
+
+def _complete_graph(n: int) -> Graph:
+    return make_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.mark.parametrize("n, every_partition", [(5, 20), (6, 64)])
+def test_complete_graph_is_stuck_after_one_partition(monkeypatch, n, every_partition):
+    """Unit-weight K5 and K6 end ``stuck``: every start verdict is
+    ``blocked_by_cluster``, so the solve stops after its first partition
+    without enumerating the others, where trying every partition takes 20
+    and 64. Every Hamilton cycle is optimal here, so this records a failure
+    of the rule as implemented, not a wanted outcome."""
+    g = _complete_graph(n)
+    enumerated = []
+    real = cycletrim.solver.enumerate_solutions
+
+    def counted(basis):
+        enumerated.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(cycletrim.solver, "enumerate_solutions", counted)
+    result = solve(g)
+    assert result.status == STATUS_STUCK
+    assert result.solutions_tried == 1
+    assert enumerated == []
+    start = result.final_state
+    assert start.retained == (1 << start.basis.dimension) - 1 and start.trace == ()
+    assert sorted(start.verdict_cache) == list(range(start.basis.dimension))
+    assert {ctx.verdict for ctx in start.verdict_cache.values()} == {BLOCKED_BY_CLUSTER}
+    assert solve_reference(g).solutions_tried == every_partition
+
+
+def test_eight_edge_graph_has_no_solution():
+    """A Hamiltonian graph on 6 vertices and 8 edges whose basis cycles
+    have values 3, 3 and 2, none of whose subsets sums to 4: ``no_solution``
+    with no partition tried. This records a failure of the rule as
+    implemented, not a wanted outcome."""
+    edges = [(0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)]
+    g = make_graph(6, [(u, v, 1) for u, v in edges])
+    assert is_hamiltonian(g)
+    assert sorted(row.bit_count() - 2 for row in fundamental_basis(g).cycles) == [2, 3, 3]
+    result = solve(g)
+    assert result.status == STATUS_NO_SOLUTION
+    assert result.solutions_tried == 0
+    assert not result.solvable
 
 
 def test_deletion_delta_k4():
@@ -235,16 +298,55 @@ def test_trace_replay_reproduces_final_state():
         assert state.trace == result.trace
 
 
-def _assert_same_as_reference(g):
+def _ask_what_solve_asks_beyond(g, want, partitions) -> int:
+    # ``solve`` asks one set of verdicts that the reference does not: when
+    # the first partition deletes nothing and its start boundary is not a
+    # tour, the start verdicts of its solution cycles. Ask them on the
+    # reference's own memo and counters, and return the cycles newly asked
+    first, basis = partitions[0], want.final_state.basis
+    start = SolverState(basis, first, (1 << basis.dimension) - 1, counters=want.counters)
+    verdicts = start.verdict_cache
+    if any(ctx.verdict == REMOVABLE for c, ctx in verdicts.items() if (first.co_solution >> c) & 1):
+        return 0
+    if tour_from_edge_mask(g, boundary_mask(start)) is not None:
+        return 0
+    newly = bits(c for c in first.solution if c not in verdicts)
+    for c in first.solution:
+        is_removable(start, c)
+    return newly
+
+
+def _assert_same_as_reference(g) -> str:
+    # returns how the solve ended: "no partition", "stopped" early, or the
+    # "same" way as the reference
     got, want = solve(g), solve_reference(g)
-    for f in dataclasses.fields(TourResult):
-        if f.name != "counters":
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert dataclasses.replace(got.counters, row_ops=0) == dataclasses.replace(
-        want.counters, row_ops=0
-    )
-    # the start state's cluster closures are shared by every partition
-    assert got.counters.row_ops <= want.counters.row_ops
+    for name in ("status", "tour", "weight", "trace", "solvable"):
+        assert getattr(got, name) == getattr(want, name), name
+    if got.final_state is None:
+        assert got == want and got.counters == want.counters
+        return "no partition"
+    partitions = enumerate_solutions(got.final_state.basis)
+    in_every_solution = (1 << got.final_state.basis.dimension) - 1
+    for partition in partitions:
+        in_every_solution &= ~partition.co_solution
+    extra = _ask_what_solve_asks_beyond(g, want, partitions)
+    for name in ("deletions", "comparisons", "reduce_calls", "max_candidates_per_pass", "row_ops"):
+        assert getattr(got.counters, name) == getattr(want.counters, name), name
+    if (got.solutions_tried, got.partition) == (want.solutions_tried, want.partition):
+        assert got == want
+        assert got.counters.candidates_tested == want.counters.candidates_tested
+        return "same"
+    else:
+        # the early stop: nothing in the basis could go at the start, and
+        # the reference ended every partition there, having asked every
+        # cycle but those in every solution
+        assert got.solutions_tried == 1
+        assert want.status == STATUS_STUCK and want.counters.deletions == 0
+        assert got.partition == partitions[0]
+        assert got.final_state == dataclasses.replace(want.final_state, partition=partitions[0])
+        assert got.counters.candidates_tested == partitions[0].co_solution.bit_count()
+        assert extra == in_every_solution
+        return "stopped"
 
 
 @given(hamiltonian_graphs(max_vertices=8))
@@ -255,14 +357,17 @@ def test_solve_matches_the_every_partition_reference(g):
 
 def test_solve_matches_the_every_partition_reference_on_campaign_draws():
     rng = random.Random(1)
+    ends = []
     for g in (triangle(), theta(), k4_golden(), wheel5(), petersen()):
-        _assert_same_as_reference(g)
+        ends.append(_assert_same_as_reference(g))
     compared = 0
     while compared < 80:
         g = random_connected_graph(rng, rng.randint(5, 10), 0.5, 1, 100)
         if is_hamiltonian(g):
-            _assert_same_as_reference(g)
+            ends.append(_assert_same_as_reference(g))
             compared += 1
+    # both branches of the comparison are taken
+    assert {"stopped", "same"} <= set(ends)
 
 
 def test_retained_set_entries_match_a_recount(monkeypatch):
@@ -302,7 +407,10 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
             union = 0
             for row in kept:
                 union |= row
-            assert entry.cover_counts == count_covers(g.edge_count, kept)
+            recount = count_covers(g.edge_count, kept)
+            assert entry.cover_counts == recount
+            assert entry.once == edges_with_cover(recount, 1)
+            assert entry.twice == edges_with_cover(recount, 2)
             assert entry.union_adjacency == _union_adjacency(g, union)
             assert (entry.degree_two, entry.over_cap) == cap_masks_reference(entry.union_adjacency)
             fresh = crafted_state(g, rows, solution=(), retained=retained)
@@ -312,6 +420,7 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
             assert entry.asked == bits(entry.verdicts)
             for c, ctx in entry.verdicts.items():
                 assert is_removable(fresh, c) == ctx
+                assert ctx.record == deletion_record_reference(fresh, c)
                 assert (entry.removable >> c) & 1 == (ctx.verdict == REMOVABLE)
             for c, members in entry.components.items():
                 assert members == cluster_members_reference(fresh, c)
