@@ -10,11 +10,14 @@ For each input the digest takes ``cli._result_json(solve(graph))`` (status,
 tour, weight, counters and trace) together with the two counters it leaves
 out, ``row_ops`` and ``max_candidates_per_pass``. Two checkouts whose
 digests agree give the same results, traces and counters on every input.
-A second, outcome sha256 takes only what a solve's answer and its deletion
-path fix: status, tour, weight, trace, ``solvable``, ``deletions``,
-``comparisons`` and ``reduce_calls``. It leaves out the counts of
-partitions tried and candidates tested, which a solve that stops early
-lowers without changing its answer.
+A second, outcome sha256 takes status, tour, weight, trace, ``solvable``,
+``deletions``, ``comparisons`` and ``reduce_calls``. It leaves out the
+counts of partitions tried and candidates tested, which a solve that stops
+early lowers without changing its answer. All but ``reduce_calls`` are
+fixed by the answer and the deletion path; ``reduce_calls`` can also rise
+by the cluster reductions of the start verdicts that a stopping solve asks
+of its first partition's solution cycles, so its equality across two
+checkouts is measured on the inputs hashed, not guaranteed.
 Each line also counts, over all inputs, the deletions applied, the distinct
 (input, retained set) pairs the solver's states reach (the start set
 included: the entries of the basis' table of retained sets), and the

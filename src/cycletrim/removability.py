@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .cycle_space import count_covers, edges_with_cover
-from .graphs import Weight, iter_bits, mask_neighbours, reach
+from .graphs import Weight, iter_bits, mask_neighbours, mask_weight, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,13 +119,7 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
     if hit & (hit - 1):
         raise NotRemovable(f"cycle {c} has more than one boundary edge")
     newly = row & entry.twice
-    weights = state.basis.graph.weights
-    added = 0
-    m = newly
-    while m:
-        low = m & -m
-        added += weights[low.bit_length() - 1]
-        m ^= low
+    added = mask_weight(state.basis.graph, newly)
     return DeletionRecord(c, hit.bit_length() - 1, newly, added)
 
 

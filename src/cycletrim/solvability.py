@@ -9,7 +9,8 @@ a solution is its *co-solution*: the cycles the solver is allowed to delete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .cycle_space import CycleBasis
 
@@ -36,83 +37,52 @@ def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
     return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
-def _reachable_sums(basis: CycleBasis) -> tuple[int, list[int], list[list[int]]]:
-    # (target, values, sums): ``sums[i][k]`` is the bitmask of the totals, up
-    # to the target, that exactly ``k`` cycles from index ``i`` on can reach
-    target = basis.graph.vertex_count - 2
-    values = [c.bit_count() - 2 for c in basis.cycles]
-    dim = len(values)
-    most = max(0, min(dim, target))
-    keep = (1 << max(target + 1, 0)) - 1
-    sums = [[1] + [0] * most for _ in range(dim + 1)]
-    for i in range(dim - 1, -1, -1):
-        for k in range(1, most + 1):
-            sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
-    return target, values, sums
-
-
-def _first_solution(basis: CycleBasis) -> SolutionPartition | None:
-    """The first partition :func:`enumerate_solutions` returns, or None when
-    it returns none.
-
-    The reachable-sums table admits only cycles after which the rest of the
-    target can still be reached, so the lowest admitted cycle at each step
-    starts the lexicographically first solution of the smallest size, and
-    no step backtracks.
-    """
-    target, values, sums = _reachable_sums(basis)
-    for size in range(1, len(sums[0])):
-        if (sums[0][size] >> target) & 1:
-            chosen: list[int] = []
-            mask = 0
-            i, rest = 0, target
-            for remaining in range(size, 0, -1):
-                need = rest - values[i]
-                while need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
-                    i += 1
-                    need = rest - values[i]
-                chosen.append(i)
-                mask |= 1 << i
-                rest = need
-                i += 1
-            return SolutionPartition(tuple(chosen), ((1 << len(values)) - 1) & ~mask)
-    return None
-
-
-def enumerate_solutions(basis: CycleBasis) -> tuple[SolutionPartition, ...]:
-    """All solution subsets, smallest first then lexicographic, up to
-    ``SOLUTION_CAP``.
+def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:
+    """All solution subsets, smallest first then lexicographic, lazily.
 
     Every cycle contributes at least 1 to the total, so solutions have at
     most ``vertex_count - 2`` members. ``sums[i][k]`` is the bitmask of the
     totals, up to the target, that ``k`` cycles from index ``i`` on can
     reach; the search enters a cycle only when the rest of the target is
-    reachable after it, so every call leads to a solution and there are at
-    most ``SOLUTION_CAP * (vertex_count - 1)`` calls. An empty result means
-    the identity has no solutions under this basis.
+    reachable after it, so every call leads to a solution and the search
+    never backtracks: the first solution takes at most ``vertex_count - 1``
+    calls, and each further one as many again.
     """
-    target, values, sums = _reachable_sums(basis)
+    target = basis.graph.vertex_count - 2
+    values = [c.bit_count() - 2 for c in basis.cycles]
     dim = len(values)
+    most = min(dim, target)
+    if most < 1:
+        return
+    keep = (1 << (target + 1)) - 1
+    sums = [[1] + [0] * most for _ in range(dim + 1)]
+    for i in range(dim - 1, -1, -1):
+        for k in range(1, most + 1):
+            sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
     everything = (1 << dim) - 1
-    found: list[SolutionPartition] = []
     chosen: list[int] = []
 
-    def extend(start: int, rest: int, remaining: int, mask: int) -> bool:
+    def extend(start: int, rest: int, remaining: int, mask: int) -> Iterator[SolutionPartition]:
         if remaining == 0:
-            found.append(SolutionPartition(tuple(chosen), everything & ~mask))
-            return len(found) >= SOLUTION_CAP
+            yield SolutionPartition(tuple(chosen), everything & ~mask)
+            return
         for i in range(start, dim - remaining + 1):
             need = rest - values[i]
             if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
                 continue
             chosen.append(i)
-            stop = extend(i + 1, need, remaining - 1, mask | 1 << i)
+            yield from extend(i + 1, need, remaining - 1, mask | 1 << i)
             chosen.pop()
-            if stop:
-                return True
-        return False
 
-    for size in range(1, len(sums[0])):
-        if (sums[0][size] >> target) & 1 and extend(0, target, size, 0):
-            break
-    return tuple(found)
+    for size in range(1, most + 1):
+        if (sums[0][size] >> target) & 1:
+            yield from extend(0, target, size, 0)
+
+
+def enumerate_solutions(basis: CycleBasis) -> tuple[SolutionPartition, ...]:
+    """All solution subsets, smallest first then lexicographic, up to
+    ``SOLUTION_CAP``, so at most ``SOLUTION_CAP * (vertex_count - 1)``
+    search calls. An empty result means the identity has no solutions under
+    this basis.
+    """
+    return tuple(islice(_solutions(basis), SOLUTION_CAP))

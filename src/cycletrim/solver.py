@@ -30,7 +30,7 @@ from .removability import (
     deletion_record,
     is_removable,
 )
-from .solvability import SolutionPartition, _first_solution, enumerate_solutions
+from .solvability import SolutionPartition, _solutions, enumerate_solutions
 
 Status = Literal["ok", "not_hamiltonian_input", "no_solution", "stuck"]
 
@@ -287,7 +287,7 @@ def solve(graph: Graph) -> TourResult:
     if not is_hamiltonian(graph):
         return TourResult(STATUS_NOT_HAMILTONIAN, None, None, 0, None)
     basis = fundamental_basis(graph)
-    first = _first_solution(basis)
+    first = next(_solutions(basis), None)
     if first is None:
         return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
     start = initial_state(basis, first)

@@ -3,9 +3,10 @@
 Both read private names of the solver and the oracle, so a change there that
 breaks them, or changes any sha256 or count they print, fails here. The
 pins are the sha256 of each script's output with its timings cut. The
-solver digest's outcome sha256s, over the fields a solve's answer and
-deletion path fix, are pinned on their own as well: a change that moves
-only the work counts re-pins the output and leaves these.
+solver digest's outcome sha256s, over every ``solve --json`` field but
+the partitions tried and the candidates tested, are pinned on their own as
+well: a change that moves only those two counts re-pins the output and
+leaves these.
 """
 
 import hashlib

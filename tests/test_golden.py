@@ -21,7 +21,10 @@ and so do cached verdicts.
 
 A change that only moves those work counts re-pins ``REPORT_SHA256``,
 ``TRACE_SHA256`` and ``LARGE_TRACE_SHA256`` and leaves the stripped
-digests as they are: those passing is the proof that nothing else moved.
+digests as they are: those passing shows that nothing else moved on these
+draws, not by construction: the start verdicts that the early stop asks of
+the first partition's solution cycles may add to ``reduce_calls``, which
+the stripped digests keep.
 """
 
 import hashlib
