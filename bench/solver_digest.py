@@ -7,9 +7,9 @@ Run from the root of a checkout:
 The inputs are those ``perfbench/run.py`` draws for the same workload, seed
 and ``--seconds``: the Hamiltonian graphs that ``workloads.set_up`` keeps.
 For each input the digest takes ``cli._result_json(solve(graph))`` (status,
-tour, weight, counters and trace) together with the two counters it leaves
-out, ``row_ops`` and ``max_candidates_per_pass``. Two checkouts whose
-digests agree give the same results, traces and counters on every input.
+tour, weight, counters and trace) together with the one counter it leaves
+out, ``row_ops``. Two checkouts whose digests agree give the same results,
+traces and counters on every input.
 A second, outcome sha256 takes status, tour, weight, trace, ``solvable``,
 ``deletions``, ``comparisons`` and ``reduce_calls``. It leaves out the
 counts of partitions tried and candidates tested, which a solve that stops
@@ -68,7 +68,6 @@ def main() -> int:
             answer = {
                 **cli._result_json(result),
                 "row_ops": counters.row_ops,
-                "max_candidates_per_pass": counters.max_candidates_per_pass,
             }
             sha.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
             fixed = {name: answer[name] for name in OUTCOME_FIELDS}

@@ -15,31 +15,37 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NotConnected, iter_bits, mask_vertices
+from .graphs import Graph, NotConnected, iter_bits, mask_neighbours, mask_vertices
 
 
 @dataclass(frozen=True)
 class CycleBasis:
     """A cycle basis of ``graph``: one edge bitmask per cycle, in chord order.
 
-    The first read of :attr:`sharing` or :attr:`diagonals` builds both. The
-    basis also carries what a solve learns about its rows, which depends on
-    nothing else: ``_retained_sets``, the table of retained-set entries
-    keyed by the retained bitmask, and ``_cluster_tags``, the reduction tag
-    of each cluster keyed by its member bitmask. ``solve`` builds one basis
-    per call, so they last one solve; neither takes part in equality, and
-    ``dataclasses.replace(basis)`` starts both empty.
+    Everything else is derived from those two fields: :attr:`cover_counts`
+    on its first read, and both :attr:`sharing` and :attr:`diagonals` on
+    the first read of either. The basis also carries what a solve learns
+    about its rows, which depends on nothing else: ``_retained_sets``, the
+    table of retained-set entries keyed by the retained bitmask, and
+    ``_cluster_tags``, the reduction tag of each cluster keyed by its member
+    bitmask. ``solve`` builds one basis per call, so they last one solve;
+    neither takes part in equality, and ``dataclasses.replace(basis)``
+    starts both empty.
     """
 
     graph: Graph
     cycles: tuple[int, ...]
-    cover_counts: tuple[int, ...]
     _retained_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _cluster_tags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
         return len(self.cycles)
+
+    @cached_property
+    def cover_counts(self) -> tuple[int, ...]:
+        """Per edge, how many cycles of the basis pass through it."""
+        return count_covers(self.graph.edge_count, self.cycles)
 
     @property
     def sharing(self) -> tuple[int, ...]:
@@ -96,33 +102,35 @@ def fundamental_basis(g: Graph) -> CycleBasis:
     chord yields the cycle chord + tree path between its endpoints. A tree
     input yields an empty basis; a disconnected one raises
     :class:`~cycletrim.graphs.NotConnected`. The BFS is its own, not
-    :func:`~cycletrim.graphs.reach`: it needs each vertex's parent edge, and
-    its visiting order defines the basis.
+    :func:`~cycletrim.graphs.reach`: it needs each vertex's parent edge,
+    which it takes from :meth:`~cycletrim.graphs.Graph.edge_index`, and its
+    visiting order defines the basis.
     """
     n = g.vertex_count
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     parent = [-1] * n
     parent_edge = [-1] * n
     depth = [0] * n
-    visited = [False] * n
-    visited[0] = True
-    tree_edges: set[int] = set()
+    seen = 1
+    tree_edges = 0
     queue = deque([0])
     while queue:
         x = queue.popleft()
-        for nb, eidx in g.adjacency[x]:
-            if not visited[nb]:
-                visited[nb] = True
-                parent[nb] = x
-                parent_edge[nb] = eidx
-                depth[nb] = depth[x] + 1
-                tree_edges.add(eidx)
-                queue.append(nb)
-    if not all(visited):
+        fresh = nbrs[x] & ~seen
+        seen |= fresh
+        for nb in iter_bits(fresh):
+            eidx = g.edge_index(x, nb)
+            parent[nb] = x
+            parent_edge[nb] = eidx
+            depth[nb] = depth[x] + 1
+            tree_edges |= 1 << eidx
+            queue.append(nb)
+    if seen != (1 << n) - 1:
         raise NotConnected("fundamental basis requires a connected graph")
 
     cycles = []
     for eidx, (u, v, _) in enumerate(g.edges):
-        if eidx in tree_edges:
+        if tree_edges >> eidx & 1:
             continue
         mask = 1 << eidx
         a, b = u, v
@@ -138,6 +146,4 @@ def fundamental_basis(g: Graph) -> CycleBasis:
             a = parent[a]
             b = parent[b]
         cycles.append(mask)
-
-    covers = count_covers(g.edge_count, cycles)
-    return CycleBasis(g, tuple(cycles), covers)
+    return CycleBasis(g, tuple(cycles))

@@ -7,11 +7,12 @@ int/Fraction arithmetic is exact, so no other module picks a weight type.
 The edge list is kept in canonical order (sorted by endpoints) and the
 position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
 passed around as integer bitmasks over those indices, and vertex subsets as
-integer bitmasks over vertex ids. Past the parser, adjacency is mostly one
+integer bitmasks over vertex ids. Past the parser, adjacency takes one
 form: a list with one bitmask of neighbours per vertex, built by
 :func:`mask_neighbours` for any edge subset and walked by :func:`reach`.
-Readers that need edge indices take :attr:`Graph.adjacency`'s
-``(neighbor, edge_index)`` lists instead.
+A reader that needs an edge's index or weight takes it from
+:meth:`Graph.edge_index` or from :attr:`Graph.edges`, whose canonical order
+lists each vertex's neighbours in ascending id order.
 
 Edge-list text format: UTF-8, one ``u v w`` triple per line, whitespace
 separated. Lines whose first non-blank character is ``#`` are comments and
@@ -106,19 +107,6 @@ class Graph:
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
         return tuple(w for _, _, w in self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of ``(neighbor, edge_index)``, neighbors ascending."""
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v, _) in enumerate(self.edges):
-            nbrs[u].append((v, idx))
-            nbrs[v].append((u, idx))
-        return tuple(tuple(sorted(n)) for n in nbrs)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(n) for n in self.adjacency)
 
     @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], int]:

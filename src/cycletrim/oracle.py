@@ -115,8 +115,7 @@ def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     graph has none; nor has a graph with vertices outside that component.
     BFS levels alternate sides, and an edge inside one level closes an odd
     cycle. The walk is its own, not :func:`~cycletrim.graphs.reach`, since
-    it needs the levels. Degrees are read from ``adj_mask``, so a graph the
-    gate rejects never builds :attr:`Graph.adjacency`.
+    it needs the levels. Degrees are the bit counts of ``adj_mask``.
     """
     degrees = [m.bit_count() for m in adj_mask]
     if g.vertex_count < 3 or min(degrees) < 2:
@@ -432,8 +431,9 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     return best_a1, best_a2
 
 
-def _bounds(g: Graph) -> tuple[Weight, list, list]:
-    """``(UB, a1, a2)`` for :func:`min_tour`.
+def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight, list, list]:
+    """``(UB, a1, a2)`` for :func:`min_tour`, on a graph with neighbour
+    bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
 
     ``UB`` is the weight of a first tour: the one :func:`_search_cycle`
     finds within ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex,
@@ -447,7 +447,6 @@ def _bounds(g: Graph) -> tuple[Weight, list, list]:
     penalties.
     """
     ends = _ends(g)
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
     if tour is not None:
         _improve(tour, _weight_table(g))
@@ -460,9 +459,13 @@ def _bounds(g: Graph) -> tuple[Weight, list, list]:
 
 
 def _ends(g: Graph) -> list:
-    """Per vertex ``x``, ``(w(x, y), y)`` for each neighbour ``y``."""
-    weights = g.weights
-    return [[(weights[eidx], nb) for nb, eidx in around] for around in g.adjacency]
+    """Per vertex ``x``, ``(w(x, y), y)`` for each neighbour ``y``, in
+    ascending order of ``y`` as the canonical edge order lists them."""
+    ends: list = [[] for _ in range(g.vertex_count)]
+    for u, v, w in g.edges:
+        ends[u].append((w, v))
+        ends[v].append((w, u))
+    return ends
 
 
 def _subset_sums(values: list, base: Weight) -> list:
@@ -616,7 +619,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     if _no_tour_up_front(g, nbrs):
         return OracleAnswer(None, None)
-    bound, a1, a2 = _bounds(g)
+    bound, a1, a2 = _bounds(g, nbrs)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
     rise = (max(weights) - min(weights)) // 4 or 1
     while low + rise < 2 * bound:
@@ -634,9 +637,7 @@ def _held_karp(
     when some tour weighs at most ``target / 2``, else None. Raises
     :class:`TooLarge` past ``HELD_KARP_MAX_ROWS`` rows."""
     n = g.vertex_count
-    weights = g.weights
-    adjacency = g.adjacency
-    inf = 1 + sum(abs(w) for w in weights)
+    inf = 1 + sum(abs(w) for w in g.weights)
     # limit[s] = target - a1(0) - sum of a1(x) + a2(x) over unvisited x,
     # read from two tables over the low and high bits of s
     pair = [a1[x] + a2[x] for x in range(1, n)]
@@ -644,28 +645,30 @@ def _held_karp(
     low_bits = (1 << half) - 1
     low_limit = _subset_sums(pair[:half], target - a1[0] - sum(pair))
     high_limit = _subset_sums(pair[half:], 0)
-    # per vertex: (set bit, neighbour, weight, 2 * weight - a2(neighbour)) for
-    # each neighbour other than 0
-    steps = [
-        tuple(
-            (1 << (nb - 1), nb, weights[eidx], 2 * weights[eidx] - a2[nb])
-            for nb, eidx in adjacency[v]
-            if nb
-        )
-        for v in range(n)
-    ]
+    # per vertex other than 0: (set bit, neighbour, weight, 2 * weight -
+    # a2(neighbour)) for each neighbour other than 0; and (neighbour, weight)
+    # for each neighbour of 0. The canonical edge order lists both in
+    # ascending order of the neighbour.
+    steps: list = [[] for _ in range(n)]
+    starts = []
+    for u, v, w in g.edges:
+        if u:
+            steps[u].append((1 << (v - 1), v, w, 2 * w - a2[v]))
+            steps[v].append((1 << (u - 1), u, w, 2 * w - a2[u]))
+        else:
+            starts.append((v, w))
     # fragile[k]: (bit, neighbours) of each vertex that can fail the
     # completability test once k vertices besides 0 are visited, that is of
     # each vertex of degree at most k + 1
-    degrees = g.degrees
+    degrees = [m.bit_count() for m in nbrs]
     fragile = [
         tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
         for k in range(n)
     ]
     cost: dict[int, list] = {}
-    for nb, eidx in adjacency[0]:
+    for nb, w in starts:
         row = [inf] * n
-        row[nb] = weights[eidx]
+        row[nb] = w
         cost[1 << (nb - 1)] = row
     # visited sets not yet expanded, in the order their rows were allocated
     order = deque(cost)
@@ -720,9 +723,9 @@ def _held_karp(
     final = cost.get(full)
     best = None
     if final is not None:
-        for nb, eidx in adjacency[0]:
+        for nb, w in starts:
             if final[nb] is not inf:
-                total = final[nb] + weights[eidx]
+                total = final[nb] + w
                 if best is None or total < best[0]:
                     best = (total, nb)
     if best is None or 2 * best[0] > target:
@@ -754,7 +757,7 @@ def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]
         raise TooLarge(f"{n} vertices exceeds the enumeration cap of {ENUMERATION_MAX_VERTICES}")
     if n < 3 or limit < 1:
         return []
-    adjacency = g.adjacency
+    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     out: list[tuple[tuple[int, ...], Weight]] = []
     path = [0]
     weight_stack = [0]
@@ -763,16 +766,14 @@ def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]
         if len(path) == n:
             # close the cycle; reflections are skipped by requiring the
             # second vertex to be smaller than the last
-            if g.has_edge(current, 0) and path[1] < path[-1]:
+            if nbrs[current] & 1 and path[1] < path[-1]:
                 closing = g.weights[g.edge_index(current, 0)]
                 out.append((tuple(path), weight_stack[-1] + closing))
                 return len(out) >= limit
             return False
-        for nb, eidx in adjacency[current]:
-            if visited & (1 << nb):
-                continue
+        for nb in iter_bits(nbrs[current] & ~visited):
             path.append(nb)
-            weight_stack.append(weight_stack[-1] + g.weights[eidx])
+            weight_stack.append(weight_stack[-1] + g.weights[g.edge_index(current, nb)])
             stop = extend(nb, visited | (1 << nb))
             path.pop()
             weight_stack.pop()

@@ -57,7 +57,6 @@ class Counters:
     """
 
     candidates_tested: int = 0
-    max_candidates_per_pass: int = 0
     reduce_calls: int = 0
     comparisons: int = 0
     deletions: int = 0
@@ -148,7 +147,7 @@ def initial_state(basis: CycleBasis, partition: SolutionPartition) -> SolverStat
         basis=basis,
         partition=partition,
         retained=(1 << basis.dimension) - 1,
-        # one row op per basis row, for the cover counts the basis carries,
+        # one row op per basis row, for the basis' cover counts,
         # and one per pair of rows, for the tables: d + d(d - 1)/2 in all
         counters=Counters(row_ops=basis.dimension * (basis.dimension + 1) // 2),
     )
@@ -205,15 +204,10 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     )
 
 
-def _count_pass(counters: Counters, pool_size: int) -> None:
-    counters.candidates_tested += pool_size
-    counters.max_candidates_per_pass = max(counters.max_candidates_per_pass, pool_size)
-
-
 def _removable_records(state: SolverState, pool: int) -> list[DeletionRecord]:
     # one greedy pass over ``pool``: the verdicts not yet known on this
     # retained set are asked, and the removable cycles are read from its entry
-    _count_pass(state.counters, pool.bit_count())
+    state.counters.candidates_tested += pool.bit_count()
     entry = _retained_set(state)
     m = pool & ~entry.asked
     while m:

@@ -24,7 +24,6 @@ from cycletrim import (
 )
 from cycletrim.graphs import (
     iter_bits,
-    mask_degrees,
     mask_neighbours,
     mask_vertices,
     mask_weight,
@@ -262,7 +261,7 @@ def crafted_state(
     everything = (1 << len(rows)) - 1
     if retained is None:
         retained = everything
-    basis = CycleBasis(graph, tuple(rows), count_covers(graph.edge_count, rows))
+    basis = CycleBasis(graph, tuple(rows))
     partition = SolutionPartition(solution, everything & ~bits(solution))
     return SolverState(basis=basis, partition=partition, retained=retained)
 
@@ -321,11 +320,15 @@ def blocked_by_neighbors_reference(state: SolverState, record: DeletionRecord) -
     """
     g = state.basis.graph
     union_after = union_mask(state) & ~(1 << record.removed_edge)
-    degrees = mask_degrees(g, union_after)
+    around: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e, (u, v, _) in enumerate(g.edges):
+        if (union_after >> e) & 1:
+            around[u].append(v)
+            around[v].append(u)
     for v in range(g.vertex_count):
         count = 0
-        for nb, eidx in g.adjacency[v]:
-            if (union_after >> eidx) & 1 and degrees[nb] == 2:
+        for nb in around[v]:
+            if len(around[nb]) == 2:
                 count += 1
         if count >= 3:
             return True
@@ -354,7 +357,6 @@ def solve_reference(graph: Graph) -> TourResult:
             if not pool:
                 break
             counters.candidates_tested += len(pool)
-            counters.max_candidates_per_pass = max(counters.max_candidates_per_pass, len(pool))
             contexts = [is_removable(state, c) for c in pool]
             records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
             if not records:
@@ -509,24 +511,29 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
     if n < 3:
         return OracleAnswer(None, None)
 
-    weights = g.weights
-    adjacency = g.adjacency
+    # per vertex, (neighbour, weight) for each neighbour, ascending
+    around: list[list[tuple]] = [[] for _ in range(n)]
+    for u, v, w in g.edges:
+        around[u].append((v, w))
+        around[v].append((u, w))
+    for pairs in around:
+        pairs.sort()
 
     # dp[mask][last] = (cost, previous vertex); masks always contain bit 0
     dp: dict[int, dict[int, tuple]] = {}
-    for nb, eidx in adjacency[0]:
-        dp.setdefault(1 | (1 << nb), {})[nb] = (weights[eidx], 0)
+    for nb, w in around[0]:
+        dp.setdefault(1 | (1 << nb), {})[nb] = (w, 0)
     full = (1 << n) - 1
     for mask in range(3, full + 1, 2):
         states = dp.get(mask)
         if not states:
             continue
         for last, (cost, _) in states.items():
-            for nb, eidx in adjacency[last]:
+            for nb, w in around[last]:
                 if nb == 0 or mask & (1 << nb):
                     continue
                 entry = dp.setdefault(mask | (1 << nb), {})
-                ncost = cost + weights[eidx]
+                ncost = cost + w
                 cur = entry.get(nb)
                 if cur is None or ncost < cur[0]:
                     entry[nb] = (ncost, last)
@@ -535,7 +542,7 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
     best = None
     for last, (cost, _) in finals.items():
         if g.has_edge(last, 0):
-            total = cost + weights[g.edge_index(last, 0)]
+            total = cost + g.weights[g.edge_index(last, 0)]
             if best is None or (total, last) < best:
                 best = (total, last)
     if best is None:

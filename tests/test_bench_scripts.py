@@ -20,7 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
-    "solver_digest.py": "06afb4d81509d9839a69c7b86c60e6e0822bd58f11c56e13b5dc982941c3e73f",
+    "solver_digest.py": "d3a5c5fa633f68757be2e6d2ad2d8c2ed6254f7bb86c74e34e1d03bed751d72c",
     "oracle_digest.py": "7320e7dbff20aef8c23ae674c6fc16dc1959771789423a186510ab6d9b55ceca",
 }
 SOLVER_OUTCOME_SHA256 = {

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cycletrim import (
+    CycleBasis,
     NotConnected,
     count_covers,
     edges_with_cover,
@@ -47,6 +50,21 @@ def test_theta_basis():
     assert all(
         b.cover_counts[e] == 1 for e in range(g.edge_count) if e != ab
     )
+
+
+def test_basis_is_its_graph_and_rows():
+    # cover counts are derived from the rows; equality and hash see only the
+    # graph and the rows, not what is derived or memoised
+    g = wheel5()
+    b = fundamental_basis(g)
+    assert b.cover_counts == count_covers(g.edge_count, b.cycles)
+    assert [f.name for f in dataclasses.fields(CycleBasis) if f.compare] == ["graph", "cycles"]
+    twin = CycleBasis(g, b.cycles)
+    twin._retained_sets[0] = twin._cluster_tags[1] = None
+    assert twin == b and hash(twin) == hash(b)
+    assert twin.cover_counts == b.cover_counts
+    assert CycleBasis(g, b.cycles[1:]) != b
+    assert CycleBasis(g, b.cycles[1:]).cover_counts == count_covers(g.edge_count, b.cycles[1:])
 
 
 def test_tree_has_empty_basis():

@@ -16,7 +16,14 @@ from cycletrim import (
     tour_from_edge_mask,
     tour_weight,
 )
-from cycletrim.graphs import format_weight, iter_bits, mask_neighbours, mask_weight, reach
+from cycletrim.graphs import (
+    format_weight,
+    iter_bits,
+    mask_degrees,
+    mask_neighbours,
+    mask_weight,
+    reach,
+)
 from cycletrim.removability import REDUCED_CYCLE_GRAPH, reduce_cluster
 
 from helpers import (
@@ -137,10 +144,24 @@ def test_constructor_normalizes():
         Graph(2, ((0, 5, Fraction(1)),))
 
 
+def _edge_list_neighbours(g: Graph, mask: int) -> list[set[int]]:
+    # per vertex, its neighbours along the edges in ``mask``, read off the edge list
+    around: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for e, (u, v, _) in enumerate(g.edges):
+        if (mask >> e) & 1:
+            around[u].add(v)
+            around[v].add(u)
+    return around
+
+
 def test_degree():
-    assert triangle().degrees[0] == 2
-    assert k4_golden().degrees == (3, 3, 3, 3)
-    assert star_graph(3).degrees[0] == 3
+    # degrees are bit counts of the neighbour masks, and mask_degrees agrees
+    cases = ((triangle(), [2, 2, 2]), (k4_golden(), [3, 3, 3, 3]), (star_graph(3), [3, 1, 1, 1]))
+    for g, degrees in cases:
+        full = (1 << g.edge_count) - 1
+        assert [len(around) for around in _edge_list_neighbours(g, full)] == degrees
+        assert [m.bit_count() for m in all_neighbours(g)] == degrees
+        assert mask_degrees(g, full) == degrees
 
 
 def test_is_cycle_graph():
@@ -175,21 +196,21 @@ def test_mask_neighbours_matches_adjacency():
         g, mask = _random_edge_subset(rng)
         nbrs = mask_neighbours(g, mask)
         assert len(nbrs) == g.vertex_count
-        for v in range(g.vertex_count):
-            kept = {nb for nb, e in g.adjacency[v] if (mask >> e) & 1}
-            assert set(iter_bits(nbrs[v])) == kept
-        assert all_neighbours(g) == [sum(1 << nb for nb, _ in a) for a in g.adjacency]
+        assert [set(iter_bits(m)) for m in nbrs] == _edge_list_neighbours(g, mask)
+        full = (1 << g.edge_count) - 1
+        assert [set(iter_bits(m)) for m in all_neighbours(g)] == _edge_list_neighbours(g, full)
 
 
 def _bfs_reference(g: Graph, mask: int, start: int, within: set[int]) -> set[int]:
     # start and what a plain queue BFS reaches from it through ``within``,
     # along the edges in ``mask``
+    around = _edge_list_neighbours(g, mask)
     seen = {start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for y, e in g.adjacency[x]:
-            if (mask >> e) & 1 and y in within and y not in seen:
+        for y in around[x]:
+            if y in within and y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen

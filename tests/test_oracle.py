@@ -109,7 +109,7 @@ def test_min_tour_rejects_unequal_bipartite_sides(monkeypatch):
 def test_min_tour_low_degree_allocates_nothing():
     # a 24-vertex path fails the degree test before the DP builds anything
     g = path_graph(24)
-    g.degrees  # cached on the graph, not part of the DP
+    g.weights  # cached on the graph, not part of the DP
     tracemalloc.start()
     try:
         answer = min_tour(g)
@@ -467,7 +467,7 @@ def test_min_tour_row_budget(monkeypatch):
     # every visited set at n <= 20 fits, so the measured n = 20 case runs
     assert oracle.HELD_KARP_MAX_ROWS >= 1 << 19
     g = hamiltonian_draw(random.Random(14), 14, 0.5)
-    g.degrees, g.adjacency  # cached on the graph, not part of the DP
+    g.weights  # cached on the graph, not part of the DP
     assert min_tour(g).hamiltonian  # about 2 MB of rows under the real budget
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 256)
     tracemalloc.start()
@@ -485,7 +485,7 @@ def test_min_tour_row_budget_bounds_memory_at_24_vertices(monkeypatch):
     # an index of every visited set would be 2^23 slots, 64 MiB, before the
     # budget could act; only the allocated rows may take memory
     g = hamiltonian_draw(random.Random(24), 24, 0.5)
-    g.degrees, g.adjacency, g.weights  # cached on the graph, not part of the DP
+    g.weights  # cached on the graph, not part of the DP
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 256)
     tracemalloc.start()
     try:
@@ -531,7 +531,7 @@ def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypat
     g = hamiltonian_draw(random.Random(28), 14, 0.5)
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
-    bound, a1, a2 = oracle._bounds(g)
+    bound, a1, a2 = oracle._bounds(g, nbrs)
     assert bound == 14 * max(g.weights)
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
     with pytest.raises(TooLarge, match="1000 rows"):
@@ -571,7 +571,7 @@ def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch
     outcomes = set()
     for g in graphs:
         nbrs = all_neighbours(g)
-        bound, a1, a2 = oracle._bounds(g)
+        bound, a1, a2 = oracle._bounds(g, nbrs)
         first = (g, nbrs, a1, a2, 2 * bound)
         need = rows_needed(*first)
         expected = min_tour_reference(g)
@@ -596,7 +596,7 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     rng = random.Random(29)
     while True:
         g = hamiltonian_draw(rng, 12, 0.5)
-        bound, a1, a2 = oracle._bounds(g)
+        bound, a1, a2 = oracle._bounds(g, all_neighbours(g))
         if bound > min_tour_reference(g).optimum_weight:
             break
     calls = []
@@ -635,7 +635,11 @@ def test_fractional_weights_run_on_ints_and_keep_the_tours_weight(monkeypatch):
 
 
 def two_lightest_sum(g):
-    return sum(sum(sorted(g.weights[eidx] for _, eidx in around)[:2]) for around in g.adjacency)
+    around = [[] for _ in range(g.vertex_count)]
+    for u, v, w in g.edges:
+        around[u].append(w)
+        around[v].append(w)
+    return sum(sum(sorted(ws)[:2]) for ws in around)
 
 
 def test_penalised_lower_bound_is_below_every_tour():
@@ -649,7 +653,7 @@ def test_penalised_lower_bound_is_below_every_tour():
         for p in (0.4, 0.7, 1.0):
             g = hamiltonian_draw(rng, n, p)
             for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
-                _, a1, a2 = oracle._bounds(graph)
+                _, a1, a2 = oracle._bounds(graph, all_neighbours(graph))
                 penalised = sum(a1) + sum(a2)
                 plain = two_lightest_sum(graph)
                 assert penalised >= plain
