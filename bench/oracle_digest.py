@@ -17,7 +17,10 @@ line per workload digests the ``is_hamiltonian`` verdict on every graph
 inputs for which ``min_tour``'s budgeted search finds a first tour. A fifth
 digests the cycle, or None, that the gate's whole search returns on every
 drawn graph: it is the first in the search's order, so prunes that cut
-only paths no Hamilton cycle extends leave it as it is. Stdlib
+only paths no Hamilton cycle extends leave it as it is. A sixth repeats
+the first with ``is_hamiltonian`` run on each graph just before
+``min_tour``, the order ``compare_graph`` takes, in which ``min_tour``
+starts from the gate's memo; its sha256 must equal the first's. Stdlib
 only; it imports cycletrim from ``src/`` and the workloads from
 ``perfbench/`` of the checkout it lives in.
 """
@@ -61,6 +64,11 @@ def digest(graphs: list[Graph], oracle) -> tuple[str, float]:
     return sha.hexdigest(), spent
 
 
+def gated_min_tour(graph: Graph):
+    is_hamiltonian(graph)
+    return min_tour(graph)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
@@ -86,6 +94,9 @@ def main() -> int:
         hexdigest, spent = digest(inputs.drawn, lambda g: oracle._hamilton_cycle(g, None))
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
               f"gate cycle sha256 {hexdigest} ({spent:.2f} s in the search)")
+        hexdigest, spent = digest(graphs + [tied(g) for g in graphs], gated_min_tour)
+        print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(graphs)} inputs x 2, "
+              f"gated first, sha256 {hexdigest} ({spent:.2f} s in is_hamiltonian and min_tour)")
     return 0
 
 

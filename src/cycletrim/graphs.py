@@ -287,7 +287,14 @@ def mask_degrees(g: Graph, mask: int) -> list[int]:
 
 
 def mask_weight(g: Graph, mask: int) -> Weight:
-    return sum(g.weights[e] for e in iter_bits(mask))
+    """Total weight of the edges in ``mask``, added in ascending index order."""
+    weights = g.weights
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def tour_from_edge_mask(g: Graph, mask: int) -> tuple[int, ...] | None:

@@ -22,7 +22,9 @@ from .graphs import Graph, Weight, format_weight, is_connected, serialize_graph
 from .oracle import OracleAnswer, is_hamiltonian, min_tour
 from .solver import STATUS_NOT_HAMILTONIAN, TourResult, solve
 
-#: how the Hamiltonicity front gate is implemented in this artifact
+#: how the Hamiltonicity front gate is implemented in this artifact: the name
+#: covers its backtracking search, behind which the Held-Karp DP decides
+#: whenever the search spends its node budget
 FRONT_GATE = "exhaustive_backtracking"
 
 #: edge-set draws random_connected_graph makes before it gives up

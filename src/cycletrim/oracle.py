@@ -6,25 +6,34 @@ backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
 
-One backtracking search, :func:`_search_cycle`, looks for a Hamilton
-cycle for two callers: the front gate :func:`is_hamiltonian` runs it to
-the end, and :func:`min_tour` runs it under a node budget for its first
-tour. Both first run :func:`_no_tour_up_front` once, which rejects fewer
-than 3 vertices, a vertex of degree below 2, a bipartite graph with sides
-of unequal size, and forced edges that rule out a tour: a vertex with two
-edges must use both, so a vertex with two forced edges drops its others,
-and the input has no tour if then some vertex is left with fewer than two
-usable edges or more than two forced ones, or the forced edges close a
-cycle that misses a vertex. The search prunes a path that leaves an
-unvisited vertex short of edges, vertex 0 without a closing edge, more
-unvisited vertices with two usable edges leaning on the path's end, on
-vertex 0 or on one unvisited vertex than it has edges free, or the
+One backtracking search, :func:`_search_cycle`, looks for a Hamilton cycle
+for two callers: the front gate :func:`is_hamiltonian` runs it under a
+budget of ``GATE_NODES`` search nodes, and :func:`min_tour` runs it under a
+smaller budget for its first tour. Both first run :func:`_no_tour_up_front`
+once, which rejects fewer than 3 vertices, a vertex of degree below 2, a
+bipartite graph with sides of unequal size, and forced edges that rule out a
+tour: a vertex with two edges must use both, so a vertex with two forced
+edges drops its others, and the input has no tour if then some vertex is
+left with fewer than two usable edges or more than two forced ones, or the
+forced edges close a cycle that misses a vertex. The search prunes a path
+that leaves an unvisited vertex short of edges, vertex 0 without a closing
+edge, more unvisited vertices with two usable edges leaning on the path's
+end, on vertex 0 or on one unvisited vertex than it has edges free, or the
 unvisited vertices split. These are the standard prunes of Hamilton-cycle
 backtracking (Rubin 1974; Vandegriend and Culberson 1998); each cuts only
 paths and inputs with no Hamilton cycle, so verdicts and the first cycle
-found stay those of the plain search. Still, a 2-connected graph without
-a Hamilton cycle and without a vertex of degree 2 can take it exponential
-time.
+found stay those of the plain search. Still, a 2-connected graph without a
+Hamilton cycle and without a vertex of degree 2 can take the search
+exponential time, so when the gate's budget runs out the row-capped DP of
+:func:`min_tour` decides instead.
+
+The gate keeps the last graph it gated, with its neighbour bitmasks and
+the cycle it found, or None, as a one-entry memo keyed by identity.
+:func:`is_hamiltonian` on that same object reads its verdict back, and
+:func:`min_tour` takes the masks and the cycle from it in place of its own
+up-front checks and search. A campaign gates a draw and then hands that
+object to ``solve``, which gates it again, and to :func:`min_tour`, so each
+draw is searched once. The memo holds one graph at a time.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
@@ -43,21 +52,21 @@ such neighbour, or two have one each, is dead and never expanded; with one
 such vertex, only the last vertices next to it are expanded. Every state on
 a Hamilton cycle passes, so answers and tours are those of the full DP.
 
-The DP is also bounded by a tour it finds first. The search, under its
-node budget, looks for some Hamilton cycle, and 2-opt and or-opt moves
-lower its weight: that weight is the upper bound. A path that ends at ``v``
-still needs one edge at ``v``, one at 0 and two at each unvisited vertex,
-so half the sum of the lightest such edge weights is a lower bound on the
-rest of the tour. The weights are first reduced by integer vertex penalties
-(Held and Karp 1970), which keeps the bound valid and raises it. A state
-whose cost plus lower bound is above the upper bound is neither expanded
-nor written; every state on an optimum tour passes, so answers and tours
-are again those of the full DP. Without a first tour the bound is
-``n`` times the heaviest weight. The penalties are aimed once per call, at
-the bound, or without a first tour at a point between it and the lower
-bound. Any number at least the optimum serves as the upper bound, so the DP
-runs first under guessed bounds just above the lower bound, raised until
-one closes a tour no heavier than the guess, and only then under the
+The DP is also bounded by a tour it finds first. The gate's cycle, or else
+the search under its node budget, gives some Hamilton cycle, and 2-opt and
+or-opt moves lower its weight: that weight is the upper bound. A path that
+ends at ``v`` still needs one edge at ``v``, one at 0 and two at each
+unvisited vertex, so half the sum of the lightest such edge weights is a
+lower bound on the rest of the tour. The weights are first reduced by
+integer vertex penalties (Held and Karp 1970), which keeps the bound valid
+and raises it. A state whose cost plus lower bound is above the upper bound
+is neither expanded nor written; every state on an optimum tour passes, so
+answers and tours are again those of the full DP. Without a first tour the
+bound is ``n`` times the heaviest weight. The penalties are aimed once per
+call, at the bound, or without a first tour at a point between it and the
+lower bound. Any number at least the optimum serves as the upper bound, so
+the DP runs first under guessed bounds just above the lower bound, raised
+until one closes a tour no heavier than the guess, and only then under the
 bound; every run uses the same penalties. The DP raises :class:`TooLarge`
 once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. Fractional
 weights are scaled to ints first. See :func:`min_tour`.
@@ -75,6 +84,8 @@ HELD_KARP_MAX_VERTICES = 24
 #: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
 HELD_KARP_MAX_ROWS = 1 << 19
 ENUMERATION_MAX_VERTICES = 10
+#: search nodes the front gate spends before the Held-Karp DP decides
+GATE_NODES = 10_000
 #: search nodes per vertex that ``min_tour`` spends looking for a first tour
 WITNESS_NODES_PER_VERTEX = 8
 #: subgradient steps ``min_tour`` takes on its vertex penalties
@@ -83,6 +94,15 @@ PENALTY_STEPS = 30
 
 class TooLarge(Exception):
     pass
+
+
+class _GaveUp(Exception):
+    """Raised by :func:`_search_cycle` when its node budget runs out."""
+
+
+#: the front gate's memo: the last graph it gated, its whole-graph neighbour
+#: bitmasks, and a Hamilton cycle of it or None; the placeholder matches no graph
+_gated: tuple = (None, [], None)
 
 
 @dataclass(frozen=True)
@@ -229,13 +249,16 @@ def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
     Returns None when :func:`_no_tour_up_front` holds, and otherwise what
     :func:`_search_cycle` returns. With ``budget`` None the search is
     complete, and None means that the graph has no Hamilton cycle:
-    exponential worst case, fine at oracle scale. Otherwise it gives up
-    after ``budget`` search nodes, so None proves nothing.
+    exponential worst case. Otherwise it gives up after ``budget`` search
+    nodes and returns None, which then proves nothing.
     """
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
     if _no_tour_up_front(g, nbrs):
         return None
-    return _search_cycle(g, nbrs, budget)
+    try:
+        return _search_cycle(g, nbrs, budget)
+    except _GaveUp:
+        return None
 
 
 def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | None:
@@ -248,7 +271,9 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
     unvisited vertices are not all reachable from the current one through
     unvisited vertices; each prune cuts only paths that no Hamilton cycle
     extends, so the search finds the first cycle in that order, and a
-    budget only cuts it short.
+    budget only cuts it short. Returns None when there is no Hamilton
+    cycle, and raises :class:`_GaveUp` once it has spent ``budget`` nodes
+    without settling.
     """
     n = g.vertex_count
     table = _weight_table(g)
@@ -262,7 +287,7 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
             return bool(nbrs[current] & 1)
         left -= 1
         if left < 0:
-            return False
+            raise _GaveUp
         remaining = full & ~visited
         if _short_of_edges(nbrs, current, remaining):
             return False
@@ -280,25 +305,40 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
             if extend(nxt, visited | 1 << nxt):
                 return True
             path.pop()
-            if left < 0:
-                break
         return False
 
     return path if extend(0, 1) else None
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """Hamilton-cycle existence test: :func:`_hamilton_cycle` without a budget.
+    """Hamilton-cycle existence test, exact and of bounded cost.
+
+    :func:`_no_tour_up_front`, then :func:`_search_cycle` under a budget of
+    ``GATE_NODES`` nodes; when that runs out, :func:`min_tour` decides, and
+    its tour is the cycle found. ``g`` and what was found go into the
+    gate's memo, so a second call on the same object only reads it back.
 
     Raises :class:`TooLarge` above 24 vertices, the cap that ``solver.solve``
-    and :func:`min_tour` share. Uncapped, the search, which recurses once
-    per vertex on its path, would raise ``RecursionError`` on inputs of
-    about a thousand vertices.
+    and :func:`min_tour` share, and when the search gives up and the DP
+    raises it, which needs more than 20 vertices. Uncapped, the search,
+    which recurses once per vertex on its path, would raise
+    ``RecursionError`` on inputs of about a thousand vertices.
     """
+    global _gated
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the front gate's cap of {HELD_KARP_MAX_VERTICES}")
-    return _hamilton_cycle(g, None) is not None
+    memo = _gated  # read once: another thread may replace it
+    if memo[0] is not g:
+        nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+        cycle = None
+        if not _no_tour_up_front(g, nbrs):
+            try:
+                cycle = _search_cycle(g, nbrs, GATE_NODES)
+            except _GaveUp:
+                cycle = min_tour(g).optimum_tour
+        memo = _gated = (g, nbrs, cycle)
+    return memo[2] is not None
 
 
 def _weight_table(g: Graph) -> list:
@@ -435,9 +475,10 @@ def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight, list, list]:
     """``(UB, a1, a2)`` for :func:`min_tour`, on a graph with neighbour
     bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
 
-    ``UB`` is the weight of a first tour: the one :func:`_search_cycle`
-    finds within ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex,
-    lowered by ``_improve``. When it finds none, ``UB`` is ``n`` times the
+    ``UB`` is the weight of a first tour, lowered by ``_improve``: the
+    front gate's cycle when ``g`` is the graph in the gate's memo, else the
+    one :func:`_search_cycle` finds within ``WITNESS_NODES_PER_VERTEX``
+    search nodes per vertex. When there is none, ``UB`` is ``n`` times the
     heaviest weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two
     lightest reduced weights at each vertex, under the penalties
     ``_penalties`` aims at ``2 * UB``, or, without a first tour, a quarter
@@ -447,7 +488,14 @@ def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight, list, list]:
     penalties.
     """
     ends = _ends(g)
-    tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
+    gated, _, cycle = _gated
+    if gated is g:
+        tour = None if cycle is None else list(cycle)  # a copy: _improve edits it
+    else:
+        try:
+            tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
+        except _GaveUp:
+            tour = None
     if tour is not None:
         _improve(tour, _weight_table(g))
         bound = tour_weight(g, tuple(tour))
@@ -485,6 +533,8 @@ def min_tour(g: Graph) -> OracleAnswer:
     first bound would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every
     visited set at n <= 20, unless a guess finishes first; returns a
     non-Hamiltonian answer at once when :func:`_no_tour_up_front` holds.
+    When ``g`` is the graph in the front gate's memo, the gate's verdict,
+    masks and cycle stand in for those checks and for the search below.
     Runtime is O(n^2 * 2^n) at worst. Memory is one row of n costs per
     reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows, so sizes
     near the cap are slow and large in pure Python but stay exact.
@@ -543,11 +593,14 @@ def min_tour(g: Graph) -> OracleAnswer:
     they read belong to sets that hold a state on the optimum tour, so none
     is a dead set's dropped row.
 
-    Bounds: ``_search_cycle`` looks for a Hamilton cycle within a budget
-    of ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, and ``_improve``
-    lowers its weight by 2-opt and or-opt moves along existing edges. That
-    weight is the upper bound ``UB``; without a first tour ``UB`` is ``n``
-    times the heaviest weight, which no tour exceeds. Given integer vertex
+    Bounds: the first tour is the gate's cycle when ``g`` is in the gate's
+    memo; otherwise ``_search_cycle`` looks for a Hamilton cycle within a
+    budget of ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, which
+    only cuts short the search that found the gate's cycle, so it finds
+    that cycle or none. ``_improve`` lowers its weight by 2-opt and or-opt
+    moves along existing edges. That weight is the upper bound ``UB``;
+    without a first tour ``UB`` is ``n`` times the heaviest weight, which
+    no tour exceeds. Given integer vertex
     penalties ``pi``, the reduced weight of edge ``{x, y}`` at its end
     ``x`` is ``w(x, y) + pi(y) - pi(x)``; its two ends' reduced weights add
     up to ``2 * w(x, y)``. Let
@@ -588,6 +641,9 @@ def min_tour(g: Graph) -> OracleAnswer:
     on an optimum tour; such a predecessor closes an optimum tour too, so
     its cost is exact, and it is picked exactly when the DP without the
     bounds would pick it. The tie-breaks therefore pick the same tour.
+    None of this depends on which first tour set ``UB`` or on ``pi``, so
+    the gate's memo changes only which rows the DP allocates, never the
+    answer or tour.
 
     Guessed bounds: the argument above needs only ``OPT <= UB``, so the DP
     may run under any number ``B`` in place of ``UB``. If it then closes a
@@ -616,9 +672,14 @@ def min_tour(g: Graph) -> OracleAnswer:
         if answer.optimum_tour is None:
             return answer
         return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    if _no_tour_up_front(g, nbrs):
-        return OracleAnswer(None, None)
+    gated, nbrs, cycle = _gated
+    if gated is g:  # the gate has checked g up front and searched it
+        if cycle is None:
+            return OracleAnswer(None, None)
+    else:
+        nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+        if _no_tour_up_front(g, nbrs):
+            return OracleAnswer(None, None)
     bound, a1, a2 = _bounds(g, nbrs)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
     rise = (max(weights) - min(weights)) // 4 or 1

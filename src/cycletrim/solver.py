@@ -256,15 +256,18 @@ def solve(graph: Graph) -> TourResult:
     """Search for a minimum-weight Hamilton cycle by greedy cycle deletion.
 
     Raises :class:`TooLarge` above 24 vertices, the oracle's cap, before the
-    front gate runs. Front gate: inputs that the exhaustive Hamiltonicity
-    test rejects come back as ``not_hamiltonian_input``. Other failures never
-    raise; they surface as statuses with the trace of the last attempted
-    partition. The one basis built per call carries the solve's memo, its
-    table of retained-set entries (each with its verdicts) and its cluster
-    tags; it and the counters are shared by every partition tried. Every
-    partition starts from the full basis, so each verdict on the start
-    state, like each on any retained set, is evaluated once per solve, and
-    no solve reads another's memo.
+    front gate runs, and when the gate's search spends its budget and the
+    Held-Karp DP that then decides raises it, which needs more than 20
+    vertices. Front gate: inputs that the exact Hamiltonicity test
+    :func:`~cycletrim.oracle.is_hamiltonian` rejects come back as
+    ``not_hamiltonian_input``; on a graph that was just gated it reads the
+    verdict back. Other failures never raise; they surface as statuses with
+    the trace of the last attempted partition. The one basis built per call
+    carries the solve's memo, its table of retained-set entries (each with
+    its verdicts) and its cluster tags; it and the counters are shared by
+    every partition tried. Every partition starts from the full basis, so
+    each verdict on the start state, like each on any retained set, is
+    evaluated once per solve, and no solve reads another's memo.
 
     The first partition is read from the solution table without
     enumerating the others. When it deletes nothing and its boundary is not

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from cycletrim import (
     run_campaign,
     solve,
 )
+from cycletrim import oracle
 from cycletrim.graphs import is_connected
 from cycletrim.harness import REPORT_FIELDS
 
@@ -137,6 +140,38 @@ def test_campaign_records_and_summary(tmp_path):
         if obj["match"] is not None:
             assert obj["algo_weight"] >= obj["opt_weight"]
             assert obj["match"] == (obj["algo_weight"] == obj["opt_weight"])
+
+
+def test_campaign_searches_each_compared_draw_once(monkeypatch, tmp_path):
+    # the campaign's gate checks and searches each draw; solve's gate and
+    # min_tour read the gate's memo for that same object, so they neither
+    # check it up front again nor search it. The memo keeps only the last draw
+    checked = []  # (weak reference to the draw, whether it passed the checks)
+    searches = []  # (weak reference to the draw, node budget)
+    up_front, search = oracle._no_tour_up_front, oracle._search_cycle
+
+    def spy_up_front(g, nbrs):
+        no_tour = up_front(g, nbrs)
+        checked.append((weakref.ref(g), not no_tour))
+        return no_tour
+
+    def spy_search(g, nbrs, budget):
+        searches.append((weakref.ref(g), budget))
+        return search(g, nbrs, budget)
+
+    monkeypatch.setattr(oracle, "_no_tour_up_front", spy_up_front)
+    monkeypatch.setattr(oracle, "_search_cycle", spy_search)
+    result = run_campaign(CampaignConfig(30, 5, 9, 0.5, 1, 100, 1, tmp_path / "r.jsonl"))
+    assert len(checked) == 30
+    passed = [ref for ref, ok in checked if ok]
+    assert result.summary["compared"] > 0
+    assert len(passed) >= result.summary["compared"]
+    assert [budget for _, budget in searches] == [oracle.GATE_NODES] * len(passed)
+    # weakref.ref hands out one shared reference per live object
+    assert all(searched is ref for (searched, _), ref in zip(searches, passed))
+    gc.collect()
+    alive = [ref() for ref, _ in checked if ref() is not None]
+    assert len(alive) == 1 and alive[0] is oracle._gated[0]
 
 
 def test_mismatch_dump_replays(tmp_path):

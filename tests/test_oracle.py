@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -17,10 +18,12 @@ from cycletrim import (
     min_tour,
     min_tour_by_enumeration,
     random_connected_graph,
+    solve,
     tour_weight,
 )
 from cycletrim import oracle
 from cycletrim.graphs import iter_bits
+from cycletrim.solver import STATUS_NOT_HAMILTONIAN
 
 from helpers import (
     all_neighbours,
@@ -224,6 +227,11 @@ def hamiltonian_draw(rng, n, p):
             return g
 
 
+def ungated(g):
+    """An equal copy of ``g`` that is not the graph in the front gate's memo."""
+    return Graph(g.vertex_count, g.edges)
+
+
 SPARSE_PALETTES = ((1,), (1, 2), (-1, 0, Fraction(1, 2)))
 
 
@@ -288,20 +296,30 @@ def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
             assert weight >= min_tour(graph).optimum_weight
 
 
-def searched_nodes(g, budget) -> int:
-    """Search nodes ``_hamilton_cycle`` visits on ``g``, which has no Hamilton cycle."""
-    calls = 0
+def nodes_per_search(call) -> list[int]:
+    """Search nodes of each ``_search_cycle`` run during ``call()``, in order."""
+    counts = []
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code.co_name == "extend"
+        if event == "call" and frame.f_code.co_name == "_search_cycle":
+            counts.append(0)
+        elif event == "call" and frame.f_code.co_name == "extend":
+            counts[-1] += 1
 
     sys.setprofile(count)
     try:
-        assert oracle._hamilton_cycle(g, budget) is None
+        call()
     finally:
         sys.setprofile(None)
-    return calls
+    return counts
+
+
+def searched_nodes(g, budget) -> int:
+    """Search nodes ``_hamilton_cycle`` visits on ``g``, which has no Hamilton cycle."""
+    found = []
+    (nodes,) = nodes_per_search(lambda: found.append(oracle._hamilton_cycle(g, budget)))
+    assert found == [None]
+    return nodes
 
 
 def hubbed_cliques(k: int) -> Graph:
@@ -321,6 +339,56 @@ def test_first_tour_search_keeps_its_budget():
     budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
     assert searched_nodes(g, budget) <= budget + 1
     assert searched_nodes(g, None) > budget + 1  # the budget, not the search space, stopped it
+
+
+@pytest.mark.parametrize("k", (5, 6))
+def test_gate_gives_up_within_its_budget_and_the_dp_decides(k):
+    # three K_5 or K_6 on two hubs pass every up-front test and have no
+    # Hamilton cycle; the gate's whole search took 1.3 s and 35.9 s on them.
+    # It gives up after GATE_NODES nodes, and min_tour, whose own search
+    # gives up too, settles the verdict with its DP
+    g = hubbed_cliques(k)
+    verdicts = []
+    nodes = nodes_per_search(lambda: verdicts.append(is_hamiltonian(g)))
+    assert verdicts == [False]
+    assert len(nodes) == 2
+    assert nodes[0] <= oracle.GATE_NODES + 1
+    assert nodes[1] <= oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count + 1
+    started = time.perf_counter()
+    assert solve(ungated(g)).status == STATUS_NOT_HAMILTONIAN
+    assert time.perf_counter() - started < 10  # the DP takes about 0.8 s at k = 6
+
+
+def test_min_tour_answers_do_not_depend_on_the_gate_memo():
+    # right after is_hamiltonian(g), min_tour(g) starts from the gate's masks
+    # and cycle; on an equal copy it runs its own checks and budgeted search.
+    # Answers and tours must be equal, also on the seed-1 large_sparse
+    # benchmark inputs (draws 201, 765, 857, 922 and 971 of random.Random(1)
+    # at n 18, p 0.2) where that search finds no first tour, so that only
+    # the gate's cycle sets the upper bound
+    rng = random.Random(34)
+    graphs = []
+    for n in range(5, 17):
+        for p in (0.3, 0.5):
+            g = random_connected_graph(rng, n, p, 1, 100)
+            graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
+    rng = random.Random(1)
+    for draw in range(972):
+        g = random_connected_graph(rng, 18, 0.2, 1, 100)
+        if draw in (201, 765, 857, 922, 971):
+            graphs.append(g)
+    verdicts = set()
+    only_gate = 0
+    for g in graphs:
+        verdict = is_hamiltonian(g)
+        answer = min_tour(g)
+        assert answer == min_tour(ungated(g))
+        assert answer.hamiltonian == verdict
+        verdicts.add(verdict)
+        budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
+        only_gate += verdict and oracle._hamilton_cycle(g, budget) is None
+    assert verdicts == {True, False}
+    assert only_gate >= 5
 
 
 def test_search_prunes_a_path_that_leaves_vertex_0_no_closing_edge():
@@ -517,6 +585,8 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
         for p in (0.3, 0.6):
             g = random_connected_graph(rng, n, p, 1, 100)
             graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
+    # a gated graph would take the gate's cycle as its first tour
+    assert all(g is not oracle._gated[0] for g in graphs)
     for witness in (oracle.WITNESS_NODES_PER_VERTEX, 0):
         monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", witness)
         for g in graphs:
@@ -527,8 +597,8 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
 def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
     # without a first tour the DP is bounded only by n times the heaviest
     # weight and needs 7,267 rows on this draw; min_tour's guess that
-    # closes a tour needs 258
-    g = hamiltonian_draw(random.Random(28), 14, 0.5)
+    # closes a tour needs 258. The draw was gated, so a copy is used
+    g = ungated(hamiltonian_draw(random.Random(28), 14, 0.5))
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
     bound, a1, a2 = oracle._bounds(g, nbrs)
