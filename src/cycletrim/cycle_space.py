@@ -26,17 +26,19 @@ class CycleBasis:
     on its first read, and both :attr:`sharing` and :attr:`diagonals` on
     the first read of either. The basis also carries what a solve learns
     about its rows, which depends on nothing else: ``_retained_sets``, the
-    table of retained-set entries keyed by the retained bitmask, and
+    table of retained-set entries keyed by the retained bitmask,
     ``_cluster_tags``, the reduction tag of each cluster keyed by its member
-    bitmask. ``solve`` builds one basis per call, so they last one solve;
-    neither takes part in equality, and ``dataclasses.replace(basis)``
-    starts both empty.
+    bitmask, and ``_solution_sums``, the reachable-totals table of the
+    solution search. ``solve`` builds one basis per call, so they last one
+    solve; none takes part in equality, and ``dataclasses.replace(basis)``
+    starts them empty.
     """
 
     graph: Graph
     cycles: tuple[int, ...]
     _retained_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _cluster_tags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _solution_sums: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -81,8 +83,10 @@ def count_covers(edge_count: int, rows: Iterable[int]) -> tuple[int, ...]:
     """Per-edge count of rows containing the edge."""
     counts = [0] * edge_count
     for row in rows:
-        for e in iter_bits(row):
-            counts[e] += 1
+        while row:
+            low = row & -row
+            counts[low.bit_length() - 1] += 1
+            row ^= low
     return tuple(counts)
 
 

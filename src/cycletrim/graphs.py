@@ -242,9 +242,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 def mask_vertices(g: Graph, mask: int) -> int:
     """Bitmask of the vertices the edges in ``mask`` touch."""
     out = 0
-    for e in iter_bits(mask):
-        u, v, _ = g.edges[e]
+    edges = g.edges
+    while mask:
+        low = mask & -mask
+        u, v, _ = edges[low.bit_length() - 1]
         out |= (1 << u) | (1 << v)
+        mask ^= low
     return out
 
 
@@ -252,10 +255,12 @@ def mask_neighbours(g: Graph, mask: int) -> list[int]:
     """Per vertex, the bitmask of its neighbours along the edges in ``mask``."""
     nbrs = [0] * g.vertex_count
     edges = g.edges
-    for e in iter_bits(mask):
-        u, v, _ = edges[e]
+    while mask:
+        low = mask & -mask
+        u, v, _ = edges[low.bit_length() - 1]
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
+        mask ^= low
     return nbrs
 
 

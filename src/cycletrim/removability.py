@@ -23,22 +23,27 @@ A solve keeps one entry per retained set it reaches, in the basis'
 home of what depends only on that set: the cover counts and union
 adjacency, the bitmasks of the edges covered exactly once and exactly
 twice, the union's degree-2 vertices and the vertices already over the
-neighbour cap, the sharing components walked so far, and the verdicts on
-its cycles, indexed by bitmasks of the cycles asked and found removable.
-With the two edge masks, candidacy and the edges a deletion adds to the
-boundary are each one AND with the cycle's row. States of different
-partitions that retain the same cycles share the entry, so each entry is
-built, and each verdict evaluated, once per solve. Cluster tags live
-beside the table on the basis, keyed by the member bitmask.
+neighbour cap, the cycles whose sharing clusters are known to reduce to a
+cycle graph or to an acyclic leftover, the tour its boundary forms, and
+the verdicts on its cycles, indexed by bitmasks of the cycles asked and
+found removable, with the removable ones' deletion records ranked in the
+greedy rule's order. With the two edge masks, candidacy and the edges a
+deletion adds to the boundary are each one AND with the cycle's row. States
+of different partitions that retain the same cycles share the entry, so
+each entry is built, and each verdict evaluated, once per solve, and a
+greedy pass over cycles whose verdicts are known reads its choice from the
+ranking. Cluster tags live beside the table on the basis, keyed by the
+member bitmask.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cycle_space import count_covers, edges_with_cover
-from .graphs import Weight, iter_bits, mask_neighbours, mask_weight, reach
+from .graphs import Weight, mask_neighbours, mask_weight, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,8 +62,7 @@ class NotRemovable(Exception):
     """Raised when a deletion is requested for a cycle that cannot go."""
 
 
-@dataclass(frozen=True)
-class DeletionRecord:
+class DeletionRecord(NamedTuple):
     """One applied (or proposed) deletion.
 
     ``removed_edge`` is the cycle's unique boundary edge, which leaves the
@@ -72,8 +76,7 @@ class DeletionRecord:
     added_weight: Weight
 
 
-@dataclass(frozen=True)
-class RemovabilityContext:
+class RemovabilityContext(NamedTuple):
     """Verdict of a single removability decision.
 
     ``record`` is what deleting the cycle would do; it is None for
@@ -98,6 +101,12 @@ class ReductionOutcome:
     steps: tuple[tuple, ...]
 
 
+def deletion_key(weights: Sequence[Weight], record: DeletionRecord) -> tuple:
+    """The greedy rule's order on deletion records: least added weight, then
+    lighter removed edge, then lower cycle index."""
+    return record.added_weight, weights[record.removed_edge], record.cycle
+
+
 def deletion_record(state: SolverState, c: int) -> DeletionRecord:
     """What deleting ``c`` does to the union, read from its row and the
     retained set's edge masks.
@@ -118,9 +127,13 @@ def deletion_record(state: SolverState, c: int) -> DeletionRecord:
         raise NotRemovable(f"cycle {c} has no boundary edge")
     if hit & (hit - 1):
         raise NotRemovable(f"cycle {c} has more than one boundary edge")
-    newly = row & entry.twice
-    added = mask_weight(state.basis.graph, newly)
-    return DeletionRecord(c, hit.bit_length() - 1, newly, added)
+    return _record(state, entry, c, hit)
+
+
+def _record(state: SolverState, entry: _RetainedSet, c: int, hit: int) -> DeletionRecord:
+    # the record of candidate ``c``, whose once-covered edge is ``hit``
+    newly = state.basis.cycles[c] & entry.twice
+    return DeletionRecord(c, hit.bit_length() - 1, newly, mask_weight(state.basis.graph, newly))
 
 
 def find_diagonals(state: SolverState, c: int) -> int:
@@ -141,50 +154,91 @@ def reduce_cluster(adjacency: Sequence[int]) -> ReductionOutcome:
     So the steps are deterministic. Vertices without edges take no part,
     and inputs may be disconnected, so a cluster keeps its parent's vertex
     ids. The input is not changed.
+
+    The bitmasks of the vertices with edges, of those of degree 2 and of
+    the forced ones are built once and kept across rounds. A deletion
+    changes the degrees of its two ends, so their bits are set again, and
+    the forced bits of the ends and, where an end's degree-2 bit flips, of
+    its neighbours. A smoothing takes its vertex out and changes no
+    other bit: its two neighbours keep their degrees and swap it for each
+    other, and one of the two has degree 2, so the other swaps a degree-2
+    neighbour for a degree-2 neighbour. Without a forced vertex no edge is
+    deletable, and the round goes straight to the smoothings.
     """
     adj = list(adjacency)
+    live = two = 0
+    for v, nbrs in enumerate(adj):
+        if nbrs:
+            live |= 1 << v
+            if nbrs.bit_count() == 2:
+                two |= 1 << v
+    forced = _forced(adj, live & ~two, two)
     steps: list[tuple] = []
     while True:
-        live = two = 0
-        for v, nbrs in enumerate(adj):
-            if nbrs:
-                live |= 1 << v
-                if nbrs.bit_count() == 2:
-                    two |= 1 << v
         if (
             two == live
             and live.bit_count() >= 3
             and reach(adj, (live & -live).bit_length() - 1, live) == live
         ):
             return ReductionOutcome(REDUCED_CYCLE_GRAPH, tuple(steps))
-        forced = 0
-        for v in iter_bits(live & ~two):
-            if (adj[v] & two).bit_count() == 2:
-                forced |= 1 << v
-        for u in iter_bits(live & ~two):
+        # a deletable edge has a forced end, so without one only a
+        # smoothing can apply
+        m = live & ~two if forced else 0
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
             # neighbours above u that end a deletable edge: any one not of
-            # degree 2 if u is forced, else a forced one; -(2 << u) clears
+            # degree 2 if u is forced, else a forced one; -(low << 1) clears
             # bits 0..u
-            ends = adj[u] & -(2 << u) & (~two if (forced >> u) & 1 else forced)
+            ends = adj[u] & -(low << 1) & (~two if forced & low else forced)
             if ends:
                 v = (ends & -ends).bit_length() - 1
                 adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
+                adj[v] ^= low
                 steps.append(("delete_edge", u, v))
+                # the ends' degrees drop by one; a vertex whose degree-2 bit
+                # flips changes its neighbours' counts of degree-2 neighbours
+                touched = low | (1 << v)
+                for x in (u, v):
+                    degree = adj[x].bit_count()
+                    if not degree:
+                        live &= ~(1 << x)
+                    if (degree == 2) != ((two >> x) & 1):
+                        two ^= 1 << x
+                        touched |= adj[x]
+                forced = (forced & ~touched) | _forced(adj, touched & live & ~two, two)
                 break
+            m ^= low
         else:
-            for v in iter_bits(two):
+            m = two
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
                 nbrs = adj[v]
                 x = (nbrs & -nbrs).bit_length() - 1
                 y = nbrs.bit_length() - 1
                 if nbrs & two and not (adj[x] >> y) & 1:
-                    adj[x] ^= (1 << v) | (1 << y)
-                    adj[y] ^= (1 << v) | (1 << x)
+                    adj[x] ^= low | (1 << y)
+                    adj[y] ^= low | (1 << x)
                     adj[v] = 0
+                    live ^= low
+                    two ^= low
                     steps.append(("smooth", v, x, y))
                     break
+                m ^= low
             else:
                 return ReductionOutcome(REDUCED_ACYCLIC, tuple(steps))
+
+
+def _forced(adj: list[int], within: int, two: int) -> int:
+    # the vertices of ``within`` with exactly two degree-2 neighbours
+    forced = 0
+    while within:
+        low = within & -within
+        if (adj[low.bit_length() - 1] & two).bit_count() == 2:
+            forced |= low
+        within ^= low
+    return forced
 
 
 @dataclass(eq=False, slots=True)
@@ -195,17 +249,23 @@ class _RetainedSet:
     ``cover_counts`` and ``union_adjacency`` (one bitmask of union
     neighbours per vertex) are what the states' properties of the same
     names read. ``once`` and ``twice`` are the bitmasks of the edges
-    covered exactly once (the boundary) and exactly twice, from which
-    :func:`deletion_record` reads a cycle's candidacy and the edges its
-    deletion adds to the boundary. ``degree_two`` is the bitmask of the
-    union's degree-2 vertices and ``over_cap`` of the vertices with three
-    or more of them as union neighbours. ``components`` maps each retained cycle whose sharing
-    component has been walked to that component's bitmask. ``verdicts``
-    maps each cycle whose verdict on the set has been evaluated to it, with
-    its deletion record. ``asked`` and ``removable`` index it by bit: bit
-    ``c`` of ``asked`` is set when ``c`` has a verdict, and of
-    ``removable`` when that verdict is removable, so a pass reads its
-    candidates by two masks.
+    covered exactly once (the boundary) and exactly twice, from which a
+    cycle's candidacy and the edges its deletion adds to the boundary are
+    read. ``degree_two`` is the bitmask of the union's degree-2 vertices and
+    ``over_cap`` of the vertices with three or more of them as union
+    neighbours. ``cycle_graph`` and ``acyclic`` are the bitmasks of the
+    retained cycles whose sharing clusters have been found to reduce to a
+    cycle graph and to an acyclic leftover; each is a union of whole
+    clusters. ``tour`` is the Hamilton cycle the boundary forms, None when
+    it forms none, and ``()`` until it is first decoded.
+
+    ``verdicts`` maps each cycle whose verdict on the set has been
+    evaluated to it, with its deletion record. ``asked`` and ``removable``
+    index it by bit: bit ``c`` of ``asked`` is set when ``c`` has a verdict,
+    and of ``removable`` when that verdict is removable. ``ranked`` holds
+    the removable verdicts' records in :func:`deletion_key` order, each
+    inserted as its verdict is evaluated, so a greedy pass whose verdicts
+    are all known takes the first record of ``ranked`` inside its pool.
     """
 
     cover_counts: tuple[int, ...]
@@ -214,10 +274,13 @@ class _RetainedSet:
     twice: int
     degree_two: int
     over_cap: int
-    components: dict[int, int] = field(default_factory=dict)
+    cycle_graph: int = 0
+    acyclic: int = 0
+    tour: tuple[int, ...] | None = ()
     verdicts: dict[int, RemovabilityContext] = field(default_factory=dict)
     asked: int = 0
     removable: int = 0
+    ranked: list[DeletionRecord] = field(default_factory=list)
 
 
 def _retained_set(state: SolverState) -> _RetainedSet:
@@ -226,13 +289,19 @@ def _retained_set(state: SolverState) -> _RetainedSet:
     basis = state.basis
     entry = basis._retained_sets.get(state.retained)
     if entry is None:
-        rows = [basis.cycles[i] for i in iter_bits(state.retained)]
+        cycles = basis.cycles
+        rows = []
+        union = 0
+        m = state.retained
+        while m:
+            low = m & -m
+            row = cycles[low.bit_length() - 1]
+            rows.append(row)
+            union |= row
+            m ^= low
         full = len(rows) == basis.dimension
         covers = basis.cover_counts if full else count_covers(basis.graph.edge_count, rows)
         once, twice = edges_with_cover(covers, 1), edges_with_cover(covers, 2)
-        union = 0
-        for row in rows:
-            union |= row
         adjacency = tuple(mask_neighbours(basis.graph, union))
         degree_two = 0
         for x, nbrs in enumerate(adjacency):
@@ -263,10 +332,14 @@ def _retained_set_after(state: SolverState, record: DeletionRecord) -> _Retained
         row = state.basis.cycles[record.cycle]
         covers = list(before.cover_counts)
         twice = before.twice & ~row
-        for e in iter_bits(row):
+        m = row
+        while m:
+            low = m & -m
+            e = low.bit_length() - 1
             covers[e] -= 1
             if covers[e] == 2:
-                twice |= 1 << e
+                twice |= low
+            m ^= low
         once = (before.once & ~row) | (before.twice & row)
         u, v, _ = state.basis.graph.edges[record.removed_edge]
         adjacency = list(before.union_adjacency)
@@ -312,16 +385,17 @@ def _cap_after(entry: _RetainedSet, u: int, v: int) -> tuple[int, int]:
 def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     """Full removability verdict for retained cycle ``c``.
 
-    Checks run cheapest first: candidacy, then the degree-2-neighbor cap on
-    the post-deletion union, then the diagonal clusters. The cap is read
-    from the state's retained-set entry, and only the neighbours of a
-    removed-edge end that drops to degree 2 are counted again. The verdict,
-    with its deletion record, is kept in that entry, which gains one key and
-    its ``asked`` (and, if removable, ``removable``) bit per verdict
-    evaluated; a verdict asked again is read from there. ``solve`` reads a
-    pass's candidates from those bits, and
-    :func:`~cycletrim.solver.apply_deletion` its record from the entry.
-    Cluster tags are kept on the basis per member bitmask.
+    Checks run cheapest first: candidacy, two ANDs of the cycle's row with
+    the retained set's edge masks; then the degree-2-neighbor cap on the
+    post-deletion union, read from the set's entry, where only the
+    neighbours of a removed-edge end that drops to degree 2 are counted
+    again; then the diagonal clusters. The verdict, with its deletion
+    record, is kept in that entry, which gains one key and its ``asked``
+    bit per verdict evaluated, and for a removable one its ``removable``
+    bit and its record's place in ``ranked``; a verdict asked again is read
+    from there. ``solve`` answers a greedy pass from those bits and the
+    ranking, and :func:`~cycletrim.solver.apply_deletion` reads its record
+    from the entry. Cluster tags are kept on the basis per member bitmask.
     """
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
@@ -332,35 +406,50 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
         entry.asked |= 1 << c
         if ctx.verdict == REMOVABLE:
             entry.removable |= 1 << c
+            weights = state.basis.graph.weights
+            insort(entry.ranked, ctx.record, key=lambda r: deletion_key(weights, r))
     return ctx
 
 
 def _evaluate(state: SolverState, entry: _RetainedSet, c: int) -> RemovabilityContext:
-    g = state.basis.graph
-    try:
-        record = deletion_record(state, c)
-    except NotRemovable:
+    # the diagonals are walked in ascending order up to the first whose
+    # cluster is acyclic; those whose clusters the entry already tags take
+    # no work, so only the untagged ones below the lowest known-acyclic
+    # diagonal are walked, and each cluster is walked once per entry
+    basis = state.basis
+    state.counters.row_ops += 1
+    hit = basis.cycles[c] & entry.once
+    if not hit or hit & (hit - 1):
         return RemovabilityContext(NOT_CANDIDATE, None)
+    record = _record(state, entry, c, hit)
 
-    u, v, _ = g.edges[record.removed_edge]
+    u, v, _ = basis.graph.edges[record.removed_edge]
     if _cap_after(entry, u, v)[1]:
         return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
 
-    for d in iter_bits(find_diagonals(state, c)):
-        members = entry.components.get(d)
-        if members is None:
-            members = reach(state.basis.sharing, d, state.retained)
-            for m in iter_bits(members):
-                entry.components[m] = members
-        outcome_tag = state.basis._cluster_tags.get(members)
-        if outcome_tag is None:
+    diagonals = basis.diagonals[c] & state.retained
+    blocked = diagonals & entry.acyclic
+    unknown = diagonals & ~entry.cycle_graph & ~entry.acyclic
+    if blocked:
+        unknown &= (blocked & -blocked) - 1
+    while unknown:
+        low = unknown & -unknown
+        members = reach(basis.sharing, low.bit_length() - 1, state.retained)
+        tag = basis._cluster_tags.get(members)
+        if tag is None:
             mask = 0
-            for m in iter_bits(members):
-                mask |= state.basis.cycles[m]
+            m = members
+            while m:
+                bit = m & -m
+                mask |= basis.cycles[bit.bit_length() - 1]
+                m ^= bit
             state.counters.row_ops += members.bit_count()
-            outcome_tag = reduce_cluster(mask_neighbours(g, mask)).tag
-            state.basis._cluster_tags[members] = outcome_tag
+            tag = reduce_cluster(mask_neighbours(basis.graph, mask)).tag
+            basis._cluster_tags[members] = tag
             state.counters.reduce_calls += 1
-        if outcome_tag == REDUCED_ACYCLIC:
+        if tag == REDUCED_ACYCLIC:
+            entry.acyclic |= members
             return RemovabilityContext(BLOCKED_BY_CLUSTER, record)
-    return RemovabilityContext(REMOVABLE, record)
+        entry.cycle_graph |= members
+        unknown &= ~members
+    return RemovabilityContext(BLOCKED_BY_CLUSTER if blocked else REMOVABLE, record)

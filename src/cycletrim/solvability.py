@@ -46,7 +46,9 @@ def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:
     reach; the search enters a cycle only when the rest of the target is
     reachable after it, so every call leads to a solution and the search
     never backtracks: the first solution takes at most ``vertex_count - 1``
-    calls, and each further one as many again.
+    calls, and each further one as many again. The table depends only on
+    the basis, so it is built on the first search of a basis and kept on it
+    (``_solution_sums``) for every later one.
     """
     target = basis.graph.vertex_count - 2
     values = [c.bit_count() - 2 for c in basis.cycles]
@@ -54,11 +56,13 @@ def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:
     most = min(dim, target)
     if most < 1:
         return
-    keep = (1 << (target + 1)) - 1
-    sums = [[1] + [0] * most for _ in range(dim + 1)]
-    for i in range(dim - 1, -1, -1):
-        for k in range(1, most + 1):
-            sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
+    sums = basis._solution_sums
+    if not sums:
+        keep = (1 << (target + 1)) - 1
+        sums.extend([1] + [0] * most for _ in range(dim + 1))
+        for i in range(dim - 1, -1, -1):
+            for k in range(1, most + 1):
+                sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
     everything = (1 << dim) - 1
     chosen: list[int] = []
 

@@ -27,6 +27,7 @@ from .removability import (
     NotRemovable,
     _retained_set,
     _retained_set_after,
+    deletion_key,
     deletion_record,
     is_removable,
 )
@@ -53,7 +54,11 @@ class Counters:
     ``reduce_calls`` counts cluster reductions actually executed. Both
     also count the start verdicts that a solve whose first partition
     deletes nothing asks of that partition's solution cycles (see
-    :func:`solve`).
+    :func:`solve`). ``candidates_tested`` counts each cycle of each pass's
+    pool and ``comparisons`` what :func:`select_deletion` would count over
+    the pass's removable records, one fewer than their number, although
+    the pass reads its choice from the retained set's ranking without
+    comparing records. ``deletions`` counts applied deletions.
     """
 
     candidates_tested: int = 0
@@ -161,15 +166,15 @@ def boundary_mask(state: SolverState) -> int:
 def select_deletion(state: SolverState, records: list[DeletionRecord]) -> DeletionRecord:
     """Pick the record with minimal added weight.
 
-    Ties break by smaller removed-edge weight, then by lower cycle index.
+    Ties break by smaller removed-edge weight, then by lower cycle index:
+    the least record by :func:`~cycletrim.removability.deletion_key`, the
+    order in which each retained set ranks its removable records.
     """
     if not records:
         raise ValueError("no deletion candidates")
     state.counters.comparisons += len(records) - 1
-    return min(
-        records,
-        key=lambda r: (r.added_weight, state.basis.graph.weights[r.removed_edge], r.cycle),
-    )
+    weights = state.basis.graph.weights
+    return min(records, key=lambda r: deletion_key(weights, r))
 
 
 def apply_deletion(state: SolverState, c: int) -> SolverState:
@@ -204,52 +209,49 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     )
 
 
-def _removable_records(state: SolverState, pool: int) -> list[DeletionRecord]:
+def _greedy_pass(state: SolverState, pool: int) -> DeletionRecord | None:
     # one greedy pass over ``pool``: the verdicts not yet known on this
-    # retained set are asked, and the removable cycles are read from its entry
-    state.counters.candidates_tested += pool.bit_count()
+    # retained set are asked, and the cheapest removable cycle is the first
+    # record of the entry's ranking inside the pool. The counters take what
+    # ``select_deletion`` over the pool's removable records would count
+    counters = state.counters
+    counters.candidates_tested += pool.bit_count()
     entry = _retained_set(state)
     m = pool & ~entry.asked
     while m:
         low = m & -m
         is_removable(state, low.bit_length() - 1)
         m ^= low
-    verdicts = entry.verdicts
-    records = []
-    m = pool & entry.removable
-    while m:
-        low = m & -m
-        records.append(verdicts[low.bit_length() - 1].record)
-        m ^= low
-    return records
+    found = pool & entry.removable
+    if not found:
+        return None
+    counters.comparisons += found.bit_count() - 1
+    return next(record for record in entry.ranked if (found >> record.cycle) & 1)
 
 
-def _run_partition(state: SolverState, records: list[DeletionRecord]) -> SolverState:
-    # S2 delete the cheapest removable cycle; S1 collect the removable
-    # co-solution cycles left; S3 repeat until the pool empties or nothing is
-    # removable. ``records`` is the first pass, answered on the start state.
-    while records:
-        state = apply_deletion(state, select_deletion(state, records).cycle)
-        records = _removable_records(state, state.partition.co_solution & state.retained)
-    return state
+def _boundary_tour(state: SolverState) -> tuple[int, ...] | None:
+    # the tour the state's boundary forms, decoded once per retained set
+    entry = _retained_set(state)
+    if entry.tour == ():
+        entry.tour = tour_from_edge_mask(state.basis.graph, entry.once)
+    return entry.tour
 
 
 def _attempt(
-    start: SolverState,
-    partition: SolutionPartition,
-    start_mask: int,
-    start_tour: tuple[int, ...] | None,
-) -> tuple[SolverState, int, tuple[int, ...] | None]:
-    # one partition from the full basis: (end state, boundary, tour or None).
-    # The start state retains every cycle, so the first pass's pool is the
-    # co-solution; a partition that deletes nothing ends on the start boundary
-    first = _removable_records(start, partition.co_solution)
+    start: SolverState, partition: SolutionPartition
+) -> tuple[SolverState, tuple[int, ...] | None]:
+    # one partition from the full basis: its end state and tour or None.
+    # S2 delete the cheapest removable cycle; S1 find the cheapest removable
+    # co-solution cycle left; S3 repeat until the pool empties or nothing is
+    # removable. The start state retains every cycle, so the first pass's
+    # pool is the co-solution, and a partition that deletes nothing ends on
+    # the start entry
+    record = _greedy_pass(start, partition.co_solution)
     state = SolverState(start.basis, partition, start.retained, counters=start.counters)
-    if not first:
-        return state, start_mask, start_tour
-    state = _run_partition(state, first)
-    mask = boundary_mask(state)
-    return state, mask, tour_from_edge_mask(start.basis.graph, mask)
+    while record is not None:
+        state = apply_deletion(state, record.cycle)
+        record = _greedy_pass(state, partition.co_solution & state.retained)
+    return state, _boundary_tour(state)
 
 
 def solve(graph: Graph) -> TourResult:
@@ -264,8 +266,9 @@ def solve(graph: Graph) -> TourResult:
     verdict back. Other failures never raise; they surface as statuses with
     the trace of the last attempted partition. The one basis built per call
     carries the solve's memo, its table of retained-set entries (each with
-    its verdicts) and its cluster tags; it and the counters are shared by
-    every partition tried. Every partition starts from the full basis, so
+    its verdicts, their ranking, its cluster masks and its boundary's
+    tour), its cluster tags and its solution table; it and the counters
+    are shared by every partition tried. Every partition starts from the full basis, so
     each verdict on the start state, like each on any retained set, is
     evaluated once per solve, and no solve reads another's memo.
 
@@ -288,9 +291,7 @@ def solve(graph: Graph) -> TourResult:
     if first is None:
         return TourResult(STATUS_NO_SOLUTION, None, None, 0, None)
     start = initial_state(basis, first)
-    start_mask = boundary_mask(start)
-    start_tour = tour_from_edge_mask(graph, start_mask)
-    state, mask, tour = _attempt(start, first, start_mask, start_tour)
+    state, tour = _attempt(start, first)
     tried = 1
     if tour is None and not state.trace:
         # nothing went: ask the rest of the start verdicts, outside any pass
@@ -298,9 +299,9 @@ def solve(graph: Graph) -> TourResult:
             is_removable(start, c)
     if tour is None and _retained_set(start).removable:
         for tried, partition in enumerate(enumerate_solutions(basis)[1:], 2):
-            state, mask, tour = _attempt(start, partition, start_mask, start_tour)
+            state, tour = _attempt(start, partition)
             if tour is not None:
                 break
     if tour is None:
         return TourResult(STATUS_STUCK, None, None, tried, state)
-    return TourResult(STATUS_OK, tour, mask_weight(graph, mask), tried, state)
+    return TourResult(STATUS_OK, tour, mask_weight(graph, boundary_mask(state)), tried, state)

@@ -344,16 +344,14 @@ def test_reduction_outcome_does_not_depend_on_move_order(g, data):
             assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
 
 
-def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
-    # every cluster the solver reduces on the seed-1 campaign draws, on the
-    # parent's vertex ids as the solver builds it; the dict-of-sets reference
-    # takes the same steps, and the tag must not depend on the labelling
+def _solver_clusters(rng, draws, n_low, n_high, p):
+    # every cluster the solver reduces on the Hamiltonian ones of ``draws``
+    # campaign-style draws, as (graph, edge mask) on the parent's vertex ids
     from cycletrim import random_connected_graph
 
-    rng = random.Random(1)
     clusters = set()
-    for _ in range(120):
-        g = random_connected_graph(rng, rng.randint(5, 9), 0.5, 1, 100)
+    for _ in range(draws):
+        g = random_connected_graph(rng, rng.randint(n_low, n_high), p, 1, 100)
         if not is_hamiltonian(g):
             continue
         result = solve(g)
@@ -364,14 +362,41 @@ def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
             for m in iter_bits(members):
                 mask |= result.final_state.basis.cycles[m]
             clusters.add((g, mask))
-    assert clusters
+    return clusters
+
+
+def _check_against_the_reference(clusters, orders):
+    # the dict-of-sets reference takes the same steps, and the tag must not
+    # depend on the labelling or on the move order; returns all steps taken
+    steps = []
     for g, mask in clusters:
         h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
         fixed = reduce_cluster(mask_neighbours(g, mask))
         assert reduce_cluster_reference(h) == fixed
         assert reduce_cluster(all_neighbours(edge_subgraph_reference(g, mask))).tag == fixed.tag
-        for seed in range(4):
+        for seed in range(orders):
             assert reduce_cluster_random(h, random.Random(seed)).tag == fixed.tag
+        steps.extend(fixed.steps)
+    return steps
+
+
+def test_reduction_outcome_does_not_depend_on_move_order_on_solver_clusters():
+    # every cluster the solver reduces on the seed-1 campaign draws, on the
+    # parent's vertex ids as the solver builds it
+    clusters = _solver_clusters(random.Random(1), 120, 5, 9, 0.5)
+    assert clusters
+    _check_against_the_reference(clusters, orders=4)
+
+
+def test_reducer_steps_match_the_reference_on_large_sparse_clusters():
+    # the clusters of sparse 18-vertex draws, shaped like the large_sparse
+    # benchmark inputs, take long runs of smoothings, where the reducer's
+    # kept vertex masks change one bit per move; every step must be the
+    # reference's
+    clusters = _solver_clusters(random.Random(2), 60, 18, 18, 0.2)
+    steps = _check_against_the_reference(clusters, orders=2)
+    kinds = [step[0] for step in steps]
+    assert kinds.count("smooth") >= 50 and kinds.count("delete_edge") >= 50
 
 
 # --- full removability -------------------------------------------------------
@@ -454,6 +479,75 @@ def test_removable_unions_stay_hamiltonian(g):
         if not is_hamiltonian(union_subgraph(after)):
             print(f"\ncounterexample union after deleting {c}: {g.edges}")
         break
+
+
+def test_each_verdict_reduces_the_clusters_of_the_full_ascending_walk(monkeypatch):
+    # a verdict walks only the diagonals its entry has not tagged, below the
+    # lowest one known to be acyclic; it must reduce exactly the clusters
+    # that walking every diagonal in ascending order, up to the first
+    # acyclic one, reduces given the tags known before it, so reduce_calls
+    # cannot move. Checked on every verdict of solves of benchmark-shaped
+    # draws, and on random retained sets asked in random order, where a
+    # walk can stop before a cluster no verdict has tagged yet
+    import cycletrim.solver
+    from cycletrim import random_connected_graph
+
+    real = cycletrim.solver.is_removable
+    walks = []
+
+    def reference_tag(state, members):
+        g = state.basis.graph
+        mask = 0
+        for m in iter_bits(members):
+            mask |= state.basis.cycles[m]
+        h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
+        return reduce_cluster_reference(h).tag
+
+    def checked(state, c):
+        before = set(state.basis._cluster_tags)
+        ctx = real(state, c)
+        expected = set()
+        beyond = 0  # untagged clusters past the walk's stop
+        if ctx.verdict in (REMOVABLE, BLOCKED_BY_CLUSTER):
+            stopped = False
+            for d in iter_bits(find_diagonals(state, c)):
+                members = cluster_members_reference(state, d)
+                if stopped:
+                    beyond += members not in before and members not in expected
+                    continue
+                if members not in before:
+                    expected.add(members)
+                stopped = reference_tag(state, members) == REDUCED_ACYCLIC
+            assert stopped == (ctx.verdict == BLOCKED_BY_CLUSTER)
+        assert set(state.basis._cluster_tags) - before == expected
+        for members in expected:
+            assert state.basis._cluster_tags[members] == reference_tag(state, members)
+        walks.append((len(expected), beyond))
+        return ctx
+
+    monkeypatch.setattr(cycletrim.solver, "is_removable", checked)
+    rng = random.Random(3)
+    for n_low, n_high, p, draws in ((5, 12, 0.5, 150), (14, 16, 0.5, 10), (18, 18, 0.2, 60)):
+        for _ in range(draws):
+            g = random_connected_graph(rng, rng.randint(n_low, n_high), p, 1, 100)
+            if is_hamiltonian(g):
+                solve(g)
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(6, 12)
+        g = random_connected_graph(rng, n, rng.choice((0.3, 0.4, 0.5)), 1, 100)
+        rows = list(fundamental_basis(g).cycles)
+        if len(rows) < 4:
+            continue
+        state = crafted_state(g, rows, solution=(), retained=rng.getrandbits(len(rows)) | 1)
+        order = list(iter_bits(state.retained))
+        rng.shuffle(order)
+        for c in order:
+            checked(state, c)
+    # verdicts that reduce nothing, that reduce a cluster, and that stop
+    # before an untagged cluster are all checked
+    assert {0, 1} <= {reduced for reduced, _ in walks}
+    assert any(beyond for _, beyond in walks)
 
 
 @given(hamiltonian_graphs(max_vertices=8))

@@ -29,7 +29,12 @@ from cycletrim import (
 from cycletrim.cli import _result_json
 from cycletrim.cycle_space import edges_with_cover
 from cycletrim.graphs import Graph, iter_bits, tour_from_edge_mask
-from cycletrim.removability import BLOCKED_BY_CLUSTER, REMOVABLE
+from cycletrim.removability import (
+    BLOCKED_BY_CLUSTER,
+    REDUCED_ACYCLIC,
+    REDUCED_CYCLE_GRAPH,
+    REMOVABLE,
+)
 from cycletrim.solver import STATUS_NO_SOLUTION, STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
 from helpers import (
@@ -43,6 +48,7 @@ from helpers import (
     k4_golden,
     make_graph,
     petersen,
+    reduce_cluster_reference,
     solve_reference,
     state_for,
     theta,
@@ -377,7 +383,9 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
     # seeded draws as `cycletrim mine` makes them; after each solve, every
     # entry of its basis' retained-set table against a recount of the
     # retained rows, a scan of the union and the verdicts of a state over a
-    # memo-free copy of the basis. The memo lasts one solve: a second solve
+    # memo-free copy of the basis, and its ranking, cluster masks and tour
+    # against a sort, the reference reducer and a decode of its boundary.
+    # The memo lasts one solve: a second solve
     # of the graph does the same work in every counter, which a memo kept
     # past the solve (on the graph, say) would cut
     partitions_reaching = {}
@@ -392,6 +400,7 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
     monkeypatch.setattr(cycletrim.solver, "apply_deletion", recorded)
     rng = random.Random(20)
     solved = 0
+    filled = {"ranked": 0, "cycle_graph": 0, "acyclic": 0, "tour": 0}
     while solved < 40:
         g = random_connected_graph(rng, rng.randint(5, 12), 0.5, 1, 100)
         if not is_hamiltonian(g):
@@ -425,11 +434,34 @@ def test_retained_set_entries_match_a_recount(monkeypatch):
                 assert is_removable(fresh, c) == ctx
                 assert ctx.record == deletion_record_reference(fresh, c)
                 assert (entry.removable >> c) & 1 == (ctx.verdict == REMOVABLE)
-            for c, members in entry.components.items():
-                assert members == cluster_members_reference(fresh, c)
+            # the ranking is the removable records in the greedy rule's order
+            removable = [ctx.record for ctx in entry.verdicts.values() if ctx.verdict == REMOVABLE]
+            assert entry.ranked == sorted(
+                removable, key=lambda r: (r.added_weight, g.weights[r.removed_edge], r.cycle)
+            )
+            # the cluster masks are unions of whole sharing clusters, each
+            # under the tag the dict-of-sets reducer gives its edges
+            tagged = {REDUCED_CYCLE_GRAPH: 0, REDUCED_ACYCLIC: 0}
+            for c in iter_bits(entry.cycle_graph | entry.acyclic):
+                members = cluster_members_reference(fresh, c)
+                mask = 0
+                for m in iter_bits(members):
+                    mask |= rows[m]
+                h = Graph(g.vertex_count, tuple(g.edges[e] for e in iter_bits(mask)))
+                tagged[reduce_cluster_reference(h).tag] |= members
+            assert (entry.cycle_graph, entry.acyclic) == (
+                tagged[REDUCED_CYCLE_GRAPH], tagged[REDUCED_ACYCLIC]
+            )
+            if entry.tour != ():
+                assert entry.tour == tour_from_edge_mask(g, entry.once)
+            for name in ("ranked", "cycle_graph", "acyclic"):
+                filled[name] += bool(getattr(entry, name))
+            filled["tour"] += entry.tour is not None and entry.tour != ()
     # the sharing path is taken: some retained set is reached by deletions
     # in two different partitions
     assert any(len(solutions) > 1 for solutions in partitions_reaching.values())
+    # every new field is checked on some entry where it holds something
+    assert all(filled.values()), filled
 
 
 def test_determinism():
