@@ -46,14 +46,12 @@ from .oracle import (
 from .removability import (
     RemovabilityContext,
     ReductionOutcome,
-    find_diagonals,
     is_removable,
     reduce_cluster,
 )
 from .solvability import (
     SolutionPartition,
     enumerate_solutions,
-    solution_sum,
 )
 from .solver import (
     Counters,
@@ -64,7 +62,6 @@ from .solver import (
     apply_deletion,
     boundary_mask,
     initial_state,
-    select_deletion,
     solve,
 )
 

@@ -31,9 +31,10 @@ The gate keeps the last graph it gated, with its neighbour bitmasks and
 the cycle it found, or None, as a one-entry memo keyed by identity.
 :func:`is_hamiltonian` on that same object reads its verdict back, and
 :func:`min_tour` takes the masks and the cycle from it in place of its own
-up-front checks and search. A campaign gates a draw and then hands that
-object to ``solve``, which gates it again, and to :func:`min_tour`, so each
-draw is searched once. The memo holds one graph at a time.
+up-front checks and search, whatever the weights' type. A campaign gates
+a draw and then hands that object to ``solve``, which gates it again, and
+to :func:`min_tour`, so each draw is searched once. The memo holds one
+graph at a time.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
@@ -68,8 +69,9 @@ lower bound. Any number at least the optimum serves as the upper bound, so
 the DP runs first under guessed bounds just above the lower bound, raised
 until one closes a tour no heavier than the guess, and only then under the
 bound; every run uses the same penalties. The DP raises :class:`TooLarge`
-once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. Fractional
-weights are scaled to ints first. See :func:`min_tour`.
+once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. The bounds
+and the DP see fractional weights scaled to ints, on a copy with the same
+edges. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -471,16 +473,17 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     return best_a1, best_a2
 
 
-def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight, list, list]:
+def _bounds(g: Graph, nbrs: list[int], tour: list[int] | None) -> tuple[Weight, list, list]:
     """``(UB, a1, a2)`` for :func:`min_tour`, on a graph with neighbour
     bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
 
-    ``UB`` is the weight of a first tour, lowered by ``_improve``: the
-    front gate's cycle when ``g`` is the graph in the gate's memo, else the
-    one :func:`_search_cycle` finds within ``WITNESS_NODES_PER_VERTEX``
-    search nodes per vertex. When there is none, ``UB`` is ``n`` times the
-    heaviest weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two
-    lightest reduced weights at each vertex, under the penalties
+    ``UB`` is the weight of a first tour, lowered by ``_improve``: ``tour``
+    (the front gate's cycle, which ``_improve`` edits in place), or when
+    that is None the one :func:`_search_cycle` finds within
+    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex. When there is
+    none, ``UB`` is ``n`` times the heaviest weight, which no tour exceeds.
+    ``a1(x) <= a2(x)`` are the two lightest reduced weights at each
+    vertex, under the penalties
     ``_penalties`` aims at ``2 * UB``, or, without a first tour, a quarter
     of the way to it from the sum without penalties: on dense graphs ``n``
     times the heaviest weight is so far above the optimum that steps aimed
@@ -488,10 +491,7 @@ def _bounds(g: Graph, nbrs: list[int]) -> tuple[Weight, list, list]:
     penalties.
     """
     ends = _ends(g)
-    gated, _, cycle = _gated
-    if gated is g:
-        tour = None if cycle is None else list(cycle)  # a copy: _improve edits it
-    else:
+    if tour is None:
         try:
             tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
         except _GaveUp:
@@ -538,11 +538,14 @@ def min_tour(g: Graph) -> OracleAnswer:
     Runtime is O(n^2 * 2^n) at worst. Memory is one row of n costs per
     reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows, so sizes
     near the cap are slow and large in pure Python but stay exact.
-    A graph with a ``Fraction`` weight runs on ints: every weight is
-    multiplied by the least common multiple of the denominators, which
-    keeps the order of every sum and so, by the arguments below, the tour.
-    The optimum weight is that tour's weight on the graph as given, so its
-    type is ``Fraction`` exactly when one of the tour's edges is.
+    With a ``Fraction`` weight the bounds and the DP run on ints: they see
+    a copy of ``g`` whose every weight is multiplied by the least common
+    multiple of the denominators, which keeps the order of every sum and so,
+    by the arguments below, the tour. The copy has the same vertices and
+    edges, so the up-front checks, the gate's memo and its cycle are read
+    on ``g`` itself, and each input is searched at most once. The optimum
+    weight is that tour's weight on the graph as given, so its type is
+    ``Fraction`` exactly when one of the tour's edges is.
 
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
@@ -594,10 +597,11 @@ def min_tour(g: Graph) -> OracleAnswer:
     is a dead set's dropped row.
 
     Bounds: the first tour is the gate's cycle when ``g`` is in the gate's
-    memo; otherwise ``_search_cycle`` looks for a Hamilton cycle within a
-    budget of ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, which
-    only cuts short the search that found the gate's cycle, so it finds
-    that cycle or none. ``_improve`` lowers its weight by 2-opt and or-opt
+    memo, which ``min_tour`` hands to ``_bounds``; otherwise
+    ``_search_cycle`` looks for a Hamilton cycle within a budget of
+    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, which only cuts
+    short the search that found the gate's cycle, so it finds that cycle
+    or none. ``_improve`` lowers its weight by 2-opt and or-opt
     moves along existing edges. That weight is the upper bound ``UB``;
     without a first tour ``UB`` is ``n`` times the heaviest weight, which
     no tour exceeds. Given integer vertex
@@ -665,30 +669,34 @@ def min_tour(g: Graph) -> OracleAnswer:
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
-    weights = g.weights
-    scale = math.lcm(*(w.denominator for w in weights))
-    if scale > 1:  # some weight is a Fraction: run on ints, weigh the tour as given
-        answer = min_tour(Graph(n, tuple((u, v, w * scale) for u, v, w in g.edges)))
-        if answer.optimum_tour is None:
-            return answer
-        return OracleAnswer(tour_weight(g, answer.optimum_tour), answer.optimum_tour)
-    gated, nbrs, cycle = _gated
+    gated, nbrs, cycle = _gated  # read once: another thread may replace it
     if gated is g:  # the gate has checked g up front and searched it
         if cycle is None:
             return OracleAnswer(None, None)
+        first = list(cycle)  # a copy: _improve edits it
     else:
         nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
         if _no_tour_up_front(g, nbrs):
             return OracleAnswer(None, None)
-    bound, a1, a2 = _bounds(g, nbrs)
+        first = None
+    # with a Fraction weight the bounds and the DP run on a copy scaled to
+    # ints; it has g's vertices and edges, so nbrs and the tour still apply
+    scale = math.lcm(*(w.denominator for w in g.weights))
+    scaled = Graph(n, tuple((u, v, w * scale) for u, v, w in g.edges)) if scale > 1 else g
+    bound, a1, a2 = _bounds(scaled, nbrs, first)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
-    rise = (max(weights) - min(weights)) // 4 or 1
+    rise = (max(scaled.weights) - min(scaled.weights)) // 4 or 1
     while low + rise < 2 * bound:
-        found = _held_karp(g, nbrs, a1, a2, low + rise)
+        found = _held_karp(scaled, nbrs, a1, a2, low + rise)
         if found is not None:
-            return found
+            break
         rise *= 2
-    return _held_karp(g, nbrs, a1, a2, 2 * bound) or OracleAnswer(None, None)
+    else:
+        found = _held_karp(scaled, nbrs, a1, a2, 2 * bound)
+    if found is None or scaled is g:
+        return found or OracleAnswer(None, None)
+    # weigh the tour as given
+    return OracleAnswer(tour_weight(g, found.optimum_tour), found.optimum_tour)
 
 
 def _held_karp(

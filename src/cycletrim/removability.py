@@ -27,8 +27,10 @@ neighbour cap, the cycles whose sharing clusters are known to reduce to a
 cycle graph or to an acyclic leftover, the tour its boundary forms, and
 the verdicts on its cycles, indexed by bitmasks of the cycles asked and
 found removable, with the removable ones' deletion records ranked in the
-greedy rule's order. With the two edge masks, candidacy and the edges a
-deletion adds to the boundary are each one AND with the cycle's row. States
+greedy rule's order, :func:`deletion_key`. With the two edge masks,
+candidacy and the edges a deletion adds to the boundary are each one AND
+with the cycle's row; :func:`is_removable` is the only test of candidacy,
+and the ranking the only home of the greedy order. States
 of different partitions that retain the same cycles share the entry, so
 each entry is built, and each verdict evaluated, once per solve, and a
 greedy pass over cycles whose verdicts are known reads its choice from the
@@ -105,42 +107,6 @@ def deletion_key(weights: Sequence[Weight], record: DeletionRecord) -> tuple:
     """The greedy rule's order on deletion records: least added weight, then
     lighter removed edge, then lower cycle index."""
     return record.added_weight, weights[record.removed_edge], record.cycle
-
-
-def deletion_record(state: SolverState, c: int) -> DeletionRecord:
-    """What deleting ``c`` does to the union, read from its row and the
-    retained set's edge masks.
-
-    A cycle is a candidate exactly when one of its edges is covered once:
-    its row ANDed with the entry's once-covered mask holds one bit, and
-    that edge leaves the union. Its other edges are covered at least twice,
-    so they stay in the union and no vertex of ``c`` is left isolated; its
-    row ANDed with the twice-covered mask is the edges that join the
-    boundary. Raises :class:`NotRemovable` for any other cycle. Counts one
-    row op, as the scan of the row it stands for did.
-    """
-    row = state.basis.cycles[c]
-    entry = _retained_set(state)
-    state.counters.row_ops += 1
-    hit = row & entry.once
-    if not hit:
-        raise NotRemovable(f"cycle {c} has no boundary edge")
-    if hit & (hit - 1):
-        raise NotRemovable(f"cycle {c} has more than one boundary edge")
-    return _record(state, entry, c, hit)
-
-
-def _record(state: SolverState, entry: _RetainedSet, c: int, hit: int) -> DeletionRecord:
-    # the record of candidate ``c``, whose once-covered edge is ``hit``
-    newly = state.basis.cycles[c] & entry.twice
-    return DeletionRecord(c, hit.bit_length() - 1, newly, mask_weight(state.basis.graph, newly))
-
-
-def find_diagonals(state: SolverState, c: int) -> int:
-    """Bitmask of the retained cycles edge-disjoint from ``c`` sharing exactly one vertex."""
-    if not (state.retained >> c) & 1:
-        raise ValueError(f"cycle {c} is not retained")
-    return state.basis.diagonals[c] & state.retained
 
 
 def reduce_cluster(adjacency: Sequence[int]) -> ReductionOutcome:
@@ -389,13 +355,15 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     the retained set's edge masks; then the degree-2-neighbor cap on the
     post-deletion union, read from the set's entry, where only the
     neighbours of a removed-edge end that drops to degree 2 are counted
-    again; then the diagonal clusters. The verdict, with its deletion
-    record, is kept in that entry, which gains one key and its ``asked``
-    bit per verdict evaluated, and for a removable one its ``removable``
-    bit and its record's place in ``ranked``; a verdict asked again is read
-    from there. ``solve`` answers a greedy pass from those bits and the
-    ranking, and :func:`~cycletrim.solver.apply_deletion` reads its record
-    from the entry. Cluster tags are kept on the basis per member bitmask.
+    again; then the diagonal clusters. This is the one place candidacy is
+    tested: every verdict but ``not_candidate`` carries the deletion
+    record. The verdict is kept in that entry, which gains one key and its
+    ``asked`` bit per verdict evaluated, and for a removable one its
+    ``removable`` bit and its record's place in ``ranked``, in
+    :func:`deletion_key` order; a verdict asked again is read from there.
+    ``solve`` answers a greedy pass from those bits and the ranking, and
+    :func:`~cycletrim.solver.apply_deletion` takes its record from the
+    verdict. Cluster tags are kept on the basis per member bitmask.
     """
     if not (state.retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
@@ -412,16 +380,22 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
 
 
 def _evaluate(state: SolverState, entry: _RetainedSet, c: int) -> RemovabilityContext:
-    # the diagonals are walked in ascending order up to the first whose
-    # cluster is acyclic; those whose clusters the entry already tags take
-    # no work, so only the untagged ones below the lowest known-acyclic
-    # diagonal are walked, and each cluster is walked once per entry
+    # a candidate has exactly one once-covered edge, which leaves the union;
+    # its other edges are covered at least twice, so they stay and no vertex
+    # of c is left isolated, and those covered exactly twice join the
+    # boundary. The candidacy test counts one row op, for the row scan it
+    # stands for. The diagonals are walked in ascending order up to the
+    # first whose cluster is acyclic; those whose clusters the entry already
+    # tags take no work, so only the untagged ones below the lowest
+    # known-acyclic diagonal are walked, and each cluster is walked once per
+    # entry
     basis = state.basis
     state.counters.row_ops += 1
     hit = basis.cycles[c] & entry.once
     if not hit or hit & (hit - 1):
         return RemovabilityContext(NOT_CANDIDATE, None)
-    record = _record(state, entry, c, hit)
+    newly = basis.cycles[c] & entry.twice
+    record = DeletionRecord(c, hit.bit_length() - 1, newly, mask_weight(basis.graph, newly))
 
     u, v, _ = basis.graph.edges[record.removed_edge]
     if _cap_after(entry, u, v)[1]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .cycle_space import CycleBasis
 
@@ -28,13 +28,6 @@ class SolutionPartition:
 
     solution: tuple[int, ...]
     co_solution: int
-
-
-def solution_sum(basis: CycleBasis, indices: Sequence[int]) -> int:
-    """Total (edge count - 2) over the chosen cycles."""
-    if len(set(indices)) != len(indices):
-        raise ValueError("cycle indices must be distinct")
-    return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
 def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:

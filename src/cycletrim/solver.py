@@ -27,8 +27,6 @@ from .removability import (
     NotRemovable,
     _retained_set,
     _retained_set_after,
-    deletion_key,
-    deletion_record,
     is_removable,
 )
 from .solvability import SolutionPartition, _solutions, enumerate_solutions
@@ -55,10 +53,8 @@ class Counters:
     also count the start verdicts that a solve whose first partition
     deletes nothing asks of that partition's solution cycles (see
     :func:`solve`). ``candidates_tested`` counts each cycle of each pass's
-    pool and ``comparisons`` what :func:`select_deletion` would count over
-    the pass's removable records, one fewer than their number, although
-    the pass reads its choice from the retained set's ranking without
-    comparing records. ``deletions`` counts applied deletions.
+    pool, and ``comparisons`` the pass's removable records, less one.
+    ``deletions`` counts applied deletions.
     """
 
     candidates_tested: int = 0
@@ -163,37 +159,27 @@ def boundary_mask(state: SolverState) -> int:
     return _retained_set(state).once
 
 
-def select_deletion(state: SolverState, records: list[DeletionRecord]) -> DeletionRecord:
-    """Pick the record with minimal added weight.
-
-    Ties break by smaller removed-edge weight, then by lower cycle index:
-    the least record by :func:`~cycletrim.removability.deletion_key`, the
-    order in which each retained set ranks its removable records.
-    """
-    if not records:
-        raise ValueError("no deletion candidates")
-    state.counters.comparisons += len(records) - 1
-    weights = state.basis.graph.weights
-    return min(records, key=lambda r: deletion_key(weights, r))
-
-
 def apply_deletion(state: SolverState, c: int) -> SolverState:
     """Delete co-solution cycle ``c`` from the retained set.
 
-    The union loses exactly the cycle's boundary edge; cover counts drop on
-    the cycle's edges; the deletion is appended to the trace. The entry of
-    the set left, with its cover counts and union adjacency, is built once
-    per solve, by the first deletion that reaches it, and taken from the
-    basis' table by every later one. A verdict on ``c`` in this retained
-    set's entry already carries the deletion record; without one the
-    cycle's row is scanned for it.
+    ``c`` must be a candidate, a cycle with exactly one boundary edge;
+    any other cycle raises :class:`NotRemovable`. The union loses exactly
+    that edge; cover counts drop on the cycle's edges; the deletion is
+    appended to the trace. The record comes from ``c``'s verdict on this
+    retained set: the one in the set's entry, or, when none is known yet,
+    the one :func:`~cycletrim.removability.is_removable` evaluates. The
+    entry of the set left, with its cover counts and union adjacency, is
+    built once per solve, by the first deletion that reaches it, and taken
+    from the basis' table by every later one.
     """
     if not (state.retained >> c) & 1:
         raise NotRemovable(f"cycle {c} is not retained")
     if not (state.partition.co_solution >> c) & 1:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
     known = _retained_set(state).verdicts.get(c)
-    rec = deletion_record(state, c) if known is None or known.record is None else known.record
+    rec = (is_removable(state, c) if known is None else known).record
+    if rec is None:
+        raise NotRemovable(f"cycle {c} does not have exactly one boundary edge")
     _retained_set_after(state, rec)
     counters = state.counters
     # one per deletion for the cover update, also when the table already
@@ -212,8 +198,7 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
 def _greedy_pass(state: SolverState, pool: int) -> DeletionRecord | None:
     # one greedy pass over ``pool``: the verdicts not yet known on this
     # retained set are asked, and the cheapest removable cycle is the first
-    # record of the entry's ranking inside the pool. The counters take what
-    # ``select_deletion`` over the pool's removable records would count
+    # record of the entry's ranking inside the pool
     counters = state.counters
     counters.candidates_tested += pool.bit_count()
     entry = _retained_set(state)

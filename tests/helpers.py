@@ -20,7 +20,6 @@ from cycletrim import (
     initial_state,
     is_hamiltonian,
     is_removable,
-    solution_sum,
 )
 from cycletrim.graphs import (
     iter_bits,
@@ -35,6 +34,7 @@ from cycletrim.removability import (
     REDUCED_CYCLE_GRAPH,
     REMOVABLE,
     DeletionRecord,
+    deletion_key,
 )
 from cycletrim.solver import (
     STATUS_NO_SOLUTION,
@@ -43,7 +43,6 @@ from cycletrim.solver import (
     STATUS_STUCK,
     apply_deletion,
     boundary_mask,
-    select_deletion,
 )
 
 
@@ -106,6 +105,13 @@ def double_square() -> Graph:
     a = [(0, 1), (1, 2), (2, 3), (0, 3)]
     b = [(0, 4), (4, 5), (5, 6), (0, 6)]
     return make_graph(7, [(u, v, 1) for u, v in a + b])
+
+
+def solution_sum(basis: CycleBasis, indices) -> int:
+    """Total (edge count - 2) over the chosen cycles."""
+    if len(set(indices)) != len(indices):
+        raise ValueError("cycle indices must be distinct")
+    return sum(basis.cycles[i].bit_count() - 2 for i in indices)
 
 
 def naive_solutions(basis: CycleBasis) -> set[tuple[int, ...]]:
@@ -361,7 +367,9 @@ def solve_reference(graph: Graph) -> TourResult:
             records = [ctx.record for ctx in contexts if ctx.verdict == REMOVABLE]
             if not records:
                 break
-            state = apply_deletion(state, select_deletion(state, records).cycle)
+            counters.comparisons += len(records) - 1
+            record = min(records, key=lambda r: deletion_key(graph.weights, r))
+            state = apply_deletion(state, record.cycle)
         mask = boundary_mask(state)
         tour = tour_from_edge_mask(graph, mask)
         if tour is not None:

@@ -21,7 +21,6 @@ from cycletrim import (
     random_connected_graph,
     reduce_cluster,
     run_campaign,
-    solution_sum,
     solve,
     tour_weight,
 )
@@ -34,6 +33,7 @@ from helpers import (
     k4_golden,
     naive_solutions,
     petersen,
+    solution_sum,
     theta,
     triangle,
 )

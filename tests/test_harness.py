@@ -172,6 +172,15 @@ def test_campaign_searches_each_compared_draw_once(monkeypatch, tmp_path):
     gc.collect()
     alive = [ref() for ref, _ in checked if ref() is not None]
     assert len(alive) == 1 and alive[0] is oracle._gated[0]
+    # with Fraction weights min_tour runs its bounds and DP on a copy scaled
+    # to ints, but reads the gate's memo on the draw itself
+    checked.clear()
+    searches.clear()
+    g = make_graph(4, [(u, v, w / 8) for u, v, w in k4_golden().edges])
+    report = compare_graph(g, instance_id="k4_eighths", seed=0).report
+    assert [budget for _, budget in searches] == [oracle.GATE_NODES]
+    assert len(checked) == 1
+    assert report.opt_weight == Fraction(14, 8)
 
 
 def test_mismatch_dump_replays(tmp_path):

@@ -601,12 +601,19 @@ def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypat
     g = ungated(hamiltonian_draw(random.Random(28), 14, 0.5))
     monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
-    bound, a1, a2 = oracle._bounds(g, nbrs)
+    bound, a1, a2 = oracle._bounds(g, nbrs, None)
     assert bound == 14 * max(g.weights)
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
     with pytest.raises(TooLarge, match="1000 rows"):
         oracle._held_karp(g, nbrs, a1, a2, 2 * bound)
     assert min_tour(g) == min_tour_reference(g)
+
+
+def bounds(g, nbrs):
+    """``_bounds`` as ``min_tour`` calls it: with the gate's cycle as the
+    first tour when ``g`` is the graph in the gate's memo."""
+    gated, _, cycle = oracle._gated
+    return oracle._bounds(g, nbrs, list(cycle) if gated is g and cycle else None)
 
 
 def rows_needed(*args):
@@ -641,7 +648,7 @@ def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch
     outcomes = set()
     for g in graphs:
         nbrs = all_neighbours(g)
-        bound, a1, a2 = oracle._bounds(g, nbrs)
+        bound, a1, a2 = bounds(g, nbrs)
         first = (g, nbrs, a1, a2, 2 * bound)
         need = rows_needed(*first)
         expected = min_tour_reference(g)
@@ -666,7 +673,7 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     rng = random.Random(29)
     while True:
         g = hamiltonian_draw(rng, 12, 0.5)
-        bound, a1, a2 = oracle._bounds(g, all_neighbours(g))
+        bound, a1, a2 = bounds(g, all_neighbours(g))
         if bound > min_tour_reference(g).optimum_weight:
             break
     calls = []
@@ -683,8 +690,8 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
 
 
 def test_fractional_weights_run_on_ints_and_keep_the_tours_weight(monkeypatch):
-    # a graph with fractional weights is scaled to ints for the DP; the
-    # optimum weight is then the tour's own, value and type
+    # a graph with fractional weights is scaled to ints for the bounds and
+    # the DP; the optimum weight is then the tour's own, value and type
     weights_seen = []
     run = oracle._held_karp
 
@@ -723,7 +730,7 @@ def test_penalised_lower_bound_is_below_every_tour():
         for p in (0.4, 0.7, 1.0):
             g = hamiltonian_draw(rng, n, p)
             for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
-                _, a1, a2 = oracle._bounds(graph, all_neighbours(graph))
+                _, a1, a2 = bounds(graph, all_neighbours(graph))
                 penalised = sum(a1) + sum(a2)
                 plain = two_lightest_sum(graph)
                 assert penalised >= plain

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cycletrim import (
     Graph,
-    find_diagonals,
     fundamental_basis,
     initial_state,
     is_hamiltonian,
@@ -38,6 +37,7 @@ from helpers import (
     cluster_members_reference,
     crafted_state,
     cycle_graph,
+    deletion_record_reference,
     double_square,
     edge_subgraph_reference,
     k4_golden,
@@ -182,7 +182,7 @@ def test_pair_tables_match_brute_force(g, data):
 
 def test_theta_cycles_not_diagonal():
     _, _, state = state_for(theta())
-    assert find_diagonals(state, 0) == 0
+    assert state.basis.diagonals[0] & state.retained == 0
 
 
 def test_bowtie_triangles_are_diagonal():
@@ -195,14 +195,14 @@ def test_bowtie_triangles_are_diagonal():
         ],
         solution=(0,),
     )
-    assert find_diagonals(state, 0) == bits({1})
-    assert find_diagonals(state, 1) == bits({0})
+    assert state.basis.diagonals[0] & state.retained == bits({1})
+    assert state.basis.diagonals[1] & state.retained == bits({0})
 
 
 def test_k4_triangles_not_diagonal():
     _, _, state = state_for(k4_golden())
     for c in range(3):
-        assert find_diagonals(state, c) == 0
+        assert state.basis.diagonals[c] & state.retained == 0
 
 
 def test_cycles_meeting_in_two_vertices_are_not_diagonal():
@@ -217,8 +217,8 @@ def test_cycles_meeting_in_two_vertices_are_not_diagonal():
     a = sum(1 << g.edge_index(u, v) for u, v in [(0, 1), (1, 2), (2, 3), (0, 3)])
     b = sum(1 << g.edge_index(u, v) for u, v in [(0, 4), (4, 2), (2, 5), (5, 0)])
     state = crafted_state(g, [a, b], solution=(0,))
-    assert find_diagonals(state, 0) == 0
-    assert find_diagonals(state, 1) == 0
+    assert state.basis.diagonals[0] & state.retained == 0
+    assert state.basis.diagonals[1] & state.retained == 0
 
 
 def test_bowtie_cluster_is_single_triangle():
@@ -406,7 +406,7 @@ def test_k4_co_solution_cycle_removable():
     c = next(iter_bits(parts[0].co_solution))
     ctx = is_removable(state, c)
     assert ctx.verdict == REMOVABLE
-    assert find_diagonals(state, c) == 0
+    assert state.basis.diagonals[c] & state.retained == 0
     assert ctx.record.removed_edge == state.basis.graph.edge_index(2, 3)
 
 
@@ -416,7 +416,7 @@ def test_wheel_rim_cycle_blocked_by_cluster():
     c = next(iter_bits(parts[0].co_solution))
     ctx = is_removable(state, c)
     assert ctx.verdict == BLOCKED_BY_CLUSTER
-    assert find_diagonals(state, c)
+    assert state.basis.diagonals[c] & state.retained
 
 
 def test_wheel_state_blocked_by_neighbors():
@@ -510,7 +510,7 @@ def test_each_verdict_reduces_the_clusters_of_the_full_ascending_walk(monkeypatc
         beyond = 0  # untagged clusters past the walk's stop
         if ctx.verdict in (REMOVABLE, BLOCKED_BY_CLUSTER):
             stopped = False
-            for d in iter_bits(find_diagonals(state, c)):
+            for d in iter_bits(state.basis.diagonals[c] & state.retained):
                 members = cluster_members_reference(state, d)
                 if stopped:
                     beyond += members not in before and members not in expected
@@ -578,11 +578,12 @@ def test_cached_verdicts_match_fresh_ones(g):
                     state, cached.record
                 )
             if cached.verdict == REMOVABLE:
-                # the record apply_deletion takes from the entry is the one a
-                # fresh row scan builds
+                # the record apply_deletion takes from the entry, and the one
+                # it evaluates on a memo-free basis, are the one a scan of the
+                # row against the cover counts builds
                 scanned = apply_deletion(fresh(), c)
                 assert apply_deletion(state, c) == scanned
-                assert cached.record == scanned.trace[-1]
+                assert cached.record == scanned.trace[-1] == deletion_record_reference(state, c)
         for c in iter_bits(state.retained):
             assert closure(state, c) == cluster_members_reference(state, c)
         if step < len(result.trace):

@@ -10,7 +10,6 @@ from cycletrim import (
     fundamental_basis,
     is_hamiltonian,
     random_connected_graph,
-    solution_sum,
 )
 from cycletrim import solvability
 from cycletrim.graphs import iter_bits
@@ -22,6 +21,7 @@ from helpers import (
     k4_golden,
     make_graph,
     naive_solutions,
+    solution_sum,
     theta,
     triangle,
 )

@@ -22,7 +22,6 @@ from cycletrim import (
     is_removable,
     min_tour,
     random_connected_graph,
-    select_deletion,
     solve,
     tour_weight,
 )
@@ -34,6 +33,8 @@ from cycletrim.removability import (
     REDUCED_ACYCLIC,
     REDUCED_CYCLE_GRAPH,
     REMOVABLE,
+    DeletionRecord,
+    deletion_key,
 )
 from cycletrim.solver import STATUS_NO_SOLUTION, STATUS_NOT_HAMILTONIAN, STATUS_OK, STATUS_STUCK
 
@@ -239,29 +240,31 @@ def test_deletion_delta_rejects_non_removable():
         ab | (1 << e(0, 3)) | (1 << e(1, 3)),
     ]
     state = crafted_state(g, rows, solution=())
-    with pytest.raises(NotRemovable, match="more than one boundary edge"):
+    with pytest.raises(NotRemovable, match="exactly one boundary edge"):
         apply_deletion(state, 0)
     rows = [rows[0] ^ rows[1], rows[0], rows[1]]
     state = crafted_state(g, rows, solution=(1, 2))
-    with pytest.raises(NotRemovable, match="no boundary edge"):
+    with pytest.raises(NotRemovable, match="exactly one boundary edge"):
         apply_deletion(state, 0)
 
 
-def test_select_deletion_tie_breaks():
-    _, _, state = state_for(k4_golden())
-    from cycletrim.solver import DeletionRecord
+def test_deletion_key_tie_breaks():
+    weights = k4_golden().weights
+
+    def least(*records):
+        return min(records, key=lambda r: deletion_key(weights, r))
 
     a = DeletionRecord(2, 0, 0, Fraction(5))
     b = DeletionRecord(1, 1, 0, Fraction(3))
-    assert select_deletion(state, [a, b]).cycle == 1
+    assert least(a, b).cycle == 1
     # equal weights: the record whose removed edge is lighter wins
     c = DeletionRecord(2, 0, 0, Fraction(3))  # edge 0 weighs 1
     d = DeletionRecord(1, 3, 0, Fraction(3))  # edge 3 weighs 4
-    assert select_deletion(state, [c, d]).cycle == 2
+    assert least(c, d).cycle == 2
     # full tie: lower cycle index
     e = DeletionRecord(2, 0, 0, Fraction(3))
     f = DeletionRecord(1, 0, 0, Fraction(3))
-    assert select_deletion(state, [e, f]).cycle == 1
+    assert least(e, f).cycle == 1
 
 
 def test_apply_deletion_contract():
