@@ -13,16 +13,15 @@ same for copies whose weights are mapped to -1, 0 and 1/2 by ``w % 3``, so
 that negative and fractional weights are covered too. Two checkouts whose
 digests agree give the same answers and tours on every input. A third
 line per workload digests the ``is_hamiltonian`` verdict on every graph
-``set_up`` draws, the gated-out ones included, and a fourth counts the
-inputs for which ``min_tour``'s budgeted search finds a first tour. A fifth
-digests the cycle, or None, that the gate's whole search returns on every
-drawn graph: it is the first in the search's order, so prunes that cut
-only paths no Hamilton cycle extends leave it as it is. A sixth repeats
-the first with ``is_hamiltonian`` run on each graph just before
-``min_tour``, the order ``compare_graph`` takes, in which ``min_tour``
-starts from the gate's memo; its sha256 must equal the first's. Stdlib
-only; it imports cycletrim from ``src/`` and the workloads from
-``perfbench/`` of the checkout it lives in.
+``set_up`` draws, the gated-out ones included. A fourth digests the cycle,
+or None, that the gate's checks and whole search return on every drawn
+graph: it is the first in the search's order, so prunes that cut only
+paths no Hamilton cycle extends leave it as it is. A fifth repeats the
+first with ``is_hamiltonian`` run on each graph just before ``min_tour``,
+the order ``compare_graph`` takes, in which ``min_tour`` reads the gate's
+memo; its sha256 must equal the first's. Stdlib only; it imports
+cycletrim from ``src/`` and the workloads from ``perfbench/`` of the
+checkout it lives in.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from cycletrim import Graph, is_hamiltonian, min_tour, oracle  # noqa: E402
+from cycletrim.graphs import mask_neighbours  # noqa: E402
 
 
 def tied(graph: Graph) -> Graph:
@@ -64,6 +64,15 @@ def digest(graphs: list[Graph], oracle) -> tuple[str, float]:
     return sha.hexdigest(), spent
 
 
+def whole_search(graph: Graph):
+    """The gate's up-front checks and search without a budget: some Hamilton
+    cycle, or None when ``graph`` has none."""
+    nbrs = mask_neighbours(graph, (1 << graph.edge_count) - 1)
+    if oracle._no_tour_up_front(graph, nbrs):
+        return None
+    return oracle._search_cycle(graph, nbrs, None)
+
+
 def gated_min_tour(graph: Graph):
     is_hamiltonian(graph)
     return min_tour(graph)
@@ -87,11 +96,7 @@ def main() -> int:
         hexdigest, spent = digest(inputs.drawn, is_hamiltonian)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
               f"is_hamiltonian sha256 {hexdigest} ({spent:.2f} s in is_hamiltonian)")
-        budget = oracle.WITNESS_NODES_PER_VERTEX
-        first = sum(oracle._hamilton_cycle(g, budget * g.vertex_count) is not None for g in graphs)
-        print(f"{workload} seed {args.seed} seconds {args.seconds}: first tour for {first} "
-              f"of {len(graphs)} inputs")
-        hexdigest, spent = digest(inputs.drawn, lambda g: oracle._hamilton_cycle(g, None))
+        hexdigest, spent = digest(inputs.drawn, whole_search)
         print(f"{workload} seed {args.seed} seconds {args.seconds}: {len(inputs.drawn)} drawn, "
               f"gate cycle sha256 {hexdigest} ({spent:.2f} s in the search)")
         hexdigest, spent = digest(graphs + [tied(g) for g in graphs], gated_min_tour)

@@ -6,35 +6,35 @@ backtracking enumeration of all tours. Both work natively on incomplete
 graphs — transitions exist only along actual edges, missing edges are never
 faked with large weights.
 
-One backtracking search, :func:`_search_cycle`, looks for a Hamilton cycle
-for two callers: the front gate :func:`is_hamiltonian` runs it under a
-budget of ``GATE_NODES`` search nodes, and :func:`min_tour` runs it under a
-smaller budget for its first tour. Both first run :func:`_no_tour_up_front`
-once, which rejects fewer than 3 vertices, a vertex of degree below 2, a
-bipartite graph with sides of unequal size, and forced edges that rule out a
-tour: a vertex with two edges must use both, so a vertex with two forced
-edges drops its others, and the input has no tour if then some vertex is
-left with fewer than two usable edges or more than two forced ones, or the
-forced edges close a cycle that misses a vertex. The search prunes a path
-that leaves an unvisited vertex short of edges, vertex 0 without a closing
-edge, more unvisited vertices with two usable edges leaning on the path's
-end, on vertex 0 or on one unvisited vertex than it has edges free, or the
-unvisited vertices split. These are the standard prunes of Hamilton-cycle
-backtracking (Rubin 1974; Vandegriend and Culberson 1998); each cuts only
-paths and inputs with no Hamilton cycle, so verdicts and the first cycle
-found stay those of the plain search. Still, a 2-connected graph without a
-Hamilton cycle and without a vertex of degree 2 can take the search
-exponential time, so when the gate's budget runs out the row-capped DP of
-:func:`min_tour` decides instead.
+One front gate, :func:`_gate`, checks a graph up front and searches it for
+a Hamilton cycle, and both :func:`is_hamiltonian` and :func:`min_tour` go
+through it. It first runs :func:`_no_tour_up_front`, which rejects fewer
+than 3 vertices, a vertex of degree below 2, a bipartite graph with sides
+of unequal size, and forced edges that rule out a tour: a vertex with two
+edges must use both, so a vertex with two forced edges drops its others,
+and the input has no tour if then some vertex is left with fewer than two
+usable edges or more than two forced ones, or the forced edges close a
+cycle that misses a vertex. Then it runs the backtracking search
+:func:`_search_cycle` under a budget of ``GATE_NODES`` search nodes, which
+prunes a path that leaves an unvisited vertex short of edges, vertex 0
+without a closing edge, more unvisited vertices with two usable edges
+leaning on the path's end, on vertex 0 or on one unvisited vertex than it
+has edges free, or the unvisited vertices split. These are the standard
+prunes of Hamilton-cycle backtracking (Rubin 1974; Vandegriend and
+Culberson 1998); each cuts only paths and inputs with no Hamilton cycle, so
+verdicts and the first cycle found stay those of the plain search. Still, a
+2-connected graph without a Hamilton cycle and without a vertex of degree 2
+can take the search exponential time, so when the gate's budget runs out
+the row-capped DP decides instead.
 
 The gate keeps the last graph it gated, with its neighbour bitmasks and
-the cycle it found, or None, as a one-entry memo keyed by identity.
-:func:`is_hamiltonian` on that same object reads its verdict back, and
-:func:`min_tour` takes the masks and the cycle from it in place of its own
-up-front checks and search, whatever the weights' type. A campaign gates
-a draw and then hands that object to ``solve``, which gates it again, and
-to :func:`min_tour`, so each draw is searched once. The memo holds one
-graph at a time.
+the cycle it found, or None, as a one-entry memo keyed by identity; a
+second call on that same object, from either entry point and whatever the
+weights' type, reads it back. A campaign gates a draw and then hands that
+object to ``solve``, which gates it again, and to :func:`min_tour`, so
+each draw is searched once. The memo holds one graph at a time, and
+saves work only: on any graph :func:`min_tour` takes its checks and first
+tour from the gate.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
 to a row of ``n`` exact path costs, where an unreached entry holds a
@@ -53,25 +53,25 @@ such neighbour, or two have one each, is dead and never expanded; with one
 such vertex, only the last vertices next to it are expanded. Every state on
 a Hamilton cycle passes, so answers and tours are those of the full DP.
 
-The DP is also bounded by a tour it finds first. The gate's cycle, or else
-the search under its node budget, gives some Hamilton cycle, and 2-opt and
-or-opt moves lower its weight: that weight is the upper bound. A path that
-ends at ``v`` still needs one edge at ``v``, one at 0 and two at each
-unvisited vertex, so half the sum of the lightest such edge weights is a
-lower bound on the rest of the tour. The weights are first reduced by
-integer vertex penalties (Held and Karp 1970), which keeps the bound valid
-and raises it. A state whose cost plus lower bound is above the upper bound
-is neither expanded nor written; every state on an optimum tour passes, so
-answers and tours are again those of the full DP. Without a first tour the
-bound is ``n`` times the heaviest weight. The penalties are aimed once per
-call, at the bound, or without a first tour at a point between it and the
-lower bound. Any number at least the optimum serves as the upper bound, so
-the DP runs first under guessed bounds just above the lower bound, raised
-until one closes a tour no heavier than the guess, and only then under the
-bound; every run uses the same penalties. The DP raises :class:`TooLarge`
-once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. The bounds
-and the DP see fractional weights scaled to ints, on a copy with the same
-edges. See :func:`min_tour`.
+The DP is also bounded by a tour it finds first. The gate's cycle is some
+Hamilton cycle, and 2-opt and or-opt moves lower its weight: that weight is
+the upper bound. A path that ends at ``v`` still needs one edge at ``v``,
+one at 0 and two at each unvisited vertex, so half the sum of the lightest
+such edge weights is a lower bound on the rest of the tour. The weights are
+first reduced by integer vertex penalties (Held and Karp 1970), which keeps
+the bound valid and raises it. A state whose cost plus lower bound is above
+the upper bound is neither expanded nor written; every state on an optimum
+tour passes, so answers and tours are again those of the full DP. When the
+gate gives up there is no first tour, and the bound is ``n`` times the
+heaviest weight. The penalties are aimed once per call, at the bound, or
+without a first tour at a point between it and the lower bound. Any number
+at least the optimum serves as the upper bound, so the DP runs first under
+guessed bounds just above the lower bound, raised until one closes a tour
+no heavier than the guess, and only then under the bound; every run uses
+the same penalties. The DP raises :class:`TooLarge` once it would allocate
+more than ``HELD_KARP_MAX_ROWS`` rows. The bounds and the DP see fractional
+weights scaled to ints, on a copy with the same edges. See
+:func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ HELD_KARP_MAX_ROWS = 1 << 19
 ENUMERATION_MAX_VERTICES = 10
 #: search nodes the front gate spends before the Held-Karp DP decides
 GATE_NODES = 10_000
-#: search nodes per vertex that ``min_tour`` spends looking for a first tour
-WITNESS_NODES_PER_VERTEX = 8
 #: subgradient steps ``min_tour`` takes on its vertex penalties
 PENALTY_STEPS = 30
 
@@ -245,27 +243,10 @@ def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
     return bool(thrice or current and twice & ((1 << current) | 1))
 
 
-def _hamilton_cycle(g: Graph, budget: int | None) -> list[int] | None:
-    """Some Hamilton cycle from 0, as a vertex list, or None.
-
-    Returns None when :func:`_no_tour_up_front` holds, and otherwise what
-    :func:`_search_cycle` returns. With ``budget`` None the search is
-    complete, and None means that the graph has no Hamilton cycle:
-    exponential worst case. Otherwise it gives up after ``budget`` search
-    nodes and returns None, which then proves nothing.
-    """
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    if _no_tour_up_front(g, nbrs):
-        return None
-    try:
-        return _search_cycle(g, nbrs, budget)
-    except _GaveUp:
-        return None
-
-
 def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | None:
-    """The depth-first search of :func:`_hamilton_cycle`, on a graph with
-    neighbour bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
+    """The front gate's depth-first search for a Hamilton cycle from 0, as a
+    vertex list, on a graph with neighbour bitmasks ``nbrs`` that passed
+    :func:`_no_tour_up_front`.
 
     It goes first to the neighbour with the fewest unvisited neighbours,
     then along the lightest edge, then to the lowest id (Warnsdorff's
@@ -275,7 +256,8 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
     extends, so the search finds the first cycle in that order, and a
     budget only cuts it short. Returns None when there is no Hamilton
     cycle, and raises :class:`_GaveUp` once it has spent ``budget`` nodes
-    without settling.
+    without settling; with ``budget`` None it is complete, and exponential
+    at worst.
     """
     n = g.vertex_count
     table = _weight_table(g)
@@ -312,13 +294,17 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
     return path if extend(0, 1) else None
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    """Hamilton-cycle existence test, exact and of bounded cost.
+def _gate(g: Graph) -> tuple:
+    """The front gate's memo entry for ``g``: ``(g, nbrs, cycle)``, with the
+    whole-graph neighbour bitmasks and a Hamilton cycle of ``g``, or None
+    when it has none.
 
-    :func:`_no_tour_up_front`, then :func:`_search_cycle` under a budget of
-    ``GATE_NODES`` nodes; when that runs out, :func:`min_tour` decides, and
-    its tour is the cycle found. ``g`` and what was found go into the
-    gate's memo, so a second call on the same object only reads it back.
+    The one place that checks a graph up front and searches it. When the
+    memo holds another graph: :func:`_no_tour_up_front`, then
+    :func:`_search_cycle` under a budget of ``GATE_NODES`` nodes; when that
+    runs out, the DP of :func:`_optimum` decides without a first tour, and
+    its tour is the cycle. The entry then replaces the memo, so a second
+    call on the same object only reads it back.
 
     Raises :class:`TooLarge` above 24 vertices, the cap that ``solver.solve``
     and :func:`min_tour` share, and when the search gives up and the DP
@@ -329,7 +315,7 @@ def is_hamiltonian(g: Graph) -> bool:
     global _gated
     n = g.vertex_count
     if n > HELD_KARP_MAX_VERTICES:
-        raise TooLarge(f"{n} vertices exceeds the front gate's cap of {HELD_KARP_MAX_VERTICES}")
+        raise TooLarge(f"{n} vertices exceeds the oracle's cap of {HELD_KARP_MAX_VERTICES}")
     memo = _gated  # read once: another thread may replace it
     if memo[0] is not g:
         nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
@@ -338,9 +324,16 @@ def is_hamiltonian(g: Graph) -> bool:
             try:
                 cycle = _search_cycle(g, nbrs, GATE_NODES)
             except _GaveUp:
-                cycle = min_tour(g).optimum_tour
+                cycle = _optimum(g, nbrs, None).optimum_tour
         memo = _gated = (g, nbrs, cycle)
-    return memo[2] is not None
+    return memo
+
+
+def is_hamiltonian(g: Graph) -> bool:
+    """Hamilton-cycle existence test, exact and of bounded cost: whether the
+    cycle :func:`_gate` holds for ``g`` is not None. Raises
+    :class:`TooLarge` where the gate does."""
+    return _gate(g)[2] is not None
 
 
 def _weight_table(g: Graph) -> list:
@@ -473,29 +466,20 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     return best_a1, best_a2
 
 
-def _bounds(g: Graph, nbrs: list[int], tour: list[int] | None) -> tuple[Weight, list, list]:
-    """``(UB, a1, a2)`` for :func:`min_tour`, on a graph with neighbour
-    bitmasks ``nbrs`` that passed :func:`_no_tour_up_front`.
+def _bounds(g: Graph, tour: list[int] | None) -> tuple[Weight, list, list]:
+    """``(UB, a1, a2)`` for :func:`min_tour`.
 
-    ``UB`` is the weight of a first tour, lowered by ``_improve``: ``tour``
-    (the front gate's cycle, which ``_improve`` edits in place), or when
-    that is None the one :func:`_search_cycle` finds within
-    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex. When there is
-    none, ``UB`` is ``n`` times the heaviest weight, which no tour exceeds.
-    ``a1(x) <= a2(x)`` are the two lightest reduced weights at each
-    vertex, under the penalties
-    ``_penalties`` aims at ``2 * UB``, or, without a first tour, a quarter
-    of the way to it from the sum without penalties: on dense graphs ``n``
-    times the heaviest weight is so far above the optimum that steps aimed
-    at it overshoot every time and leave the sum where it was without
-    penalties.
+    ``UB`` is the weight of the first tour ``tour``, the front gate's
+    cycle, lowered by ``_improve``, which edits it in place. When the gate
+    gave up and ``tour`` is None, ``UB`` is ``n`` times the heaviest
+    weight, which no tour exceeds. ``a1(x) <= a2(x)`` are the two lightest
+    reduced weights at each vertex, under the penalties ``_penalties`` aims
+    at ``2 * UB``, or, without a first tour, a quarter of the way to it from
+    the sum without penalties: on dense graphs ``n`` times the heaviest
+    weight is so far above the optimum that steps aimed at it overshoot
+    every time and leave the sum where it was without penalties.
     """
     ends = _ends(g)
-    if tour is None:
-        try:
-            tour = _search_cycle(g, nbrs, WITNESS_NODES_PER_VERTEX * g.vertex_count)
-        except _GaveUp:
-            tour = None
     if tour is not None:
         _improve(tour, _weight_table(g))
         bound = tour_weight(g, tuple(tour))
@@ -531,21 +515,22 @@ def min_tour(g: Graph) -> OracleAnswer:
 
     Raises :class:`TooLarge` above 24 vertices, and when the DP under the
     first bound would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every
-    visited set at n <= 20, unless a guess finishes first; returns a
-    non-Hamiltonian answer at once when :func:`_no_tour_up_front` holds.
-    When ``g`` is the graph in the front gate's memo, the gate's verdict,
-    masks and cycle stand in for those checks and for the search below.
-    Runtime is O(n^2 * 2^n) at worst. Memory is one row of n costs per
-    reached set, and no more than ``HELD_KARP_MAX_ROWS`` rows, so sizes
-    near the cap are slow and large in pure Python but stay exact.
-    With a ``Fraction`` weight the bounds and the DP run on ints: they see
-    a copy of ``g`` whose every weight is multiplied by the least common
-    multiple of the denominators, which keeps the order of every sum and so,
-    by the arguments below, the tour. The copy has the same vertices and
-    edges, so the up-front checks, the gate's memo and its cycle are read
-    on ``g`` itself, and each input is searched at most once. The optimum
-    weight is that tour's weight on the graph as given, so its type is
-    ``Fraction`` exactly when one of the tour's edges is.
+    visited set at n <= 20, unless a guess finishes first. It takes its
+    up-front checks, neighbour bitmasks and first tour from the front gate,
+    :func:`_gate`, and returns a non-Hamiltonian answer at once when the
+    gate found no Hamilton cycle. On a graph the gate has just seen nothing
+    is checked or searched again; on any other the gate does its work
+    first, as for :func:`is_hamiltonian`. The DP is :func:`_optimum`. Runtime is O(n^2 * 2^n) at worst.
+    Memory is one row of n costs per reached set, and no more than
+    ``HELD_KARP_MAX_ROWS`` rows, so sizes near the cap are slow and large
+    in pure Python but stay exact. With a ``Fraction`` weight the bounds
+    and the DP run on ints: they see a copy of ``g`` whose every weight is
+    multiplied by the least common multiple of the denominators, which
+    keeps the order of every sum and so, by the arguments below, the tour.
+    The copy has the same vertices and edges, so the gate runs on ``g``
+    itself and its masks and cycle apply to the copy. The optimum weight is
+    that tour's weight on the graph as given, so its type is ``Fraction``
+    exactly when one of the tour's edges is.
 
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
@@ -596,18 +581,14 @@ def min_tour(g: Graph) -> OracleAnswer:
     they read belong to sets that hold a state on the optimum tour, so none
     is a dead set's dropped row.
 
-    Bounds: the first tour is the gate's cycle when ``g`` is in the gate's
-    memo, which ``min_tour`` hands to ``_bounds``; otherwise
-    ``_search_cycle`` looks for a Hamilton cycle within a budget of
-    ``WITNESS_NODES_PER_VERTEX`` search nodes per vertex, which only cuts
-    short the search that found the gate's cycle, so it finds that cycle
-    or none. ``_improve`` lowers its weight by 2-opt and or-opt
-    moves along existing edges. That weight is the upper bound ``UB``;
-    without a first tour ``UB`` is ``n`` times the heaviest weight, which
-    no tour exceeds. Given integer vertex
-    penalties ``pi``, the reduced weight of edge ``{x, y}`` at its end
-    ``x`` is ``w(x, y) + pi(y) - pi(x)``; its two ends' reduced weights add
-    up to ``2 * w(x, y)``. Let
+    Bounds: the first tour is a copy of the gate's cycle, which
+    ``min_tour`` hands to ``_bounds``, and ``_improve`` lowers its weight
+    by 2-opt and or-opt moves along existing edges. That weight is the
+    upper bound ``UB``. When the gate's search gives up, the gate runs the
+    DP without a first tour, and ``UB`` is ``n`` times the heaviest weight,
+    which no tour exceeds. Given integer vertex penalties ``pi``, the
+    reduced weight of edge ``{x, y}`` at its end ``x`` is ``w(x, y) + pi(y)
+    - pi(x)``; its two ends' reduced weights add up to ``2 * w(x, y)``. Let
     ``a1(x) <= a2(x)`` be the two lightest reduced weights at ``x`` and
     ``R`` the unvisited vertices of ``s``. The rest of a tour from ``v``
     runs through ``R`` to 0, using two distinct edges at each vertex of
@@ -646,8 +627,8 @@ def min_tour(g: Graph) -> OracleAnswer:
     its cost is exact, and it is picked exactly when the DP without the
     bounds would pick it. The tie-breaks therefore pick the same tour.
     None of this depends on which first tour set ``UB`` or on ``pi``, so
-    the gate's memo changes only which rows the DP allocates, never the
-    answer or tour.
+    the gate's DP without a first tour and the DP from the cycle it found
+    give the same answer and tour.
 
     Guessed bounds: the argument above needs only ``OPT <= UB``, so the DP
     may run under any number ``B`` in place of ``UB``. If it then closes a
@@ -666,24 +647,23 @@ def min_tour(g: Graph) -> OracleAnswer:
     and ``TooLarge`` is raised only when that DP raises it, and then
     exactly when no guess has closed a tour first.
     """
+    _, nbrs, cycle = _gate(g)
+    if cycle is None:
+        return OracleAnswer(None, None)
+    return _optimum(g, nbrs, list(cycle))  # a copy: _improve edits it
+
+
+def _optimum(g: Graph, nbrs: list[int], first: list[int] | None) -> OracleAnswer:
+    """The DP of :func:`min_tour` on ``g``, with neighbour bitmasks ``nbrs``,
+    after the front gate's checks: under guessed bounds, then under the
+    bound of the first tour ``first``, which ``_bounds`` edits, or of none.
+    Only :func:`_gate` and :func:`min_tour` call it."""
     n = g.vertex_count
-    if n > HELD_KARP_MAX_VERTICES:
-        raise TooLarge(f"{n} vertices exceeds the Held-Karp cap of {HELD_KARP_MAX_VERTICES}")
-    gated, nbrs, cycle = _gated  # read once: another thread may replace it
-    if gated is g:  # the gate has checked g up front and searched it
-        if cycle is None:
-            return OracleAnswer(None, None)
-        first = list(cycle)  # a copy: _improve edits it
-    else:
-        nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-        if _no_tour_up_front(g, nbrs):
-            return OracleAnswer(None, None)
-        first = None
     # with a Fraction weight the bounds and the DP run on a copy scaled to
     # ints; it has g's vertices and edges, so nbrs and the tour still apply
     scale = math.lcm(*(w.denominator for w in g.weights))
     scaled = Graph(n, tuple((u, v, w * scale) for u, v, w in g.edges)) if scale > 1 else g
-    bound, a1, a2 = _bounds(scaled, nbrs, first)
+    bound, a1, a2 = _bounds(scaled, first)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
     rise = (max(scaled.weights) - min(scaled.weights)) // 4 or 1
     while low + rise < 2 * bound:

@@ -21,6 +21,7 @@ from cycletrim import (
     is_hamiltonian,
     is_removable,
 )
+from cycletrim import oracle
 from cycletrim.graphs import (
     iter_bits,
     mask_neighbours,
@@ -381,6 +382,25 @@ def solve_reference(graph: Graph) -> TourResult:
 def all_neighbours(g: Graph) -> list[int]:
     """The whole graph as the neighbour bitmasks ``reduce_cluster`` takes."""
     return mask_neighbours(g, (1 << g.edge_count) - 1)
+
+
+def gate_search(g: Graph, budget: int | None) -> list[int] | None:
+    """The front gate's checks and search on ``g`` outside its memo: some
+    Hamilton cycle from 0, as a vertex list, or None.
+
+    None when ``oracle._no_tour_up_front`` rules a cycle out, and otherwise
+    what ``oracle._search_cycle`` returns under ``budget`` nodes. With
+    ``budget`` None the search is complete, and None means that ``g`` has
+    no Hamilton cycle; otherwise a search that gives up returns None too,
+    which then proves nothing.
+    """
+    nbrs = all_neighbours(g)
+    if oracle._no_tour_up_front(g, nbrs):
+        return None
+    try:
+        return oracle._search_cycle(g, nbrs, budget)
+    except oracle._GaveUp:
+        return None
 
 
 def _set_adjacency(g: Graph) -> dict[int, set[int]]:

@@ -21,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
     "solver_digest.py": "d3a5c5fa633f68757be2e6d2ad2d8c2ed6254f7bb86c74e34e1d03bed751d72c",
-    "oracle_digest.py": "ee5b659dd64234062d8594750bf970d2259895d338ad7887adf6117fd4530f43",
+    "oracle_digest.py": "305bbea6088733f0b946510b0135fbf16d905d3a796c93663fb62203137be62f",
 }
 SOLVER_OUTCOME_SHA256 = {
     "mine_ref": "161fe34c451fd5a32975d579b4e24fb1f1e27b0cab8a0b56c0f52211b03789ac",

@@ -1,9 +1,11 @@
+import ast
 import math
 import random
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -30,6 +32,7 @@ from helpers import (
     complete_bipartite,
     completable_rows_reference,
     cycle_graph,
+    gate_search,
     k4_golden,
     make_graph,
     min_tour_reference,
@@ -45,7 +48,7 @@ from strategies import connected_graphs, hamiltonian_graphs
 def hamilton_cycle(g):
     """The front gate's cycle, or None; ``tour_weight`` raises unless the
     cycle is a Hamilton cycle of ``g``."""
-    cycle = oracle._hamilton_cycle(g, None)
+    cycle = gate_search(g, None)
     if cycle is not None:
         tour_weight(g, tuple(cycle))
     return cycle
@@ -286,7 +289,7 @@ def test_first_tour_is_a_hamilton_cycle_that_local_search_only_lowers():
         for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
             # tour_weight raises unless the tour is a Hamilton cycle of graph
             table = oracle._weight_table(graph)
-            tour = oracle._hamilton_cycle(graph, oracle.WITNESS_NODES_PER_VERTEX * n)
+            tour = gate_search(graph, oracle.GATE_NODES)
             assert tour is not None
             weight = tour_weight(graph, tuple(tour))
             while oracle._two_opt(tour, table) or oracle._or_opt(tour, table):
@@ -315,9 +318,10 @@ def nodes_per_search(call) -> list[int]:
 
 
 def searched_nodes(g, budget) -> int:
-    """Search nodes ``_hamilton_cycle`` visits on ``g``, which has no Hamilton cycle."""
+    """Search nodes the gate's search visits on ``g``, which has no Hamilton
+    cycle, under ``budget``."""
     found = []
-    (nodes,) = nodes_per_search(lambda: found.append(oracle._hamilton_cycle(g, budget)))
+    (nodes,) = nodes_per_search(lambda: found.append(gate_search(g, budget)))
     assert found == [None]
     return nodes
 
@@ -333,10 +337,10 @@ def hubbed_cliques(k: int) -> Graph:
 
 def test_first_tour_search_keeps_its_budget():
     # three triangles on two hubs pass every up-front test but have no
-    # Hamilton cycle; the whole search takes 979 nodes, so the search gives
-    # up after its budget and leaves the verdict to the DP
+    # Hamilton cycle; the whole search takes 979 nodes, so under a budget of
+    # 100 the search gives up after it
     g = hubbed_cliques(3)
-    budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
+    budget = 100
     assert searched_nodes(g, budget) <= budget + 1
     assert searched_nodes(g, None) > budget + 1  # the budget, not the search space, stopped it
 
@@ -345,27 +349,45 @@ def test_first_tour_search_keeps_its_budget():
 def test_gate_gives_up_within_its_budget_and_the_dp_decides(k):
     # three K_5 or K_6 on two hubs pass every up-front test and have no
     # Hamilton cycle; the gate's whole search took 1.3 s and 35.9 s on them.
-    # It gives up after GATE_NODES nodes, and min_tour, whose own search
-    # gives up too, settles the verdict with its DP
+    # It gives up after GATE_NODES nodes, and the DP, without a first tour,
+    # settles the verdict; nothing searches the graph a second time
     g = hubbed_cliques(k)
     verdicts = []
     nodes = nodes_per_search(lambda: verdicts.append(is_hamiltonian(g)))
     assert verdicts == [False]
-    assert len(nodes) == 2
+    assert len(nodes) == 1
     assert nodes[0] <= oracle.GATE_NODES + 1
-    assert nodes[1] <= oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count + 1
     started = time.perf_counter()
     assert solve(ungated(g)).status == STATUS_NOT_HAMILTONIAN
     assert time.perf_counter() - started < 10  # the DP takes about 0.8 s at k = 6
 
 
-def test_min_tour_answers_do_not_depend_on_the_gate_memo():
-    # right after is_hamiltonian(g), min_tour(g) starts from the gate's masks
-    # and cycle; on an equal copy it runs its own checks and budgeted search.
-    # Answers and tours must be equal, also on the seed-1 large_sparse
-    # benchmark inputs (draws 201, 765, 857, 922 and 971 of random.Random(1)
-    # at n 18, p 0.2) where that search finds no first tour, so that only
-    # the gate's cycle sets the upper bound
+def test_min_tour_takes_a_settled_no_from_the_gate_without_the_dp(monkeypatch):
+    # both pass every up-front check, and the gate's whole search finds no
+    # Hamilton cycle within its budget (979 nodes on the hubbed triangles),
+    # so min_tour on a fresh copy answers without a DP run
+    runs = []
+    run = oracle._held_karp
+
+    def spy(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    for g in (petersen(), hubbed_cliques(3)):
+        assert not oracle._no_tour_up_front(g, all_neighbours(g))
+        assert g is not oracle._gated[0]
+        assert min_tour(g) == oracle.OracleAnswer(None, None)
+    assert runs == []
+
+
+def test_min_tour_answers_do_not_depend_on_the_gate_memo(monkeypatch):
+    # right after is_hamiltonian(g), min_tour(g) reads the gate's masks and
+    # cycle from its memo; on an equal copy the gate first checks and
+    # searches the copy, once, under GATE_NODES. Answers and tours must be
+    # equal, also on the seed-1 large_sparse benchmark inputs (draws 201,
+    # 765, 857, 922 and 971 of random.Random(1) at n 18, p 0.2) on which the
+    # search needs more than 8 nodes per vertex to find a cycle
     rng = random.Random(34)
     graphs = []
     for n in range(5, 17):
@@ -377,18 +399,25 @@ def test_min_tour_answers_do_not_depend_on_the_gate_memo():
         g = random_connected_graph(rng, 18, 0.2, 1, 100)
         if draw in (201, 765, 857, 922, 971):
             graphs.append(g)
+    budgets = []
+    search = oracle._search_cycle
+
+    def spy(g, nbrs, budget):
+        budgets.append(budget)
+        return search(g, nbrs, budget)
+
+    monkeypatch.setattr(oracle, "_search_cycle", spy)
     verdicts = set()
-    only_gate = 0
     for g in graphs:
         verdict = is_hamiltonian(g)
         answer = min_tour(g)
+        budgets.clear()
         assert answer == min_tour(ungated(g))
         assert answer.hamiltonian == verdict
         verdicts.add(verdict)
-        budget = oracle.WITNESS_NODES_PER_VERTEX * g.vertex_count
-        only_gate += verdict and oracle._hamilton_cycle(g, budget) is None
+        searched = not oracle._no_tour_up_front(g, all_neighbours(g))
+        assert budgets == [oracle.GATE_NODES] * searched
     assert verdicts == {True, False}
-    assert only_gate >= 5
 
 
 def test_search_prunes_a_path_that_leaves_vertex_0_no_closing_edge():
@@ -411,8 +440,8 @@ def test_budgeted_search_finds_the_unbudgeted_cycle_or_none():
         for p in (0.2, 0.35, 0.5):
             g = random_connected_graph(rng, n, p, 1, 100)
             whole = hamilton_cycle(g)
-            for budget in (0, 1, n, 4 * n, oracle.WITNESS_NODES_PER_VERTEX * n):
-                cycle = oracle._hamilton_cycle(g, budget)
+            for budget in (0, 1, n, 4 * n, 8 * n):
+                cycle = gate_search(g, budget)
                 assert cycle is None or cycle == whole
                 found += cycle is not None
     assert found
@@ -567,9 +596,10 @@ def test_min_tour_row_budget_bounds_memory_at_24_vertices(monkeypatch):
 
 def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
     # min_tour runs the DP under guessed bounds before the first tour's:
-    # answers and tours, ties included, must stay the reference's, also
-    # without a first tour, on negative and fractional weights and without
-    # a Hamilton cycle
+    # answers and tours, ties included, must stay the reference's, on
+    # negative and fractional weights and without a Hamilton cycle. With
+    # GATE_NODES 0 the gate gives up at once and its DP runs without a first
+    # tour; the cycle it keeps is then the reference's optimum tour
     runs = []
     run = oracle._held_karp
 
@@ -585,35 +615,38 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
         for p in (0.3, 0.6):
             g = random_connected_graph(rng, n, p, 1, 100)
             graphs += [g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)]
-    # a gated graph would take the gate's cycle as its first tour
-    assert all(g is not oracle._gated[0] for g in graphs)
-    for witness in (oracle.WITNESS_NODES_PER_VERTEX, 0):
-        monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", witness)
+    for gate_nodes in (oracle.GATE_NODES, 0):
+        monkeypatch.setattr(oracle, "GATE_NODES", gate_nodes)
         for g in graphs:
-            assert min_tour(g) == min_tour_reference(g)
+            copy = ungated(g)  # not in the gate's memo, so the gate runs
+            expected = min_tour_reference(copy)
+            assert min_tour(copy) == expected
+            if not gate_nodes:
+                assert oracle._gated[2] == expected.optimum_tour
     assert {"none", "found"} <= set(runs)
 
 
 def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
     # without a first tour the DP is bounded only by n times the heaviest
-    # weight and needs 7,267 rows on this draw; min_tour's guess that
-    # closes a tour needs 258. The draw was gated, so a copy is used
+    # weight and needs 7,267 rows on this draw; the guess that closes a
+    # tour needs 258. With GATE_NODES 0 the gate gives up at once and runs
+    # that DP. The draw was gated, so a copy is used
     g = ungated(hamiltonian_draw(random.Random(28), 14, 0.5))
-    monkeypatch.setattr(oracle, "WITNESS_NODES_PER_VERTEX", 0)
     nbrs = all_neighbours(g)
-    bound, a1, a2 = oracle._bounds(g, nbrs, None)
+    bound, a1, a2 = oracle._bounds(g, None)
     assert bound == 14 * max(g.weights)
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
     with pytest.raises(TooLarge, match="1000 rows"):
         oracle._held_karp(g, nbrs, a1, a2, 2 * bound)
+    monkeypatch.setattr(oracle, "GATE_NODES", 0)
     assert min_tour(g) == min_tour_reference(g)
 
 
-def bounds(g, nbrs):
-    """``_bounds`` as ``min_tour`` calls it: with the gate's cycle as the
-    first tour when ``g`` is the graph in the gate's memo."""
-    gated, _, cycle = oracle._gated
-    return oracle._bounds(g, nbrs, list(cycle) if gated is g and cycle else None)
+def bounds(g):
+    """``_bounds`` as ``min_tour`` calls it: with a copy of the gate's cycle
+    as the first tour."""
+    cycle = oracle._gate(g)[2]
+    return oracle._bounds(g, None if cycle is None else list(cycle))
 
 
 def rows_needed(*args):
@@ -648,7 +681,7 @@ def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch
     outcomes = set()
     for g in graphs:
         nbrs = all_neighbours(g)
-        bound, a1, a2 = bounds(g, nbrs)
+        bound, a1, a2 = bounds(g)
         first = (g, nbrs, a1, a2, 2 * bound)
         need = rows_needed(*first)
         expected = min_tour_reference(g)
@@ -673,7 +706,7 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     rng = random.Random(29)
     while True:
         g = hamiltonian_draw(rng, 12, 0.5)
-        bound, a1, a2 = bounds(g, all_neighbours(g))
+        bound, a1, a2 = bounds(g)
         if bound > min_tour_reference(g).optimum_weight:
             break
     calls = []
@@ -730,7 +763,7 @@ def test_penalised_lower_bound_is_below_every_tour():
         for p in (0.4, 0.7, 1.0):
             g = hamiltonian_draw(rng, n, p)
             for graph in (g, *(reweighted(g, rng, palette) for palette in SPARSE_PALETTES)):
-                _, a1, a2 = bounds(graph, all_neighbours(graph))
+                _, a1, a2 = bounds(graph)
                 penalised = sum(a1) + sum(a2)
                 plain = two_lightest_sum(graph)
                 assert penalised >= plain
@@ -740,3 +773,30 @@ def test_penalised_lower_bound_is_below_every_tour():
                     draws += 1
                     raised += penalised > plain
     assert raised > draws // 2
+
+
+def call_sites(name: str) -> list[tuple[str, str]]:
+    """``(module file, innermost enclosing function)`` of every call of
+    ``name``, as a name or an attribute, in ``src/cycletrim``."""
+    sites = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append((path.name, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_only_the_gate_checks_up_front_and_searches():
+    # one route into the oracle: a second caller of either would check or
+    # search a graph outside the gate and its memo
+    for name in ("_no_tour_up_front", "_search_cycle"):
+        assert call_sites(name) == [("oracle.py", "_gate")]
