@@ -3,9 +3,10 @@
 A cycle is a bitmask over canonical edge indices. The basis built here is the
 fundamental one: a breadth-first spanning tree rooted at vertex 0 with
 neighbors visited in ascending id order, one cycle per non-tree edge (chord),
-ordered by chord index. The per-edge cover count — how many basis cycles pass
-through an edge — drives everything downstream: edges covered exactly once
-are *boundary* edges.
+ordered by chord index. Each chord's cycle is the chord plus the XOR of the
+tree paths from its two ends to the root, one edge bitmask per vertex. The
+per-edge cover count — how many basis cycles pass through an edge — drives
+everything downstream: edges covered exactly once are *boundary* edges.
 """
 
 from __future__ import annotations
@@ -108,13 +109,14 @@ def fundamental_basis(g: Graph) -> CycleBasis:
     :class:`~cycletrim.graphs.NotConnected`. The BFS is its own, not
     :func:`~cycletrim.graphs.reach`: it needs each vertex's parent edge,
     which it takes from :meth:`~cycletrim.graphs.Graph.edge_index`, and its
-    visiting order defines the basis.
+    visiting order defines the basis. It keeps one edge bitmask per vertex,
+    the tree edges from that vertex to the root; the two masks of a chord's
+    ends share the edges above the ends' lowest common ancestor, so their
+    XOR is the tree path between the ends.
     """
     n = g.vertex_count
     nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    depth = [0] * n
+    path = [0] * n
     seen = 1
     tree_edges = 0
     queue = deque([0])
@@ -123,31 +125,15 @@ def fundamental_basis(g: Graph) -> CycleBasis:
         fresh = nbrs[x] & ~seen
         seen |= fresh
         for nb in iter_bits(fresh):
-            eidx = g.edge_index(x, nb)
-            parent[nb] = x
-            parent_edge[nb] = eidx
-            depth[nb] = depth[x] + 1
-            tree_edges |= 1 << eidx
+            edge = 1 << g.edge_index(x, nb)
+            path[nb] = path[x] | edge
+            tree_edges |= edge
             queue.append(nb)
     if seen != (1 << n) - 1:
         raise NotConnected("fundamental basis requires a connected graph")
-
-    cycles = []
-    for eidx, (u, v, _) in enumerate(g.edges):
-        if tree_edges >> eidx & 1:
-            continue
-        mask = 1 << eidx
-        a, b = u, v
-        while depth[a] > depth[b]:
-            mask ^= 1 << parent_edge[a]
-            a = parent[a]
-        while depth[b] > depth[a]:
-            mask ^= 1 << parent_edge[b]
-            b = parent[b]
-        while a != b:
-            mask ^= 1 << parent_edge[a]
-            mask ^= 1 << parent_edge[b]
-            a = parent[a]
-            b = parent[b]
-        cycles.append(mask)
-    return CycleBasis(g, tuple(cycles))
+    cycles = tuple(
+        (1 << e) | (path[u] ^ path[v])
+        for e, (u, v, _) in enumerate(g.edges)
+        if not tree_edges >> e & 1
+    )
+    return CycleBasis(g, cycles)

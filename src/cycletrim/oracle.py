@@ -27,10 +27,11 @@ verdicts and the first cycle found stay those of the plain search. Still, a
 can take the search exponential time, so when the gate's budget runs out
 the row-capped DP decides instead.
 
-The gate keeps the last graph it gated, with its neighbour bitmasks and
-the cycle it found, or None, as a one-entry memo keyed by identity; a
-second call on that same object, from either entry point and whatever the
-weights' type, reads it back. A campaign gates a draw and then hands that
+The gate keeps the last graph it gated, with its neighbour bitmasks, the
+cycle it found, or None, and, when its search gave up, the answer of the
+DP that decided, as a one-entry memo keyed by identity; a second call on
+that same object, from either entry point and whatever the weights' type,
+reads it back. A campaign gates a draw and then hands that
 object to ``solve``, which gates it again, and to :func:`min_tour`, so
 each draw is searched once. The memo holds one graph at a time, and
 saves work only: on any graph :func:`min_tour` takes its checks and first
@@ -101,8 +102,9 @@ class _GaveUp(Exception):
 
 
 #: the front gate's memo: the last graph it gated, its whole-graph neighbour
-#: bitmasks, and a Hamilton cycle of it or None; the placeholder matches no graph
-_gated: tuple = (None, [], None)
+#: bitmasks, a Hamilton cycle of it or None, and the DP's answer when the
+#: search gave up, else None; the placeholder matches no graph
+_gated: tuple = (None, [], None, None)
 
 
 @dataclass(frozen=True)
@@ -295,16 +297,18 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
 
 
 def _gate(g: Graph) -> tuple:
-    """The front gate's memo entry for ``g``: ``(g, nbrs, cycle)``, with the
-    whole-graph neighbour bitmasks and a Hamilton cycle of ``g``, or None
-    when it has none.
+    """The front gate's memo entry for ``g``: ``(g, nbrs, cycle, answer)``,
+    with the whole-graph neighbour bitmasks, a Hamilton cycle of ``g`` or
+    None when it has none, and the DP's answer when the search gave up, else
+    None.
 
     The one place that checks a graph up front and searches it. When the
     memo holds another graph: :func:`_no_tour_up_front`, then
     :func:`_search_cycle` under a budget of ``GATE_NODES`` nodes; when that
-    runs out, the DP of :func:`_optimum` decides without a first tour, and
-    its tour is the cycle. The entry then replaces the memo, so a second
-    call on the same object only reads it back.
+    runs out, the DP of :func:`_optimum` decides without a first tour, its
+    tour is the cycle, and its answer is kept for :func:`min_tour`. The
+    entry then replaces the memo, so a second call on the same object only
+    reads it back.
 
     Raises :class:`TooLarge` above 24 vertices, the cap that ``solver.solve``
     and :func:`min_tour` share, and when the search gives up and the DP
@@ -319,13 +323,14 @@ def _gate(g: Graph) -> tuple:
     memo = _gated  # read once: another thread may replace it
     if memo[0] is not g:
         nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
-        cycle = None
+        cycle = answer = None
         if not _no_tour_up_front(g, nbrs):
             try:
                 cycle = _search_cycle(g, nbrs, GATE_NODES)
             except _GaveUp:
-                cycle = _optimum(g, nbrs, None).optimum_tour
-        memo = _gated = (g, nbrs, cycle)
+                answer = _optimum(g, nbrs, None)
+                cycle = answer.optimum_tour
+        memo = _gated = (g, nbrs, cycle, answer)
     return memo
 
 
@@ -518,12 +523,14 @@ def min_tour(g: Graph) -> OracleAnswer:
     visited set at n <= 20, unless a guess finishes first. It takes its
     up-front checks, neighbour bitmasks and first tour from the front gate,
     :func:`_gate`, and returns a non-Hamiltonian answer at once when the
-    gate found no Hamilton cycle. On a graph the gate has just seen nothing
-    is checked or searched again; on any other the gate does its work
-    first, as for :func:`is_hamiltonian`. The DP is :func:`_optimum`. Runtime is O(n^2 * 2^n) at worst.
-    Memory is one row of n costs per reached set, and no more than
-    ``HELD_KARP_MAX_ROWS`` rows, so sizes near the cap are slow and large
-    in pure Python but stay exact. With a ``Fraction`` weight the bounds
+    gate found no Hamilton cycle, and the gate's own answer when its search
+    gave up and its DP decided, so that DP runs once. On a graph the gate
+    has just seen nothing is checked or searched again; on any other the
+    gate does its work first, as for :func:`is_hamiltonian`. The DP is
+    :func:`_optimum`. Runtime is O(n^2 * 2^n) at worst. Memory is one row
+    of n costs per reached set, and no more than ``HELD_KARP_MAX_ROWS``
+    rows, so sizes near the cap are slow and large in pure Python but stay
+    exact. With a ``Fraction`` weight the bounds
     and the DP run on ints: they see a copy of ``g`` whose every weight is
     multiplied by the least common multiple of the denominators, which
     keeps the order of every sum and so, by the arguments below, the tour.
@@ -647,7 +654,9 @@ def min_tour(g: Graph) -> OracleAnswer:
     and ``TooLarge`` is raised only when that DP raises it, and then
     exactly when no guess has closed a tour first.
     """
-    _, nbrs, cycle = _gate(g)
+    _, nbrs, cycle, answer = _gate(g)
+    if answer is not None:  # the gate gave up, and its DP has answered
+        return answer
     if cycle is None:
         return OracleAnswer(None, None)
     return _optimum(g, nbrs, list(cycle))  # a copy: _improve edits it

@@ -35,7 +35,10 @@ of different partitions that retain the same cycles share the entry, so
 each entry is built, and each verdict evaluated, once per solve, and a
 greedy pass over cycles whose verdicts are known reads its choice from the
 ranking. Cluster tags live beside the table on the basis, keyed by the
-member bitmask.
+member bitmask. A call of :func:`is_removable` looks its entry up once and
+evaluates a verdict not yet known in place, so the call count is the
+verdict count; the entry a deletion reaches is built from the one before
+it by :func:`_retained_set_after`, only when the table lacks it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .graphs import Weight, mask_neighbours, mask_weight, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .cycle_space import CycleBasis
     from .solver import SolverState
 
 REMOVABLE = "removable"
@@ -282,39 +286,36 @@ def _retained_set(state: SolverState) -> _RetainedSet:
     return entry
 
 
-def _retained_set_after(state: SolverState, record: DeletionRecord) -> _RetainedSet:
-    """The solve's entry for the set ``state`` retains without ``record.cycle``.
+def _retained_set_after(
+    basis: CycleBasis, before: _RetainedSet, record: DeletionRecord
+) -> _RetainedSet:
+    """A new entry for the set that ``before`` stands for without
+    ``record.cycle``, built from ``before``.
 
-    The first state to reach the set builds it from ``state``'s: covers drop
-    on the cycle's row, the union loses the removed edge, the row's
-    twice-covered edges become once-covered, its once-covered edge leaves,
-    and the vertex masks come from :func:`_cap_after`. Every later one
-    takes it from the table.
+    Covers drop on the cycle's row, the union loses the removed edge, the
+    row's twice-covered edges become once-covered, its once-covered edge
+    leaves, and the vertex masks come from :func:`_cap_after`. The caller
+    stores it in the basis' table, so the first state to reach the set
+    builds it and every later one takes it from the table.
     """
-    retained = state.retained & ~(1 << record.cycle)
-    entry = state.basis._retained_sets.get(retained)
-    if entry is None:
-        before = _retained_set(state)
-        row = state.basis.cycles[record.cycle]
-        covers = list(before.cover_counts)
-        twice = before.twice & ~row
-        m = row
-        while m:
-            low = m & -m
-            e = low.bit_length() - 1
-            covers[e] -= 1
-            if covers[e] == 2:
-                twice |= low
-            m ^= low
-        once = (before.once & ~row) | (before.twice & row)
-        u, v, _ = state.basis.graph.edges[record.removed_edge]
-        adjacency = list(before.union_adjacency)
-        adjacency[u] &= ~(1 << v)
-        adjacency[v] &= ~(1 << u)
-        degree_two, over_cap = _cap_after(before, u, v)
-        entry = _RetainedSet(tuple(covers), tuple(adjacency), once, twice, degree_two, over_cap)
-        state.basis._retained_sets[retained] = entry
-    return entry
+    row = basis.cycles[record.cycle]
+    covers = list(before.cover_counts)
+    twice = before.twice & ~row
+    m = row
+    while m:
+        low = m & -m
+        e = low.bit_length() - 1
+        covers[e] -= 1
+        if covers[e] == 2:
+            twice |= low
+        m ^= low
+    once = (before.once & ~row) | (before.twice & row)
+    u, v, _ = basis.graph.edges[record.removed_edge]
+    adjacency = list(before.union_adjacency)
+    adjacency[u] &= ~(1 << v)
+    adjacency[v] &= ~(1 << u)
+    degree_two, over_cap = _cap_after(before, u, v)
+    return _RetainedSet(tuple(covers), tuple(adjacency), once, twice, degree_two, over_cap)
 
 
 def _cap_after(entry: _RetainedSet, u: int, v: int) -> tuple[int, int]:
@@ -357,73 +358,78 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
     neighbours of a removed-edge end that drops to degree 2 are counted
     again; then the diagonal clusters. This is the one place candidacy is
     tested: every verdict but ``not_candidate`` carries the deletion
-    record. The verdict is kept in that entry, which gains one key and its
-    ``asked`` bit per verdict evaluated, and for a removable one its
-    ``removable`` bit and its record's place in ``ranked``, in
-    :func:`deletion_key` order; a verdict asked again is read from there.
-    ``solve`` answers a greedy pass from those bits and the ranking, and
-    :func:`~cycletrim.solver.apply_deletion` takes its record from the
-    verdict. Cluster tags are kept on the basis per member bitmask.
+    record. The entry is looked up once. The verdict is kept in it, which
+    gains one key and its ``asked`` bit per verdict evaluated, and for a
+    removable one its ``removable`` bit and its record's place in
+    ``ranked``, in :func:`deletion_key` order; a verdict asked again is
+    read from there. ``solve`` answers a greedy pass from those bits and
+    the ranking, and :func:`~cycletrim.solver.apply_deletion` takes its
+    record from the verdict. Cluster tags are kept on the basis per member
+    bitmask.
+
+    A candidate has exactly one once-covered edge, which leaves the union;
+    its other edges are covered at least twice, so they stay and no vertex
+    of ``c`` is left isolated, and those covered exactly twice join the
+    boundary. The candidacy test counts one row op, for the row scan it
+    stands for. The diagonals are walked in ascending order up to the first
+    whose cluster is acyclic; those whose clusters the entry already tags
+    take no work, so only the untagged ones below the lowest known-acyclic
+    diagonal are walked, and each cluster is walked once per entry.
     """
-    if not (state.retained >> c) & 1:
+    retained = state.retained
+    if not (retained >> c) & 1:
         raise ValueError(f"cycle {c} is not retained")
-    entry = _retained_set(state)
-    ctx = entry.verdicts.get(c)
-    if ctx is None:
-        ctx = entry.verdicts[c] = _evaluate(state, entry, c)
-        entry.asked |= 1 << c
-        if ctx.verdict == REMOVABLE:
-            entry.removable |= 1 << c
-            weights = state.basis.graph.weights
-            insort(entry.ranked, ctx.record, key=lambda r: deletion_key(weights, r))
-    return ctx
-
-
-def _evaluate(state: SolverState, entry: _RetainedSet, c: int) -> RemovabilityContext:
-    # a candidate has exactly one once-covered edge, which leaves the union;
-    # its other edges are covered at least twice, so they stay and no vertex
-    # of c is left isolated, and those covered exactly twice join the
-    # boundary. The candidacy test counts one row op, for the row scan it
-    # stands for. The diagonals are walked in ascending order up to the
-    # first whose cluster is acyclic; those whose clusters the entry already
-    # tags take no work, so only the untagged ones below the lowest
-    # known-acyclic diagonal are walked, and each cluster is walked once per
-    # entry
     basis = state.basis
-    state.counters.row_ops += 1
-    hit = basis.cycles[c] & entry.once
-    if not hit or hit & (hit - 1):
-        return RemovabilityContext(NOT_CANDIDATE, None)
-    newly = basis.cycles[c] & entry.twice
-    record = DeletionRecord(c, hit.bit_length() - 1, newly, mask_weight(basis.graph, newly))
-
-    u, v, _ = basis.graph.edges[record.removed_edge]
-    if _cap_after(entry, u, v)[1]:
-        return RemovabilityContext(BLOCKED_BY_NEIGHBORS, record)
-
-    diagonals = basis.diagonals[c] & state.retained
-    blocked = diagonals & entry.acyclic
-    unknown = diagonals & ~entry.cycle_graph & ~entry.acyclic
-    if blocked:
-        unknown &= (blocked & -blocked) - 1
-    while unknown:
-        low = unknown & -unknown
-        members = reach(basis.sharing, low.bit_length() - 1, state.retained)
-        tag = basis._cluster_tags.get(members)
-        if tag is None:
-            mask = 0
-            m = members
-            while m:
-                bit = m & -m
-                mask |= basis.cycles[bit.bit_length() - 1]
-                m ^= bit
-            state.counters.row_ops += members.bit_count()
-            tag = reduce_cluster(mask_neighbours(basis.graph, mask)).tag
-            basis._cluster_tags[members] = tag
-            state.counters.reduce_calls += 1
-        if tag == REDUCED_ACYCLIC:
-            entry.acyclic |= members
-            return RemovabilityContext(BLOCKED_BY_CLUSTER, record)
-        entry.cycle_graph |= members
-        unknown &= ~members
-    return RemovabilityContext(BLOCKED_BY_CLUSTER if blocked else REMOVABLE, record)
+    entry = basis._retained_sets.get(retained) or _retained_set(state)
+    verdicts = entry.verdicts
+    ctx = verdicts.get(c)
+    if ctx is not None:
+        return ctx
+    counters = state.counters
+    counters.row_ops += 1
+    graph = basis.graph
+    row = basis.cycles[c]
+    hit = row & entry.once
+    verdict = NOT_CANDIDATE
+    record = None
+    if hit and not hit & (hit - 1):
+        newly = row & entry.twice
+        record = DeletionRecord(c, hit.bit_length() - 1, newly, mask_weight(graph, newly))
+        u, v, _ = graph.edges[record.removed_edge]
+        if _cap_after(entry, u, v)[1]:
+            verdict = BLOCKED_BY_NEIGHBORS
+        else:
+            diagonals = basis.diagonals[c] & retained
+            blocked = diagonals & entry.acyclic
+            unknown = diagonals & ~entry.cycle_graph & ~entry.acyclic
+            if blocked:
+                unknown &= (blocked & -blocked) - 1
+            verdict = BLOCKED_BY_CLUSTER if blocked else REMOVABLE
+            while unknown:
+                low = unknown & -unknown
+                members = reach(basis.sharing, low.bit_length() - 1, retained)
+                tag = basis._cluster_tags.get(members)
+                if tag is None:
+                    mask = 0
+                    m = members
+                    while m:
+                        bit = m & -m
+                        mask |= basis.cycles[bit.bit_length() - 1]
+                        m ^= bit
+                    counters.row_ops += members.bit_count()
+                    tag = reduce_cluster(mask_neighbours(graph, mask)).tag
+                    basis._cluster_tags[members] = tag
+                    counters.reduce_calls += 1
+                if tag == REDUCED_ACYCLIC:
+                    entry.acyclic |= members
+                    verdict = BLOCKED_BY_CLUSTER
+                    break
+                entry.cycle_graph |= members
+                unknown &= ~members
+    ctx = verdicts[c] = RemovabilityContext(verdict, record)
+    entry.asked |= 1 << c
+    if verdict == REMOVABLE:
+        entry.removable |= 1 << c
+        weights = graph.weights
+        insort(entry.ranked, record, key=lambda r: deletion_key(weights, r))
+    return ctx

@@ -9,6 +9,15 @@ themselves are never deleted. Every partition starts from the same full
 basis, so when no basis cycle is removable there, every partition would end
 on the start boundary, and the solve stops after the first.
 
+Each partition is one loop that carries the retained mask and its entry
+in the basis' table of retained sets (see :mod:`~cycletrim.removability`).
+A pass calls :func:`~cycletrim.removability.is_removable` once for each
+pool cycle whose verdict on the set is not yet known, takes its choice
+from the entry's ranking, and applies it with :func:`apply_deletion`,
+which looks up the set's entry and the next set's once each and builds
+the next only when the table lacks it. So a pass over known verdicts
+costs a few bit operations, two lookups and one new state.
+
 The run is fully deterministic: candidates are scanned in index order and
 ties on the weight increment break by smaller removed-edge weight, then by
 cycle index.
@@ -64,7 +73,7 @@ class Counters:
     row_ops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
@@ -170,73 +179,70 @@ def apply_deletion(state: SolverState, c: int) -> SolverState:
     the one :func:`~cycletrim.removability.is_removable` evaluates. The
     entry of the set left, with its cover counts and union adjacency, is
     built once per solve, by the first deletion that reaches it, and taken
-    from the basis' table by every later one.
+    from the basis' table by every later one. Each of the two entries is
+    looked up once.
     """
-    if not (state.retained >> c) & 1:
+    retained = state.retained
+    if not (retained >> c) & 1:
         raise NotRemovable(f"cycle {c} is not retained")
     if not (state.partition.co_solution >> c) & 1:
         raise NotRemovable(f"cycle {c} is a solution cycle and is never deleted")
-    known = _retained_set(state).verdicts.get(c)
+    tables = state.basis._retained_sets
+    entry = tables.get(retained) or _retained_set(state)
+    known = entry.verdicts.get(c)
     rec = (is_removable(state, c) if known is None else known).record
     if rec is None:
         raise NotRemovable(f"cycle {c} does not have exactly one boundary edge")
-    _retained_set_after(state, rec)
+    left = retained & ~(1 << c)
+    if left not in tables:
+        tables[left] = _retained_set_after(state.basis, entry, rec)
     counters = state.counters
     # one per deletion for the cover update, also when the table already
     # held the set's covers
     counters.row_ops += 1
     counters.deletions += 1
-    return SolverState(
-        basis=state.basis,
-        partition=state.partition,
-        retained=state.retained & ~(1 << c),
-        trace=state.trace + (rec,),
-        counters=counters,
-    )
-
-
-def _greedy_pass(state: SolverState, pool: int) -> DeletionRecord | None:
-    # one greedy pass over ``pool``: the verdicts not yet known on this
-    # retained set are asked, and the cheapest removable cycle is the first
-    # record of the entry's ranking inside the pool
-    counters = state.counters
-    counters.candidates_tested += pool.bit_count()
-    entry = _retained_set(state)
-    m = pool & ~entry.asked
-    while m:
-        low = m & -m
-        is_removable(state, low.bit_length() - 1)
-        m ^= low
-    found = pool & entry.removable
-    if not found:
-        return None
-    counters.comparisons += found.bit_count() - 1
-    return next(record for record in entry.ranked if (found >> record.cycle) & 1)
-
-
-def _boundary_tour(state: SolverState) -> tuple[int, ...] | None:
-    # the tour the state's boundary forms, decoded once per retained set
-    entry = _retained_set(state)
-    if entry.tour == ():
-        entry.tour = tour_from_edge_mask(state.basis.graph, entry.once)
-    return entry.tour
+    return SolverState(state.basis, state.partition, left, state.trace + (rec,), counters)
 
 
 def _attempt(
     start: SolverState, partition: SolutionPartition
 ) -> tuple[SolverState, tuple[int, ...] | None]:
     # one partition from the full basis: its end state and tour or None.
-    # S2 delete the cheapest removable cycle; S1 find the cheapest removable
-    # co-solution cycle left; S3 repeat until the pool empties or nothing is
-    # removable. The start state retains every cycle, so the first pass's
-    # pool is the co-solution, and a partition that deletes nothing ends on
-    # the start entry
-    record = _greedy_pass(start, partition.co_solution)
-    state = SolverState(start.basis, partition, start.retained, counters=start.counters)
-    while record is not None:
-        state = apply_deletion(state, record.cycle)
-        record = _greedy_pass(state, partition.co_solution & state.retained)
-    return state, _boundary_tour(state)
+    # S1 find the cheapest removable cycle of the pool, the co-solution
+    # cycles still retained; S2 delete it; S3 repeat until the pool empties
+    # or nothing in it is removable. Each pass asks the pool's verdicts not
+    # yet known on the retained set, and its choice is the first record of
+    # the entry's ranking inside the pool. The start state retains every
+    # cycle, so the first pass's pool is the co-solution, and a partition
+    # that deletes nothing ends on the start entry. is_removable and
+    # apply_deletion are called through this module's names, which
+    # perfbench/layers.py rebinds
+    counters = start.counters
+    tables = start.basis._retained_sets
+    state = SolverState(start.basis, partition, start.retained, counters=counters)
+    entry = _retained_set(state)
+    pool = partition.co_solution
+    while True:
+        counters.candidates_tested += pool.bit_count()
+        m = pool & ~entry.asked
+        while m:
+            low = m & -m
+            is_removable(state, low.bit_length() - 1)
+            m ^= low
+        found = pool & entry.removable
+        if not found:
+            break
+        counters.comparisons += found.bit_count() - 1
+        for record in entry.ranked:
+            if (found >> record.cycle) & 1:
+                break
+        c = record.cycle
+        state = apply_deletion(state, c)
+        entry = tables[state.retained]
+        pool ^= 1 << c
+    if entry.tour == ():  # the tour the boundary forms, decoded once per entry
+        entry.tour = tour_from_edge_mask(state.basis.graph, entry.once)
+    return state, entry.tour
 
 
 def solve(graph: Graph) -> TourResult:

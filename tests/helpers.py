@@ -108,6 +108,56 @@ def double_square() -> Graph:
     return make_graph(7, [(u, v, 1) for u, v in a + b])
 
 
+def fundamental_basis_reference(g: Graph) -> CycleBasis:
+    """The BFS basis by parent walks, the reference for
+    :func:`cycletrim.fundamental_basis`.
+
+    The same tree: BFS from 0, neighbours in ascending id order. Each
+    chord's cycle is built by walking its deeper end up to the other's
+    depth, then both ends up together until they meet, one parent edge at
+    a time. A disconnected input raises ``ValueError``.
+    """
+    n = g.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [-1] * n
+    depth[0] = 0
+    tree_edges = 0
+    queue = [0]
+    for x in queue:
+        for nb in sorted(adj[x]):
+            if depth[nb] < 0:
+                eidx = g.edge_index(x, nb)
+                parent[nb], parent_edge[nb], depth[nb] = x, eidx, depth[x] + 1
+                tree_edges |= 1 << eidx
+                queue.append(nb)
+    if len(queue) != n:
+        raise ValueError("the reference basis requires a connected graph")
+    cycles = []
+    for eidx, (u, v, _) in enumerate(g.edges):
+        if tree_edges >> eidx & 1:
+            continue
+        mask = 1 << eidx
+        a, b = u, v
+        while depth[a] > depth[b]:
+            mask ^= 1 << parent_edge[a]
+            a = parent[a]
+        while depth[b] > depth[a]:
+            mask ^= 1 << parent_edge[b]
+            b = parent[b]
+        while a != b:
+            mask ^= 1 << parent_edge[a]
+            mask ^= 1 << parent_edge[b]
+            a = parent[a]
+            b = parent[b]
+        cycles.append(mask)
+    return CycleBasis(g, tuple(cycles))
+
+
 def solution_sum(basis: CycleBasis, indices) -> int:
     """Total (edge count - 2) over the chosen cycles."""
     if len(set(indices)) != len(indices):

@@ -6,7 +6,7 @@ pins are the sha256 of each script's output with its timings cut. The
 solver digest's outcome sha256s, over every ``solve --json`` field but
 the partitions tried and the candidates tested, are pinned on their own as
 well: a change that moves only those two counts re-pins the output and
-leaves these.
+leaves these. The code-line counter's output is pinned on a small fixture.
 """
 
 import hashlib
@@ -48,3 +48,35 @@ def test_solver_outcome_digests_are_pinned():
     output = _output("solver_digest.py")
     found = dict(re.findall(r"^(\w+) seed .* outcome sha256 (\w+);", output, re.M))
     assert found == SOLVER_OUTCOME_SHA256, output
+
+
+#: a module with a code line of each kind the counter must tell apart: its
+#: code lines are 5, 8, 11, 12, 14 and 15 of its 16 lines
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment on its own line
+import os  # a comment after code
+
+
+def f(x):
+    """A function docstring."""
+
+    y = """a string
+in an expression"""
+    "a statement that is only a string"
+    return (x +
+            y)
+    # a comment in the body
+'''
+
+
+def test_code_line_counter_output_is_pinned(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "b.txt").write_text("not python\n")
+    (tmp_path / "c.py").write_text("x = 1\n")
+    args = [sys.executable, str(ROOT / "bench" / "code_lines.py"), "pkg", "c.py"]
+    done = subprocess.run(args, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 1 c.py\n6 16 pkg/a.py\n7 17 total\n"

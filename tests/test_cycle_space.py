@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cycletrim import (
     CycleBasis,
+    Graph,
     NotConnected,
     count_covers,
     edges_with_cover,
@@ -14,6 +15,7 @@ from cycletrim import (
 from cycletrim.graphs import iter_bits
 
 from helpers import (
+    fundamental_basis_reference,
     gf2_rank,
     gf2_sum,
     is_simple_cycle,
@@ -71,6 +73,27 @@ def test_tree_has_empty_basis():
     b = fundamental_basis(path_graph(5))
     assert b.dimension == 0
     assert b.cover_counts == (0,) * 4
+
+
+def test_basis_matches_the_parent_walk_reference_on_every_small_graph():
+    # every connected labelled graph on 1 to 5 vertices, each edge subset of
+    # K_n in the order of its bitmask, the n <= 5 census's graphs among them
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for subset in range(1 << len(pairs)):
+            g = Graph(n, tuple((u, v, 1) for i, (u, v) in enumerate(pairs) if subset >> i & 1))
+            try:
+                expected = fundamental_basis_reference(g)
+            except ValueError:
+                with pytest.raises(NotConnected):
+                    fundamental_basis(g)
+                continue
+            assert fundamental_basis(g) == expected
+
+
+@given(connected_graphs(max_vertices=12))
+def test_basis_matches_the_parent_walk_reference(g):
+    assert fundamental_basis(g) == fundamental_basis_reference(g)
 
 
 def test_basis_requires_connected():

@@ -381,6 +381,32 @@ def test_min_tour_takes_a_settled_no_from_the_gate_without_the_dp(monkeypatch):
     assert runs == []
 
 
+def test_min_tour_takes_the_gate_dps_answer_after_a_give_up(monkeypatch):
+    # with GATE_NODES 0 the gate gives up at once and its DP, without a
+    # first tour, decides; min_tour on that graph returns the DP's answer,
+    # the one it gives after a search that finds a cycle, and runs no
+    # second DP
+    rng = random.Random(3)
+    graphs = [hamiltonian_draw(rng, 14, 0.5) for _ in range(3)]
+    expected = [min_tour(g) for g in graphs]
+    runs = []
+    run = oracle._held_karp
+
+    def spy(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(oracle, "_held_karp", spy)
+    monkeypatch.setattr(oracle, "GATE_NODES", 0)
+    for g, answer in zip(graphs, expected):
+        copy = ungated(g)
+        assert is_hamiltonian(copy)
+        gated = len(runs)
+        assert gated
+        assert min_tour(copy) == answer
+        assert len(runs) == gated
+
+
 def test_min_tour_answers_do_not_depend_on_the_gate_memo(monkeypatch):
     # right after is_hamiltonian(g), min_tour(g) reads the gate's masks and
     # cycle from its memo; on an equal copy the gate first checks and

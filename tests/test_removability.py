@@ -150,7 +150,7 @@ def test_neighbour_cap_counts_the_neighbours_of_an_end_that_drops_to_degree_two(
 # --- diagonals and clusters ------------------------------------------------
 
 def closure(state, c):
-    """The cluster of retained cycle ``c``, as ``_evaluate`` takes it."""
+    """The cluster of retained cycle ``c``, as ``is_removable`` takes it."""
     return reach(state.basis.sharing, c, state.retained)
 
 
