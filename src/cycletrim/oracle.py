@@ -38,9 +38,15 @@ saves work only: on any graph :func:`min_tour` takes its checks and first
 tour from the gate.
 
 The DP keeps a dict from each visited set it reaches (vertex 0 left out)
-to a row of ``n`` exact path costs, where an unreached entry holds a
-sentinel above every path cost, and expands the sets in the order their
-rows were allocated; sets it never reaches cost neither time nor memory.
+to a row, itself a dict from each last vertex a path reaches to that
+path's exact cost, and expands the sets in the order their rows were
+allocated; sets and ends it never reaches cost neither time nor memory.
+Each end's steps are walked in increasing order of what they need of the
+bound, so the walk stops at the first step past it. That changes the order
+of the writes into a row, and with it the order in which the rows of one
+size are allocated, but no answer: each entry is the minimum over the same
+writes, and whether a write is made depends only on rows that are final,
+so the same rows are allocated and ``TooLarge`` is raised on the same runs.
 The tour is read back from those costs, taking the largest predecessor
 among equal costs and the smallest closing vertex among equal totals, so
 equal-weight optima always resolve to the same tour.
@@ -51,8 +57,9 @@ unvisited vertex to 0, so each unvisited vertex needs two tour neighbours
 among the unvisited vertices, 0 and the last vertex, and only one of them
 can take the last vertex. A set where some unvisited vertex has no other
 such neighbour, or two have one each, is dead and never expanded; with one
-such vertex, only the last vertices next to it are expanded. Every state on
-a Hamilton cycle passes, so answers and tours are those of the full DP.
+such vertex, only the last vertices next to it are expanded, and the other
+ends are deleted from the row. Every state on a Hamilton cycle passes, so
+answers and tours are those of the full DP.
 
 The DP is also bounded by a tour it finds first. The gate's cycle is some
 Hamilton cycle, and 2-opt and or-opt moves lower its weight: that weight is
@@ -528,9 +535,9 @@ def min_tour(g: Graph) -> OracleAnswer:
     has just seen nothing is checked or searched again; on any other the
     gate does its work first, as for :func:`is_hamiltonian`. The DP is
     :func:`_optimum`. Runtime is O(n^2 * 2^n) at worst. Memory is one row
-    of n costs per reached set, and no more than ``HELD_KARP_MAX_ROWS``
-    rows, so sizes near the cap are slow and large in pure Python but stay
-    exact. With a ``Fraction`` weight the bounds
+    per reached set, with one cost per reached end, and no more than
+    ``HELD_KARP_MAX_ROWS`` rows, so sizes near the cap are slow and large in
+    pure Python but stay exact. With a ``Fraction`` weight the bounds
     and the DP run on ints: they see a copy of ``g`` whose every weight is
     multiplied by the least common multiple of the denominators, which
     keeps the order of every sum and so, by the arguments below, the tour.
@@ -542,11 +549,12 @@ def min_tour(g: Graph) -> OracleAnswer:
     ``cost[s][v]`` is the cheapest path from 0 through the set ``s`` ending
     at ``v``, where vertex ``v >= 1`` is bit ``v - 1`` of ``s`` (vertex 0
     starts every path and is never in ``s``). ``cost`` holds a row only
-    once its set is first reached; an unreached entry holds ``inf``, one
-    more than the sum of absolute weights, so it is above every path cost.
-    No predecessors are stored: the tour is read back from the costs by
-    exact equality. Among equal costs it takes the largest predecessor, and
-    the closing vertex is the smallest among equal totals.
+    once its set is first reached, and a row, a dict keyed by ``v``, holds
+    an end only once a path into it is written; an end that no path
+    reaches has no entry, and closing and read-back test membership. No
+    predecessors are stored: the tour is read back from the costs by exact
+    equality. Among equal costs it takes the largest predecessor, and the
+    closing vertex is the smallest among equal totals.
 
     Order: the sets are expanded first in, first out, in the order their
     rows were allocated, starting with the one-vertex sets next to 0. Every
@@ -556,10 +564,17 @@ def min_tour(g: Graph) -> OracleAnswer:
     after every smaller set. When the first set of ``k + 1`` vertices is
     expanded, every set of ``k`` vertices has been, so every write into a
     set of ``k + 1`` vertices is done and each row is final before it is
-    expanded, as in a walk over all 2^(n-1) sets in increasing order. Each
-    entry is the minimum over the same writes, and the checks below read
-    only the set and its final row, so row values, closing and read-back
-    are those of that walk.
+    expanded, as in a walk over all 2^(n-1) sets in increasing order.
+    Within a set, the ends are expanded in the order they were first
+    written, and each end's steps in increasing order of ``need`` (see
+    Bounds), so the writes into a row, and the rows of one size, come in
+    another order than in that walk. That order changes nothing. Each entry
+    is the minimum over the same writes. Whether a write is made depends
+    only on the set and its final row, through the checks below, so the
+    same writes are made and the same rows allocated; and since
+    ``TooLarge`` depends only on how many rows a run allocates, it is
+    raised on exactly the runs where that walk raises it. So row values,
+    closing and read-back are those of that walk.
 
     Completability test: for a reached set ``s``, let ``visited`` be its
     vertices and ``d(x)`` the number of neighbours of an unvisited ``x``
@@ -569,9 +584,10 @@ def min_tour(g: Graph) -> OracleAnswer:
     can take ``v``. The set is dead, and its row is dropped unexpanded, if
     some ``d(x) == 0`` or two vertices have ``d(x) == 1``. If exactly one ``x``
     has ``d(x) == 1``, only ends ``v`` next to ``x`` are alive: the other
-    entries of the row are reset to ``inf`` before it is expanded. Since
-    ``d(x)`` is at least the degree of ``x`` minus the size of ``s``, only
-    vertices of degree at most ``|s| + 1`` are tested (``fragile``).
+    ends are deleted from the row before it is expanded. Since ``d(x)`` is
+    at least the degree of ``x`` minus the size of ``s``, only unvisited
+    vertices of degree at most ``|s| + 1`` are tested (``fragile``, a
+    bitmask per set size).
 
     Why answers and tours are those of the DP without the test: a state
     (``s``, ``v``) is on a Hamilton cycle when some path from 0 through
@@ -579,7 +595,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     path into it, joined to that extension, is a Hamilton cycle, so every
     prefix of such a path is on a Hamilton cycle and passes too. The cost
     of a state on a Hamilton cycle is therefore the exact minimum over all
-    paths into it; every other entry holds ``inf`` or a cost no lower than
+    paths into it; every other end is absent or holds a cost no lower than
     without the test. Closing and read-back look only at states on a
     Hamilton cycle: the closing entries next to 0 of the full set and, for
     each state on the optimum tour, its reached predecessors, each of which
@@ -613,7 +629,11 @@ def min_tour(g: Graph) -> OracleAnswer:
     ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a path of
     cost ``w`` into (``s | x``, ``x``) is not written when ``2w > limit(s)
     + a2(x)``, which is the first check at that state. A write that is
-    skipped allocates no row.
+    skipped allocates no row. For a step along edge ``{v, x}`` from an entry
+    of cost ``c``, that check reads ``need > room`` with ``need = 2 * w(v,
+    x) - a2(x)``, fixed per step, and ``room = limit(s) - 2c``, fixed per
+    entry; each end's steps are sorted by ``need``, so the first step past
+    ``room`` ends the entry's expansion.
 
     Why the bounds change no answer or tour: take a state on an optimum
     tour and a minimum-cost path into it. Joined to the rest of that tour,
@@ -693,9 +713,13 @@ def _held_karp(
 ) -> OracleAnswer | None:
     """The DP of :func:`min_tour` with ``target`` as ``2 * UB``: the optimum
     when some tour weighs at most ``target / 2``, else None. Raises
-    :class:`TooLarge` past ``HELD_KARP_MAX_ROWS`` rows."""
+    :class:`TooLarge` past ``HELD_KARP_MAX_ROWS`` rows, one per visited set
+    it allocates.
+
+    Rows are dicts that hold only the ends reached, and the steps of an end
+    are walked in order of the bound they need; :func:`min_tour` argues that
+    neither changes an entry, a row allocated or a run that raises."""
     n = g.vertex_count
-    inf = 1 + sum(abs(w) for w in g.weights)
     # limit[s] = target - a1(0) - sum of a1(x) + a2(x) over unvisited x,
     # read from two tables over the low and high bits of s
     pair = [a1[x] + a2[x] for x in range(1, n)]
@@ -703,31 +727,30 @@ def _held_karp(
     low_bits = (1 << half) - 1
     low_limit = _subset_sums(pair[:half], target - a1[0] - sum(pair))
     high_limit = _subset_sums(pair[half:], 0)
-    # per vertex other than 0: (set bit, neighbour, weight, 2 * weight -
-    # a2(neighbour)) for each neighbour other than 0; and (neighbour, weight)
-    # for each neighbour of 0. The canonical edge order lists both in
-    # ascending order of the neighbour.
+    # per vertex other than 0: (need, set bit, neighbour, weight) for each
+    # neighbour other than 0, where need = 2 * weight - a2(neighbour); and
+    # (neighbour, weight) for each neighbour of 0. The canonical edge order
+    # lists both in ascending order of the neighbour, which read-back's
+    # tie-break needs; expansion walks the steps sorted by need (ties by
+    # bit), so it stops at the first step past the bound
     steps: list = [[] for _ in range(n)]
     starts = []
     for u, v, w in g.edges:
         if u:
-            steps[u].append((1 << (v - 1), v, w, 2 * w - a2[v]))
-            steps[v].append((1 << (u - 1), u, w, 2 * w - a2[u]))
+            steps[u].append((2 * w - a2[v], 1 << (v - 1), v, w))
+            steps[v].append((2 * w - a2[u], 1 << (u - 1), u, w))
         else:
             starts.append((v, w))
-    # fragile[k]: (bit, neighbours) of each vertex that can fail the
-    # completability test once k vertices besides 0 are visited, that is of
-    # each vertex of degree at most k + 1
+    by_need = [sorted(around) for around in steps]
+    # fragile[k]: the vertices that can fail the completability test once k
+    # vertices besides 0 are visited, that is those of degree at most k + 1
     degrees = [m.bit_count() for m in nbrs]
-    fragile = [
-        tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
-        for k in range(n)
-    ]
-    cost: dict[int, list] = {}
-    for nb, w in starts:
-        row = [inf] * n
-        row[nb] = w
-        cost[1 << (nb - 1)] = row
+    fragile = [0] * n
+    for x in range(1, n):
+        fragile[degrees[x] - 1] |= 1 << x
+    for k in range(1, n):
+        fragile[k] |= fragile[k - 1]
+    cost: dict[int, dict[int, Weight]] = {1 << (nb - 1): {nb: w} for nb, w in starts}
     # visited sets not yet expanded, in the order their rows were allocated
     order = deque(cost)
     rows = len(cost)
@@ -736,9 +759,11 @@ def _held_karp(
         row = cost[mask]
         visited = mask << 1
         forced = 0  # neighbours of the one unvisited vertex with one free neighbour
-        for bit, around in fragile[mask.bit_count()]:
-            if bit & visited:
-                continue
+        test = fragile[mask.bit_count()] & ~visited
+        while test:
+            low = test & -test
+            test ^= low
+            around = nbrs[low.bit_length() - 1]
             free = around & ~visited
             if free & (free - 1):
                 continue  # two free neighbours or more
@@ -750,20 +775,17 @@ def _held_karp(
             if forced < 0:  # dead set: no Hamilton cycle finishes from here
                 del cost[mask]
                 continue
-            rest = visited & ~forced  # last vertices that cannot take that vertex
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row[low.bit_length() - 1] = inf
+            for last in [last for last in row if not forced >> last & 1]:
+                del row[last]  # an end that cannot take that vertex
         limit = low_limit[mask & low_bits] + high_limit[mask >> half]
-        for last, c in enumerate(row):
-            if c is inf:  # unreached entries all hold this one object
-                continue
+        for last, c in row.items():
             room = limit - c - c
             if a1[last] > room:
                 continue  # 2c + a1(last) > limit: cost plus lower bound above the bound
-            for bit, nb, w, need in steps[last]:
-                if mask & bit or need > room:
+            for need, bit, nb, w in by_need[last]:
+                if need > room:
+                    break  # and so is every later step's
+                if mask & bit:
                     continue
                 w += c
                 to = mask | bit
@@ -772,20 +794,19 @@ def _held_karp(
                     rows += 1
                     if rows > HELD_KARP_MAX_ROWS:
                         raise TooLarge(f"the Held-Karp DP needs more than {rows - 1} rows")
-                    nxt = cost[to] = [inf] * n
+                    cost[to] = {nb: w}
                     order.append(to)
-                if w < nxt[nb]:
+                elif nb not in nxt or w < nxt[nb]:
                     nxt[nb] = w
 
     full = (1 << (n - 1)) - 1
-    final = cost.get(full)
+    final = cost.get(full, {})
     best = None
-    if final is not None:
-        for nb, w in starts:
-            if final[nb] is not inf:
-                total = final[nb] + w
-                if best is None or total < best[0]:
-                    best = (total, nb)
+    for nb, w in starts:
+        if nb in final:
+            total = final[nb] + w
+            if best is None or total < best[0]:
+                best = (total, nb)
     if best is None or 2 * best[0] > target:
         return None
     total, cur = best
@@ -795,8 +816,8 @@ def _held_karp(
         target = cost[mask][cur]
         mask ^= 1 << (cur - 1)
         row = cost[mask]
-        for bit, prev, w, _ in reversed(steps[cur]):  # ties go to the largest predecessor
-            if mask & bit and row[prev] + w == target:
+        for _, _, prev, w in reversed(steps[cur]):  # ties go to the largest predecessor
+            if prev in row and row[prev] + w == target:
                 break
         cur = prev
         seq.append(cur)

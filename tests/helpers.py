@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from cycletrim import (
@@ -677,3 +678,124 @@ def completable_rows_reference(g: Graph) -> int:
                 reached.add(state)
                 stack.append(state)
     return len({s for s, _ in reached})
+
+
+def held_karp_list_rows_reference(
+    g: Graph, nbrs: list[int], a1: list, a2: list, target
+) -> OracleAnswer | None:
+    """``oracle._held_karp`` as it was with a list of ``n`` costs per row.
+
+    The reference for the kernel: same arguments, answer and row budget,
+    ``oracle.HELD_KARP_MAX_ROWS`` read at each call. Each row holds a cost
+    per vertex, with a sentinel above every path cost where no path ends;
+    the completability test resets entries to it, expansion scans every
+    entry, and every step of an end is tested against the bound.
+    """
+    n = g.vertex_count
+    inf = 1 + sum(abs(w) for w in g.weights)
+    # limit[s] = target - a1(0) - sum of a1(x) + a2(x) over unvisited x,
+    # read from two tables over the low and high bits of s
+    pair = [a1[x] + a2[x] for x in range(1, n)]
+    half = (n - 1) // 2
+    low_bits = (1 << half) - 1
+    low_limit = oracle._subset_sums(pair[:half], target - a1[0] - sum(pair))
+    high_limit = oracle._subset_sums(pair[half:], 0)
+    # per vertex other than 0: (set bit, neighbour, weight, 2 * weight -
+    # a2(neighbour)) for each neighbour other than 0; and (neighbour, weight)
+    # for each neighbour of 0. The canonical edge order lists both in
+    # ascending order of the neighbour.
+    steps: list = [[] for _ in range(n)]
+    starts = []
+    for u, v, w in g.edges:
+        if u:
+            steps[u].append((1 << (v - 1), v, w, 2 * w - a2[v]))
+            steps[v].append((1 << (u - 1), u, w, 2 * w - a2[u]))
+        else:
+            starts.append((v, w))
+    # fragile[k]: (bit, neighbours) of each vertex that can fail the
+    # completability test once k vertices besides 0 are visited, that is of
+    # each vertex of degree at most k + 1
+    degrees = [m.bit_count() for m in nbrs]
+    fragile = [
+        tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
+        for k in range(n)
+    ]
+    cost: dict[int, list] = {}
+    for nb, w in starts:
+        row = [inf] * n
+        row[nb] = w
+        cost[1 << (nb - 1)] = row
+    # visited sets not yet expanded, in the order their rows were allocated
+    order = deque(cost)
+    rows = len(cost)
+    while order:
+        mask = order.popleft()
+        row = cost[mask]
+        visited = mask << 1
+        forced = 0  # neighbours of the one unvisited vertex with one free neighbour
+        for bit, around in fragile[mask.bit_count()]:
+            if bit & visited:
+                continue
+            free = around & ~visited
+            if free & (free - 1):
+                continue  # two free neighbours or more
+            if not free or forced:
+                forced = -1
+                break
+            forced = around
+        if forced:
+            if forced < 0:  # dead set: no Hamilton cycle finishes from here
+                del cost[mask]
+                continue
+            rest = visited & ~forced  # last vertices that cannot take that vertex
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row[low.bit_length() - 1] = inf
+        limit = low_limit[mask & low_bits] + high_limit[mask >> half]
+        for last, c in enumerate(row):
+            if c is inf:  # unreached entries all hold this one object
+                continue
+            room = limit - c - c
+            if a1[last] > room:
+                continue  # 2c + a1(last) > limit: cost plus lower bound above the bound
+            for bit, nb, w, need in steps[last]:
+                if mask & bit or need > room:
+                    continue
+                w += c
+                to = mask | bit
+                nxt = cost.get(to)
+                if nxt is None:
+                    rows += 1
+                    if rows > oracle.HELD_KARP_MAX_ROWS:
+                        raise TooLarge(f"the Held-Karp DP needs more than {rows - 1} rows")
+                    nxt = cost[to] = [inf] * n
+                    order.append(to)
+                if w < nxt[nb]:
+                    nxt[nb] = w
+
+    full = (1 << (n - 1)) - 1
+    final = cost.get(full)
+    best = None
+    if final is not None:
+        for nb, w in starts:
+            if final[nb] is not inf:
+                total = final[nb] + w
+                if best is None or total < best[0]:
+                    best = (total, nb)
+    if best is None or 2 * best[0] > target:
+        return None
+    total, cur = best
+    seq = [cur]
+    mask = full
+    while mask != 1 << (cur - 1):
+        target = cost[mask][cur]
+        mask ^= 1 << (cur - 1)
+        row = cost[mask]
+        for bit, prev, w, _ in reversed(steps[cur]):  # ties go to the largest predecessor
+            if mask & bit and row[prev] + w == target:
+                break
+        cur = prev
+        seq.append(cur)
+    tour = _canonical((0,) + tuple(reversed(seq)))
+    return OracleAnswer(total, tour)

@@ -33,6 +33,7 @@ from helpers import (
     completable_rows_reference,
     cycle_graph,
     gate_search,
+    held_karp_list_rows_reference,
     k4_golden,
     make_graph,
     min_tour_reference,
@@ -675,14 +676,16 @@ def bounds(g):
     return oracle._bounds(g, None if cycle is None else list(cycle))
 
 
-def rows_needed(*args):
-    """The least row budget under which ``_held_karp(*args)`` finishes."""
+def rows_needed(*args, dp=None):
+    """The least row budget under which ``dp(*args)`` finishes, by default
+    ``_held_karp(*args)``."""
+    dp = dp or oracle._held_karp
     low, high = 0, oracle.HELD_KARP_MAX_ROWS
     while high - low > 1:
         mid = (low + high) // 2
         try:
             with patch.object(oracle, "HELD_KARP_MAX_ROWS", mid):
-                oracle._held_karp(*args)
+                dp(*args)
             high = mid
         except TooLarge:
             low = mid
@@ -723,6 +726,60 @@ def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch
             assert answer == expected
             outcomes.add("answered")
     assert outcomes == {"raised", "answered"}
+
+
+def kernel_runs(g):
+    """The arguments of ``_held_karp`` as ``_optimum`` builds them on ``g``,
+    scaled to ints: under the first bound and under the first guess; none
+    when the gate's up-front checks rule out a tour, as the DP never runs."""
+    scale = math.lcm(*(w.denominator for w in g.weights))
+    graph = Graph(g.vertex_count, tuple((u, v, w * scale) for u, v, w in g.edges))
+    nbrs = all_neighbours(graph)
+    if oracle._no_tour_up_front(graph, nbrs):
+        return []
+    bound, a1, a2 = bounds(graph)
+    rise = (max(graph.weights) - min(graph.weights)) // 4 or 1
+    return [(graph, nbrs, a1, a2, 2 * bound), (graph, nbrs, a1, a2, sum(a1) + sum(a2) + rise)]
+
+
+def assert_kernel_matches_list_rows(g):
+    # dict rows, bound-ordered steps and the bitmask completability scan
+    # change only the order of the DP's writes: answers, tours and the rows
+    # allocated must be those of the list-row kernel
+    for args in kernel_runs(g):
+        assert oracle._held_karp(*args) == held_karp_list_rows_reference(*args)
+        assert rows_needed(*args) == rows_needed(*args, dp=held_karp_list_rows_reference)
+
+
+def tied(g):
+    return Graph(g.vertex_count, tuple((u, v, 1 + w % 2) for u, v, w in g.edges))
+
+
+def signed(g):
+    palette = (-1, 0, Fraction(1, 2))
+    return Graph(g.vertex_count, tuple((u, v, palette[w % 3]) for u, v, w in g.edges))
+
+
+def test_held_karp_matches_the_list_row_kernel():
+    rng = random.Random(32)
+    for n in range(5, 15):
+        for p in (0.3, 0.6):
+            g = hamiltonian_draw(rng, n, p)
+            for graph in (g, tied(g), signed(g)):
+                assert_kernel_matches_list_rows(graph)
+
+
+@given(st.one_of(connected_graphs(max_vertices=9), hamiltonian_graphs(max_vertices=9)), st.data())
+@settings(max_examples=60)
+def test_held_karp_matches_the_list_row_kernel_on_drawn_graphs(g, data):
+    palette = data.draw(st.lists(st.sampled_from(WEIGHT_VALUES), min_size=1, max_size=3))
+    weights = data.draw(
+        st.lists(st.sampled_from(palette), min_size=g.edge_count, max_size=g.edge_count)
+    )
+    assert_kernel_matches_list_rows(g)
+    assert_kernel_matches_list_rows(
+        Graph(g.vertex_count, tuple((u, v, w) for (u, v, _), w in zip(g.edges, weights)))
+    )
 
 
 def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
