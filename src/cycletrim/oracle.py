@@ -69,17 +69,20 @@ such edge weights is a lower bound on the rest of the tour. The weights are
 first reduced by integer vertex penalties (Held and Karp 1970), which keeps
 the bound valid and raises it. A state whose cost plus lower bound is above
 the upper bound is neither expanded nor written; every state on an optimum
-tour passes, so answers and tours are again those of the full DP. When the
-gate gives up there is no first tour, and the bound is ``n`` times the
-heaviest weight. The penalties are aimed once per call, at the bound, or
-without a first tour at a point between it and the lower bound. Any number
-at least the optimum serves as the upper bound, so the DP runs first under
-guessed bounds just above the lower bound, raised until one closes a tour
-no heavier than the guess, and only then under the bound; every run uses
-the same penalties. The DP raises :class:`TooLarge` once it would allocate
-more than ``HELD_KARP_MAX_ROWS`` rows. The bounds and the DP see fractional
-weights scaled to ints, on a copy with the same edges. See
-:func:`min_tour`.
+tour passes, so answers and tours are again those of the full DP. Each set
+in the queue carries its share of the bound, the upper bound less the
+lightest-edge terms at 0 and at its unvisited vertices: a set gets its
+parent's share plus the term of the one vertex it adds, so no table over
+all sets is built. When the gate gives up there is no first tour, and the
+bound is ``n`` times the heaviest weight. The penalties are aimed once per
+call, at the bound, or without a first tour at a point between it and the
+lower bound. Any number at least the optimum serves as the upper bound, so
+the DP runs first under guessed bounds just above the lower bound, raised
+until one closes a tour no heavier than the guess, and only then under the
+bound; every run uses the same penalties. The DP raises :class:`TooLarge`
+once it would allocate more than ``HELD_KARP_MAX_ROWS`` rows. The bounds
+and the DP see fractional weights scaled to ints, on a copy with the same
+edges. See :func:`min_tour`.
 """
 
 from __future__ import annotations
@@ -512,16 +515,6 @@ def _ends(g: Graph) -> list:
     return ends
 
 
-def _subset_sums(values: list, base: Weight) -> list:
-    """``sums[m]`` is ``base`` plus ``values[i]`` for every bit ``i`` of ``m``;
-    one addition per entry."""
-    sums = [base] * (1 << len(values))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
-    return sums
-
-
 def min_tour(g: Graph) -> OracleAnswer:
     """Exact minimum-weight Hamilton cycle via the Held-Karp subset DP.
 
@@ -624,16 +617,20 @@ def min_tour(g: Graph) -> OracleAnswer:
     gives the plain two-lightest-edges bound; ``_penalties`` picks ``pi``
     by subgradient steps that raise ``sum of a1 + a2`` over all vertices,
     the same bound for a whole tour, never below its value at zero.
-    With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1 + a2)``, read from
-    two tables over the low and high bits of ``s``, the entry (``s``,
-    ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a path of
-    cost ``w`` into (``s | x``, ``x``) is not written when ``2w > limit(s)
-    + a2(x)``, which is the first check at that state. A write that is
-    skipped allocates no row. For a step along edge ``{v, x}`` from an entry
-    of cost ``c``, that check reads ``need > room`` with ``need = 2 * w(v,
-    x) - a2(x)``, fixed per step, and ``room = limit(s) - 2c``, fixed per
-    entry; each end's steps are sorted by ``need``, so the first step past
-    ``room`` ends the entry's expansion.
+    With ``limit(s) = 2 * UB - a1(0) - sum over R of (a1 + a2)``, the entry
+    (``s``, ``v``) is not expanded when ``2c + a1(v) > limit(s)``, and a
+    path of cost ``w`` into (``s | x``, ``x``) is not written when ``2w >
+    limit(s) + a2(x)``, which is the first check at that state. A write that
+    is skipped allocates no row. For a step along edge ``{v, x}`` from an
+    entry of cost ``c``, that check reads ``need > room`` with ``need = 2 *
+    w(v, x) - a2(x)``, fixed per step, and ``room = limit(s) - 2c``, fixed
+    per entry; each end's steps are sorted by ``need``, so the first step
+    past ``room`` ends the entry's expansion. ``limit(s)`` travels with
+    ``s`` in the queue: a one-vertex set ``{x}`` gets ``2 * UB - a1(0)``
+    less ``a1 + a2`` of every vertex but 0, plus ``a1(x) + a2(x)``, and the
+    step from ``s`` that first reaches ``s | x`` gives that set ``limit(s)
+    + a1(x) + a2(x)``. Both equal the formula exactly, since the DP's
+    weights are ints.
 
     Why the bounds change no answer or tour: take a state on an optimum
     tour and a minimum-cost path into it. Joined to the rest of that tour,
@@ -718,21 +715,15 @@ def _held_karp(
 
     Rows are dicts that hold only the ends reached, and the steps of an end
     are walked in order of the bound they need; :func:`min_tour` argues that
-    neither changes an entry, a row allocated or a run that raises."""
+    neither changes an entry, a row allocated or a run that raises. Each
+    queued set carries its ``limit``, its parent's plus the pair ``a1 + a2``
+    of the vertex the parent's step added."""
     n = g.vertex_count
-    # limit[s] = target - a1(0) - sum of a1(x) + a2(x) over unvisited x,
-    # read from two tables over the low and high bits of s
-    pair = [a1[x] + a2[x] for x in range(1, n)]
-    half = (n - 1) // 2
-    low_bits = (1 << half) - 1
-    low_limit = _subset_sums(pair[:half], target - a1[0] - sum(pair))
-    high_limit = _subset_sums(pair[half:], 0)
     # per vertex other than 0: (need, set bit, neighbour, weight) for each
-    # neighbour other than 0, where need = 2 * weight - a2(neighbour); and
-    # (neighbour, weight) for each neighbour of 0. The canonical edge order
-    # lists both in ascending order of the neighbour, which read-back's
-    # tie-break needs; expansion walks the steps sorted by need (ties by
-    # bit), so it stops at the first step past the bound
+    # neighbour other than 0, where need = 2 * weight - a2(neighbour), sorted
+    # by need (ties by bit) so expansion stops at the first step past the
+    # bound; and (neighbour, weight) for each neighbour of 0, in the
+    # canonical edge order, ascending in the neighbour as closing needs
     steps: list = [[] for _ in range(n)]
     starts = []
     for u, v, w in g.edges:
@@ -741,7 +732,8 @@ def _held_karp(
             steps[v].append((2 * w - a2[u], 1 << (u - 1), u, w))
         else:
             starts.append((v, w))
-    by_need = [sorted(around) for around in steps]
+    for around in steps:
+        around.sort()
     # fragile[k]: the vertices that can fail the completability test once k
     # vertices besides 0 are visited, that is those of degree at most k + 1
     degrees = [m.bit_count() for m in nbrs]
@@ -751,11 +743,14 @@ def _held_karp(
     for k in range(1, n):
         fragile[k] |= fragile[k - 1]
     cost: dict[int, dict[int, Weight]] = {1 << (nb - 1): {nb: w} for nb, w in starts}
-    # visited sets not yet expanded, in the order their rows were allocated
-    order = deque(cost)
+    # visited sets not yet expanded, in the order their rows were allocated,
+    # each with its limit target - a1(0) - sum of a1(x) + a2(x) over the
+    # unvisited x: the parent's limit plus the pair of the vertex it adds
+    everyone = target - a1[0] - sum(a1[1:]) - sum(a2[1:])
+    order = deque((1 << (nb - 1), everyone + a1[nb] + a2[nb]) for nb, _ in starts)
     rows = len(cost)
     while order:
-        mask = order.popleft()
+        mask, limit = order.popleft()
         row = cost[mask]
         visited = mask << 1
         forced = 0  # neighbours of the one unvisited vertex with one free neighbour
@@ -777,12 +772,11 @@ def _held_karp(
                 continue
             for last in [last for last in row if not forced >> last & 1]:
                 del row[last]  # an end that cannot take that vertex
-        limit = low_limit[mask & low_bits] + high_limit[mask >> half]
         for last, c in row.items():
             room = limit - c - c
             if a1[last] > room:
                 continue  # 2c + a1(last) > limit: cost plus lower bound above the bound
-            for need, bit, nb, w in by_need[last]:
+            for need, bit, nb, w in steps[last]:
                 if need > room:
                     break  # and so is every later step's
                 if mask & bit:
@@ -795,7 +789,7 @@ def _held_karp(
                     if rows > HELD_KARP_MAX_ROWS:
                         raise TooLarge(f"the Held-Karp DP needs more than {rows - 1} rows")
                     cost[to] = {nb: w}
-                    order.append(to)
+                    order.append((to, limit + a1[nb] + a2[nb]))
                 elif nb not in nxt or w < nxt[nb]:
                     nxt[nb] = w
 
@@ -816,10 +810,8 @@ def _held_karp(
         target = cost[mask][cur]
         mask ^= 1 << (cur - 1)
         row = cost[mask]
-        for _, _, prev, w in reversed(steps[cur]):  # ties go to the largest predecessor
-            if prev in row and row[prev] + w == target:
-                break
-        cur = prev
+        # ties go to the largest predecessor
+        cur = max(prev for _, _, prev, w in steps[cur] if prev in row and row[prev] + w == target)
         seq.append(cur)
     tour = _canonical((0,) + tuple(reversed(seq)))
     return OracleAnswer(total, tour)

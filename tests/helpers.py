@@ -680,6 +680,16 @@ def completable_rows_reference(g: Graph) -> int:
     return len({s for s, _ in reached})
 
 
+def _subset_sums(values: list, base) -> list:
+    """``sums[m]`` is ``base`` plus ``values[i]`` for every bit ``i`` of ``m``;
+    one addition per entry."""
+    sums = [base] * (1 << len(values))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
 def held_karp_list_rows_reference(
     g: Graph, nbrs: list[int], a1: list, a2: list, target
 ) -> OracleAnswer | None:
@@ -698,8 +708,8 @@ def held_karp_list_rows_reference(
     pair = [a1[x] + a2[x] for x in range(1, n)]
     half = (n - 1) // 2
     low_bits = (1 << half) - 1
-    low_limit = oracle._subset_sums(pair[:half], target - a1[0] - sum(pair))
-    high_limit = oracle._subset_sums(pair[half:], 0)
+    low_limit = _subset_sums(pair[:half], target - a1[0] - sum(pair))
+    high_limit = _subset_sums(pair[half:], 0)
     # per vertex other than 0: (set bit, neighbour, weight, 2 * weight -
     # a2(neighbour)) for each neighbour other than 0; and (neighbour, weight)
     # for each neighbour of 0. The canonical edge order lists both in
