@@ -9,8 +9,12 @@ draws come from ``random.Random(1)``: ``random_connected_graph`` with
 weights 1-100, keeping the Hamiltonian ones. Each call runs in a fresh
 process, which prints its time, the peak resident size and whether it
 finished; a call that raises ``TooLarge`` is timed until it raises. One
-line per cell, then one line per draw that raised. Stdlib only; it imports
-cycletrim from ``src/`` of the checkout it lives in.
+line per cell, then one line per draw that raised. After the table, one
+line per ``hubbed_cliques(k)`` for k = 5, 6 and 7: three K_k whose vertices
+are all joined to the same two hubs, which has no Hamilton cycle, so the
+front gate's search gives up and the DP without a first tour decides.
+Stdlib only; it imports cycletrim from ``src/`` of the checkout it lives
+in.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cycletrim import is_hamiltonian, random_connected_graph, serialize_graph  # noqa: E402
+from cycletrim import Graph, is_hamiltonian, random_connected_graph, serialize_graph  # noqa: E402
 
 CELLS = ((0.2, 9), (0.5, 5))
 
@@ -56,6 +60,14 @@ def draws(n: int, p: float, count: int) -> list:
     return kept
 
 
+def hubbed_cliques(k: int) -> Graph:
+    """Three K_k, every vertex of which is joined to the same two hubs,
+    numbered last; unit weights."""
+    n = 3 * k + 2
+    cliques = [(c * k + i, c * k + j, 1) for c in range(3) for i in range(k) for j in range(i + 1, k)]
+    return Graph(n, tuple(cliques + [(x, hub, 1) for x in range(3 * k) for hub in (n - 2, n - 1)]))
+
+
 def timed(graph) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", CHILD], input=serialize_graph(graph), capture_output=True,
@@ -80,6 +92,11 @@ def main() -> int:
                 if not run["finished"]:
                     print(f"  draw {index} raised TooLarge after {run['s']:.2f} s "
                           f"({run['rss_mib']:.0f} MiB)", flush=True)
+    for k in (5, 6, 7):
+        run = timed(hubbed_cliques(k))
+        outcome = "finished" if run["finished"] else "raised TooLarge"
+        print(f"hubbed_cliques({k}): {run['s']:.2f} s, peak RSS {run['rss_mib']:.0f} MiB, "
+              f"{outcome}", flush=True)
     return 0
 
 

@@ -51,16 +51,6 @@ The tour is read back from those costs, taking the largest predecessor
 among equal costs and the smallest closing vertex among equal totals, so
 equal-weight optima always resolve to the same tour.
 
-The DP expands only visited sets whose unvisited vertices can still all be
-threaded. The rest of a tour runs from the last vertex through every
-unvisited vertex to 0, so each unvisited vertex needs two tour neighbours
-among the unvisited vertices, 0 and the last vertex, and only one of them
-can take the last vertex. A set where some unvisited vertex has no other
-such neighbour, or two have one each, is dead and never expanded; with one
-such vertex, only the last vertices next to it are expanded, and the other
-ends are deleted from the row. Every state on a Hamilton cycle passes, so
-answers and tours are those of the full DP.
-
 The DP is also bounded by a tour it finds first. The gate's cycle is some
 Hamilton cycle, and 2-opt and or-opt moves lower its weight: that weight is
 the upper bound. A path that ends at ``v`` still needs one edge at ``v``,
@@ -69,7 +59,7 @@ such edge weights is a lower bound on the rest of the tour. The weights are
 first reduced by integer vertex penalties (Held and Karp 1970), which keeps
 the bound valid and raises it. A state whose cost plus lower bound is above
 the upper bound is neither expanded nor written; every state on an optimum
-tour passes, so answers and tours are again those of the full DP. Each set
+tour passes, so answers and tours are those of the full DP. Each set
 in the queue carries its share of the bound, the upper bound less the
 lightest-edge terms at 0 and at its unvisited vertices: a set gets its
 parent's share plus the term of the one vertex it adds, so no table over
@@ -308,9 +298,9 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
 
 def _gate(g: Graph) -> tuple:
     """The front gate's memo entry for ``g``: ``(g, nbrs, cycle, answer)``,
-    with the whole-graph neighbour bitmasks, a Hamilton cycle of ``g`` or
-    None when it has none, and the DP's answer when the search gave up, else
-    None.
+    with the whole-graph neighbour bitmasks that its checks and search use,
+    a Hamilton cycle of ``g`` or None when it has none, and the DP's answer
+    when the search gave up, else None.
 
     The one place that checks a graph up front and searches it. When the
     memo holds another graph: :func:`_no_tour_up_front`, then
@@ -338,7 +328,7 @@ def _gate(g: Graph) -> tuple:
             try:
                 cycle = _search_cycle(g, nbrs, GATE_NODES)
             except _GaveUp:
-                answer = _optimum(g, nbrs, None)
+                answer = _optimum(g, None)
                 cycle = answer.optimum_tour
         memo = _gated = (g, nbrs, cycle, answer)
     return memo
@@ -521,7 +511,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     Raises :class:`TooLarge` above 24 vertices, and when the DP under the
     first bound would allocate more than ``HELD_KARP_MAX_ROWS`` rows, every
     visited set at n <= 20, unless a guess finishes first. It takes its
-    up-front checks, neighbour bitmasks and first tour from the front gate,
+    up-front checks and first tour from the front gate,
     :func:`_gate`, and returns a non-Hamiltonian answer at once when the
     gate found no Hamilton cycle, and the gate's own answer when its search
     gave up and its DP decided, so that DP runs once. On a graph the gate
@@ -535,7 +525,7 @@ def min_tour(g: Graph) -> OracleAnswer:
     multiplied by the least common multiple of the denominators, which
     keeps the order of every sum and so, by the arguments below, the tour.
     The copy has the same vertices and edges, so the gate runs on ``g``
-    itself and its masks and cycle apply to the copy. The optimum weight is
+    itself and its cycle applies to the copy. The optimum weight is
     that tour's weight on the graph as given, so its type is ``Fraction``
     exactly when one of the tour's edges is.
 
@@ -568,34 +558,6 @@ def min_tour(g: Graph) -> OracleAnswer:
     ``TooLarge`` depends only on how many rows a run allocates, it is
     raised on exactly the runs where that walk raises it. So row values,
     closing and read-back are those of that walk.
-
-    Completability test: for a reached set ``s``, let ``visited`` be its
-    vertices and ``d(x)`` the number of neighbours of an unvisited ``x``
-    that are unvisited or 0. The rest of a tour runs from the last vertex
-    ``v`` through every unvisited vertex to 0, so each ``x`` needs two tour
-    neighbours among the unvisited vertices, 0 and ``v``, and only one ``x``
-    can take ``v``. The set is dead, and its row is dropped unexpanded, if
-    some ``d(x) == 0`` or two vertices have ``d(x) == 1``. If exactly one ``x``
-    has ``d(x) == 1``, only ends ``v`` next to ``x`` are alive: the other
-    ends are deleted from the row before it is expanded. Since ``d(x)`` is
-    at least the degree of ``x`` minus the size of ``s``, only unvisited
-    vertices of degree at most ``|s| + 1`` are tested (``fragile``, a
-    bitmask per set size).
-
-    Why answers and tours are those of the DP without the test: a state
-    (``s``, ``v``) is on a Hamilton cycle when some path from 0 through
-    ``s`` to ``v`` extends to one. Such a state passes the test, and every
-    path into it, joined to that extension, is a Hamilton cycle, so every
-    prefix of such a path is on a Hamilton cycle and passes too. The cost
-    of a state on a Hamilton cycle is therefore the exact minimum over all
-    paths into it; every other end is absent or holds a cost no lower than
-    without the test. Closing and read-back look only at states on a
-    Hamilton cycle: the closing entries next to 0 of the full set and, for
-    each state on the optimum tour, its reached predecessors, each of which
-    closes a tour through that state. So they see exactly the costs of the
-    DP without the test, and the tie-breaks pick the same tour. The rows
-    they read belong to sets that hold a state on the optimum tour, so none
-    is a dead set's dropped row.
 
     Bounds: the first tour is a copy of the gate's cycle, which
     ``min_tour`` hands to ``_bounds``, and ``_improve`` lowers its weight
@@ -671,50 +633,49 @@ def min_tour(g: Graph) -> OracleAnswer:
     and ``TooLarge`` is raised only when that DP raises it, and then
     exactly when no guess has closed a tour first.
     """
-    _, nbrs, cycle, answer = _gate(g)
+    _, _, cycle, answer = _gate(g)
     if answer is not None:  # the gate gave up, and its DP has answered
         return answer
     if cycle is None:
         return OracleAnswer(None, None)
-    return _optimum(g, nbrs, list(cycle))  # a copy: _improve edits it
+    return _optimum(g, list(cycle))  # a copy: _improve edits it
 
 
-def _optimum(g: Graph, nbrs: list[int], first: list[int] | None) -> OracleAnswer:
-    """The DP of :func:`min_tour` on ``g``, with neighbour bitmasks ``nbrs``,
-    after the front gate's checks: under guessed bounds, then under the
-    bound of the first tour ``first``, which ``_bounds`` edits, or of none.
-    Only :func:`_gate` and :func:`min_tour` call it."""
+def _optimum(g: Graph, first: list[int] | None) -> OracleAnswer:
+    """The DP of :func:`min_tour` on ``g``, after the front gate's checks:
+    under guessed bounds, then under the bound of the first tour ``first``,
+    which ``_bounds`` edits, or of none. Only :func:`_gate` and
+    :func:`min_tour` call it."""
     n = g.vertex_count
     # with a Fraction weight the bounds and the DP run on a copy scaled to
-    # ints; it has g's vertices and edges, so nbrs and the tour still apply
+    # ints; it has g's vertices and edges, so the tour still applies
     scale = math.lcm(*(w.denominator for w in g.weights))
     scaled = Graph(n, tuple((u, v, w * scale) for u, v, w in g.edges)) if scale > 1 else g
     bound, a1, a2 = _bounds(scaled, first)
     low = sum(a1) + sum(a2)  # twice a lower bound on every tour
     rise = (max(scaled.weights) - min(scaled.weights)) // 4 or 1
     while low + rise < 2 * bound:
-        found = _held_karp(scaled, nbrs, a1, a2, low + rise)
+        found = _held_karp(scaled, a1, a2, low + rise)
         if found is not None:
             break
         rise *= 2
     else:
-        found = _held_karp(scaled, nbrs, a1, a2, 2 * bound)
+        found = _held_karp(scaled, a1, a2, 2 * bound)
     if found is None or scaled is g:
         return found or OracleAnswer(None, None)
     # weigh the tour as given
     return OracleAnswer(tour_weight(g, found.optimum_tour), found.optimum_tour)
 
 
-def _held_karp(
-    g: Graph, nbrs: list[int], a1: list, a2: list, target: Weight
-) -> OracleAnswer | None:
+def _held_karp(g: Graph, a1: list, a2: list, target: Weight) -> OracleAnswer | None:
     """The DP of :func:`min_tour` with ``target`` as ``2 * UB``: the optimum
     when some tour weighs at most ``target / 2``, else None. Raises
     :class:`TooLarge` past ``HELD_KARP_MAX_ROWS`` rows, one per visited set
     it allocates.
 
-    Rows are dicts that hold only the ends reached, and the steps of an end
-    are walked in order of the bound they need; :func:`min_tour` argues that
+    Every reached set is expanded, and only the bound cuts a state. Rows
+    are dicts that hold only the ends reached, and the steps of an end are
+    walked in order of the bound they need; :func:`min_tour` argues that
     neither changes an entry, a row allocated or a run that raises. Each
     queued set carries its ``limit``, its parent's plus the pair ``a1 + a2``
     of the vertex the parent's step added."""
@@ -734,14 +695,6 @@ def _held_karp(
             starts.append((v, w))
     for around in steps:
         around.sort()
-    # fragile[k]: the vertices that can fail the completability test once k
-    # vertices besides 0 are visited, that is those of degree at most k + 1
-    degrees = [m.bit_count() for m in nbrs]
-    fragile = [0] * n
-    for x in range(1, n):
-        fragile[degrees[x] - 1] |= 1 << x
-    for k in range(1, n):
-        fragile[k] |= fragile[k - 1]
     cost: dict[int, dict[int, Weight]] = {1 << (nb - 1): {nb: w} for nb, w in starts}
     # visited sets not yet expanded, in the order their rows were allocated,
     # each with its limit target - a1(0) - sum of a1(x) + a2(x) over the
@@ -751,28 +704,7 @@ def _held_karp(
     rows = len(cost)
     while order:
         mask, limit = order.popleft()
-        row = cost[mask]
-        visited = mask << 1
-        forced = 0  # neighbours of the one unvisited vertex with one free neighbour
-        test = fragile[mask.bit_count()] & ~visited
-        while test:
-            low = test & -test
-            test ^= low
-            around = nbrs[low.bit_length() - 1]
-            free = around & ~visited
-            if free & (free - 1):
-                continue  # two free neighbours or more
-            if not free or forced:
-                forced = -1
-                break
-            forced = around
-        if forced:
-            if forced < 0:  # dead set: no Hamilton cycle finishes from here
-                del cost[mask]
-                continue
-            for last in [last for last in row if not forced >> last & 1]:
-                del row[last]  # an end that cannot take that vertex
-        for last, c in row.items():
+        for last, c in cost[mask].items():
             room = limit - c - c
             if a1[last] > room:
                 continue  # 2c + a1(last) > limit: cost plus lower bound above the bound

@@ -639,39 +639,24 @@ def min_tour_reference(g: Graph) -> OracleAnswer:
     return OracleAnswer(total, tour)
 
 
-def completable_rows_reference(g: Graph) -> int:
-    """How many visited sets :func:`cycletrim.min_tour` allocates a row for.
+def reached_rows_reference(g: Graph) -> int:
+    """How many visited sets :func:`cycletrim.min_tour` allocates a row for
+    when its bounds prune nothing.
 
     A state is a visited set ``s`` (vertex 0 left out) and a last vertex
-    ``v``; the states reached are those the DP reaches from 0 expanding only
-    completable states. Every unvisited vertex needs two tour neighbours
-    among the unvisited vertices, 0 and ``v``, and only one of them can take
-    ``v``, so a state is completable when every unvisited vertex has two
-    neighbours that are unvisited or 0, or exactly one has one such
-    neighbour and ``v`` is next to it. Written per state over sets, apart
-    from the row-wide bitmask test in ``min_tour``.
+    ``v``; the states reached are those of the simple paths from 0, and a
+    set gets a row when some state reaches it. Written over Python sets,
+    apart from the kernel's bitmasks and queue.
     """
     n = g.vertex_count
     nbrs = [set() for _ in range(n)]
     for u, v, _ in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    others = frozenset(range(1, n))
-
-    def completable(s: frozenset, v: int) -> bool:
-        open_ends = (others - s) | {0}
-        short = [x for x in others - s if len(nbrs[x] & open_ends) < 2]
-        if not short:
-            return True
-        (x, *more) = short
-        return not more and len(nbrs[x] & open_ends) == 1 and v in nbrs[x]
-
     reached = {(frozenset([v]), v) for v in nbrs[0]}
     stack = list(reached)
     while stack:
         s, v = stack.pop()
-        if not completable(s, v):
-            continue
         for nb in nbrs[v] - s - {0}:
             state = (s | {nb}, nb)
             if state not in reached:
@@ -690,16 +675,14 @@ def _subset_sums(values: list, base) -> list:
     return sums
 
 
-def held_karp_list_rows_reference(
-    g: Graph, nbrs: list[int], a1: list, a2: list, target
-) -> OracleAnswer | None:
+def held_karp_list_rows_reference(g: Graph, a1: list, a2: list, target) -> OracleAnswer | None:
     """``oracle._held_karp`` as it was with a list of ``n`` costs per row.
 
     The reference for the kernel: same arguments, answer and row budget,
     ``oracle.HELD_KARP_MAX_ROWS`` read at each call. Each row holds a cost
     per vertex, with a sentinel above every path cost where no path ends;
-    the completability test resets entries to it, expansion scans every
-    entry, and every step of an end is tested against the bound.
+    expansion scans every entry, and every step of an end is tested against
+    the bound.
     """
     n = g.vertex_count
     inf = 1 + sum(abs(w) for w in g.weights)
@@ -722,14 +705,6 @@ def held_karp_list_rows_reference(
             steps[v].append((1 << (u - 1), u, w, 2 * w - a2[u]))
         else:
             starts.append((v, w))
-    # fragile[k]: (bit, neighbours) of each vertex that can fail the
-    # completability test once k vertices besides 0 are visited, that is of
-    # each vertex of degree at most k + 1
-    degrees = [m.bit_count() for m in nbrs]
-    fragile = [
-        tuple((1 << x, nbrs[x]) for x in range(1, n) if degrees[x] <= k + 1)
-        for k in range(n)
-    ]
     cost: dict[int, list] = {}
     for nb, w in starts:
         row = [inf] * n
@@ -740,30 +715,8 @@ def held_karp_list_rows_reference(
     rows = len(cost)
     while order:
         mask = order.popleft()
-        row = cost[mask]
-        visited = mask << 1
-        forced = 0  # neighbours of the one unvisited vertex with one free neighbour
-        for bit, around in fragile[mask.bit_count()]:
-            if bit & visited:
-                continue
-            free = around & ~visited
-            if free & (free - 1):
-                continue  # two free neighbours or more
-            if not free or forced:
-                forced = -1
-                break
-            forced = around
-        if forced:
-            if forced < 0:  # dead set: no Hamilton cycle finishes from here
-                del cost[mask]
-                continue
-            rest = visited & ~forced  # last vertices that cannot take that vertex
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row[low.bit_length() - 1] = inf
         limit = low_limit[mask & low_bits] + high_limit[mask >> half]
-        for last, c in enumerate(row):
+        for last, c in enumerate(cost[mask]):
             if c is inf:  # unreached entries all hold this one object
                 continue
             room = limit - c - c

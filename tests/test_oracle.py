@@ -30,7 +30,6 @@ from cycletrim.solver import STATUS_NOT_HAMILTONIAN
 from helpers import (
     all_neighbours,
     complete_bipartite,
-    completable_rows_reference,
     cycle_graph,
     gate_search,
     held_karp_list_rows_reference,
@@ -39,6 +38,7 @@ from helpers import (
     min_tour_reference,
     path_graph,
     petersen,
+    reached_rows_reference,
     star_graph,
     theta,
     triangle,
@@ -245,13 +245,13 @@ def reweighted(g, rng, palette):
 
 
 def test_min_tour_matches_reference_dp_on_sparse_draws(monkeypatch):
-    # at edge probability 0.2 most visited sets are dead: the answer, tour
-    # included, must still be the reference's, also when few distinct
-    # weights make the tie-breaks decide. With unit weights every state has
-    # cost plus lower bound equal to n, the weight of every tour, so the
-    # strict bound prunes nothing and min_tour must allocate a row for
-    # exactly the visited sets that completable states reach; with other
-    # weights the bound may only prune more
+    # at edge probability 0.2 most visited sets lie on no Hamilton cycle:
+    # the answer, tour included, must still be the reference's, also when
+    # few distinct weights make the tie-breaks decide. With unit weights
+    # every state has cost plus lower bound equal to n, the weight of every
+    # tour, so the strict bound prunes nothing and min_tour must allocate a
+    # row for exactly the visited sets that simple paths from 0 reach; with
+    # other weights the bound may only prune more
     rng = random.Random(16)
     for n in (16, 17, 18):
         g = hamiltonian_draw(rng, n, 0.2)
@@ -260,7 +260,7 @@ def test_min_tour_matches_reference_dp_on_sparse_draws(monkeypatch):
             tied = reweighted(g, rng, palette)
             assert min_tour(tied) == min_tour_reference(tied)
         unit = Graph(n, tuple((u, v, 1) for u, v, _ in g.edges))
-        rows = completable_rows_reference(g)
+        rows = reached_rows_reference(g)
         monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows)
         assert min_tour(g).hamiltonian
         assert min_tour(unit).hamiltonian
@@ -360,7 +360,21 @@ def test_gate_gives_up_within_its_budget_and_the_dp_decides(k):
     assert nodes[0] <= oracle.GATE_NODES + 1
     started = time.perf_counter()
     assert solve(ungated(g)).status == STATUS_NOT_HAMILTONIAN
-    assert time.perf_counter() - started < 10  # the DP takes about 0.8 s at k = 6
+    assert time.perf_counter() - started < 10  # about 0.9 s at k = 6
+
+
+def test_gate_give_up_dp_rows_on_hubbed_k6(monkeypatch):
+    # after the gate gives up on three K_6 on two hubs, its DP has no first
+    # tour and no Hamilton cycle to close, so every guess fails and the run
+    # under n times the heaviest weight allocates the most rows: exactly
+    # 139,230, so a change to the give-up path's memory shows here
+    g = hubbed_cliques(6)
+    rows = 139_230
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows)
+    assert not is_hamiltonian(ungated(g))
+    monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", rows - 1)
+    with pytest.raises(TooLarge):
+        is_hamiltonian(ungated(g))
 
 
 def test_min_tour_takes_a_settled_no_from_the_gate_without_the_dp(monkeypatch):
@@ -657,15 +671,14 @@ def test_guessed_bounds_keep_the_reference_answer(monkeypatch):
 def test_guessed_bounds_finish_within_a_budget_the_first_bound_exceeds(monkeypatch):
     # without a first tour the DP is bounded only by n times the heaviest
     # weight and needs 7,267 rows on this draw; the guess that closes a
-    # tour needs 258. With GATE_NODES 0 the gate gives up at once and runs
+    # tour needs 265. With GATE_NODES 0 the gate gives up at once and runs
     # that DP. The draw was gated, so a copy is used
     g = ungated(hamiltonian_draw(random.Random(28), 14, 0.5))
-    nbrs = all_neighbours(g)
     bound, a1, a2 = oracle._bounds(g, None)
     assert bound == 14 * max(g.weights)
     monkeypatch.setattr(oracle, "HELD_KARP_MAX_ROWS", 1000)
     with pytest.raises(TooLarge, match="1000 rows"):
-        oracle._held_karp(g, nbrs, a1, a2, 2 * bound)
+        oracle._held_karp(g, a1, a2, 2 * bound)
     monkeypatch.setattr(oracle, "GATE_NODES", 0)
     assert min_tour(g) == min_tour_reference(g)
 
@@ -710,9 +723,8 @@ def test_guesses_pass_the_row_budget_only_where_the_first_bound_does(monkeypatch
         graphs += [g, reweighted(g, rng, (1, 2))]
     outcomes = set()
     for g in graphs:
-        nbrs = all_neighbours(g)
         bound, a1, a2 = bounds(g)
-        first = (g, nbrs, a1, a2, 2 * bound)
+        first = (g, a1, a2, 2 * bound)
         need = rows_needed(*first)
         expected = min_tour_reference(g)
         for rows in (need // 2, need - 1, need, need + 1, need + 2):
@@ -735,18 +747,17 @@ def kernel_runs(g):
     when the gate's up-front checks rule out a tour, as the DP never runs."""
     scale = math.lcm(*(w.denominator for w in g.weights))
     graph = Graph(g.vertex_count, tuple((u, v, w * scale) for u, v, w in g.edges))
-    nbrs = all_neighbours(graph)
-    if oracle._no_tour_up_front(graph, nbrs):
+    if oracle._no_tour_up_front(graph, all_neighbours(graph)):
         return []
     bound, a1, a2 = bounds(graph)
     rise = (max(graph.weights) - min(graph.weights)) // 4 or 1
-    return [(graph, nbrs, a1, a2, 2 * bound), (graph, nbrs, a1, a2, sum(a1) + sum(a2) + rise)]
+    return [(graph, a1, a2, 2 * bound), (graph, a1, a2, sum(a1) + sum(a2) + rise)]
 
 
 def assert_kernel_matches_list_rows(g):
-    # dict rows, bound-ordered steps and the bitmask completability scan
-    # change only the order of the DP's writes: answers, tours and the rows
-    # allocated must be those of the list-row kernel
+    # dict rows and bound-ordered steps change only the order of the DP's
+    # writes: answers, tours and the rows allocated must be those of the
+    # list-row kernel
     for args in kernel_runs(g):
         assert oracle._held_karp(*args) == held_karp_list_rows_reference(*args)
         assert rows_needed(*args) == rows_needed(*args, dp=held_karp_list_rows_reference)
@@ -797,9 +808,9 @@ def test_first_guess_runs_before_the_first_bound_on_its_pairs(monkeypatch):
     calls = []
     run = oracle._held_karp
 
-    def spy(graph, nbrs, b1, b2, target):
+    def spy(graph, b1, b2, target):
         calls.append((b1, b2, target))
-        return run(graph, nbrs, b1, b2, target)
+        return run(graph, b1, b2, target)
 
     monkeypatch.setattr(oracle, "_held_karp", spy)
     assert min_tour(g) == min_tour_reference(g)
