@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NotConnected, iter_bits, mask_neighbours, mask_vertices
+from .graphs import Graph, NotConnected, iter_bits, mask_vertices, neighbour_masks
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,15 @@ def fundamental_basis(g: Graph) -> CycleBasis:
     :class:`~cycletrim.graphs.NotConnected`. The BFS is its own, not
     :func:`~cycletrim.graphs.reach`: it needs each vertex's parent edge,
     which it takes from :meth:`~cycletrim.graphs.Graph.edge_index`, and its
-    visiting order defines the basis. It keeps one edge bitmask per vertex,
+    visiting order defines the basis. It walks the whole-graph masks of
+    :func:`~cycletrim.graphs.neighbour_masks`, which the front gate has
+    already built for a graph it has just gated. It keeps one edge bitmask per vertex,
     the tree edges from that vertex to the root; the two masks of a chord's
     ends share the edges above the ends' lowest common ancestor, so their
     XOR is the tree path between the ends.
     """
     n = g.vertex_count
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    nbrs = neighbour_masks(g)
     path = [0] * n
     seen = 1
     tree_edges = 0

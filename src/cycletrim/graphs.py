@@ -8,8 +8,9 @@ The edge list is kept in canonical order (sorted by endpoints) and the
 position of an edge in :attr:`Graph.edges` is its edge index; edge subsets are
 passed around as integer bitmasks over those indices, and vertex subsets as
 integer bitmasks over vertex ids. Past the parser, adjacency takes one
-form: a list with one bitmask of neighbours per vertex, built by
-:func:`mask_neighbours` for any edge subset and walked by :func:`reach`.
+form: a sequence with one bitmask of neighbours per vertex, built by
+:func:`mask_neighbours` for any edge subset and by :func:`neighbour_masks`,
+once per graph, for the whole graph, and walked by :func:`reach`.
 A reader that needs an edge's index or weight takes it from
 :meth:`Graph.edge_index` or from :attr:`Graph.edges`, whose canonical order
 lists each vertex's neighbours in ascending id order.
@@ -262,6 +263,29 @@ def mask_neighbours(g: Graph, mask: int) -> list[int]:
         nbrs[v] |= 1 << u
         mask ^= low
     return nbrs
+
+
+#: the whole-graph neighbour masks of the last graph :func:`neighbour_masks`
+#: was asked for, as ``(graph, masks)``; the placeholder matches no graph
+_whole_masks: tuple = (None, ())
+
+
+def neighbour_masks(g: Graph) -> tuple[int, ...]:
+    """Per vertex, the bitmask of its neighbours in the whole graph ``g``.
+
+    The masks of the last graph asked for are kept as a one-entry memo
+    keyed by identity, so the front gate, the basis, the full set's solver
+    entry and whole-graph cluster reductions of one draw share one build,
+    and no graph holds its masks after the next is asked for."""
+    global _whole_masks
+    memo = _whole_masks  # read once: another thread may replace it
+    if memo[0] is not g:
+        nbrs = [0] * g.vertex_count
+        for u, v, _ in g.edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        memo = _whole_masks = (g, tuple(nbrs))
+    return memo[1]
 
 
 def reach(nbrs: Sequence[int], start: int, within: int) -> int:

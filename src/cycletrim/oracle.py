@@ -80,8 +80,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
-from .graphs import Graph, Weight, iter_bits, mask_neighbours, reach, tour_weight
+from .graphs import Graph, Weight, iter_bits, neighbour_masks, reach, tour_weight
 
 HELD_KARP_MAX_VERTICES = 24
 #: rows of path costs ``min_tour`` may allocate: every visited set at n <= 20
@@ -104,7 +105,7 @@ class _GaveUp(Exception):
 #: the front gate's memo: the last graph it gated, its whole-graph neighbour
 #: bitmasks, a Hamilton cycle of it or None, and the DP's answer when the
 #: search gave up, else None; the placeholder matches no graph
-_gated: tuple = (None, [], None, None)
+_gated: tuple = (None, (), None, None)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _canonical(tour: tuple[int, ...]) -> tuple[int, ...]:
     return tour
 
 
-def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
+def _no_tour_up_front(g: Graph, adj_mask: tuple[int, ...]) -> bool:
     """True iff ``g``, with neighbour bitmasks ``adj_mask``, has fewer than 3
     vertices, a vertex of degree below 2, forced edges that rule out a
     Hamilton cycle (:func:`_forced_edges_rule_out`), or a component of
@@ -164,7 +165,7 @@ def _no_tour_up_front(g: Graph, adj_mask: list[int]) -> bool:
     return sides[0].bit_count() != sides[1].bit_count()
 
 
-def _forced_edges_rule_out(nbrs: list[int]) -> bool:
+def _forced_edges_rule_out(nbrs: tuple[int, ...]) -> bool:
     """True iff forcing edges rules out a Hamilton cycle of the graph with
     neighbour bitmasks ``nbrs``, in which every vertex has two neighbours
     or more.
@@ -211,7 +212,7 @@ def _forced_edges_rule_out(nbrs: list[int]) -> bool:
     return False
 
 
-def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
+def _short_of_edges(nbrs: tuple[int, ...], current: int, remaining: int) -> bool:
     """True iff the rest of a cycle from ``current`` through the non-empty
     ``remaining`` back to 0 cannot be threaded because some vertex is short
     of edges or asked for too many.
@@ -245,7 +246,7 @@ def _short_of_edges(nbrs: list[int], current: int, remaining: int) -> bool:
     return bool(thrice or current and twice & ((1 << current) | 1))
 
 
-def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | None:
+def _search_cycle(g: Graph, nbrs: tuple[int, ...], budget: int | None) -> list[int] | None:
     """The front gate's depth-first search for a Hamilton cycle from 0, as a
     vertex list, on a graph with neighbour bitmasks ``nbrs`` that passed
     :func:`_no_tour_up_front`.
@@ -298,7 +299,8 @@ def _search_cycle(g: Graph, nbrs: list[int], budget: int | None) -> list[int] | 
 
 def _gate(g: Graph) -> tuple:
     """The front gate's memo entry for ``g``: ``(g, nbrs, cycle, answer)``,
-    with the whole-graph neighbour bitmasks that its checks and search use,
+    with the whole-graph neighbour bitmasks that its checks and search use
+    (:func:`~cycletrim.graphs.neighbour_masks`),
     a Hamilton cycle of ``g`` or None when it has none, and the DP's answer
     when the search gave up, else None.
 
@@ -322,7 +324,7 @@ def _gate(g: Graph) -> tuple:
         raise TooLarge(f"{n} vertices exceeds the oracle's cap of {HELD_KARP_MAX_VERTICES}")
     memo = _gated  # read once: another thread may replace it
     if memo[0] is not g:
-        nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+        nbrs = neighbour_masks(g)
         cycle = answer = None
         if not _no_tour_up_front(g, nbrs):
             try:
@@ -335,9 +337,13 @@ def _gate(g: Graph) -> tuple:
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """Hamilton-cycle existence test, exact and of bounded cost: whether the
+    """Hamilton-cycle existence test, exact wherever it answers: whether the
     cycle :func:`_gate` holds for ``g`` is not None. Raises
-    :class:`TooLarge` where the gate does."""
+    :class:`TooLarge` where the gate does: above 24 vertices, and when the
+    gate's search gives up and the DP that then decides passes
+    ``HELD_KARP_MAX_ROWS`` rows, as on three K_7 joined to two hubs (n =
+    23, after 4-5 s and about 200 MiB). So its cost is bounded by that DP's
+    row cap, not by the search's budget."""
     return _gate(g)[2] is not None
 
 
@@ -351,43 +357,58 @@ def _weight_table(g: Graph) -> list:
 
 
 def _two_opt(tour: list[int], table: list) -> bool:
-    """Make the first 2-opt move that lowers the weight; False if there is none."""
+    """Make the first 2-opt move that lowers the weight; False if there is none.
+
+    The edges ``a``-``b`` at position ``i`` and ``c``-``d`` at ``j > i +
+    1`` are scanned by position, and ``d`` is read only where ``a``-``c``
+    exists."""
     n = len(tour)
     for i in range(n - 2):
         a, b = tour[i], tour[i + 1]
         ab = table[a * n + b]
         for j in range(i + 2, n if i else n - 1):
-            c, d = tour[j], tour[(j + 1) % n]
+            c = tour[j]
             ac = table[a * n + c]
+            if ac is None:
+                continue
+            d = tour[(j + 1) % n]
             bd = table[b * n + d]
-            if ac is not None and bd is not None and ac + bd < ab + table[c * n + d]:
+            if bd is not None and ac + bd < ab + table[c * n + d]:
                 tour[i + 1 : j + 1] = tour[j:i:-1]
                 return True
     return False
 
 
 def _or_opt(tour: list[int], table: list) -> bool:
-    """Make the first or-opt move that lowers the weight; False if there is none."""
+    """Make the first or-opt move that lowers the weight; False if there is none.
+
+    For each stretch of ``length`` vertices from position ``i`` on, the rest
+    of the cycle runs from position ``i + length`` round to ``i - 1``; both
+    are read by position in the tour written out twice, and the new tour is
+    built only for the move made."""
     n = len(tour)
+    twice = tour + tour
     for length in range(1, min(3, n - 3) + 1):
         for i in range(n):
-            cycle = tour[i:] + tour[:i]
-            segment, rest = cycle[:length], cycle[length:]
-            first, last, before, after = segment[0], segment[-1], rest[-1], rest[0]
+            first, last = twice[i], twice[i + length - 1]
+            before, after = twice[i + n - 1], twice[i + length]
             joined = table[before * n + after]
             if joined is None:
                 continue
             saved = table[before * n + first] + table[last * n + after] - joined
             ends = ((first, last),) if length == 1 else ((first, last), (last, first))
-            for k in range(len(rest) - 1):
-                x, y = rest[k], rest[k + 1]
+            for k in range(i + length, i + n - 1):
+                x, y = twice[k], twice[k + 1]
                 for head, tail in ends:
                     xh = table[x * n + head]
+                    if xh is None:
+                        continue
                     ty = table[tail * n + y]
-                    if xh is not None and ty is not None and xh + ty - table[x * n + y] < saved:
+                    if ty is not None and xh + ty - table[x * n + y] < saved:
+                        segment = twice[i : i + length]
                         if head != first:
                             segment.reverse()
-                        tour[:] = rest[: k + 1] + segment + rest[k + 1 :]
+                        tour[:] = twice[i + length : k + 1] + segment + twice[k + 1 : i + n]
                         return True
     return False
 
@@ -448,26 +469,33 @@ def _penalties(ends: list, target: Weight) -> tuple[list, list]:
     sum) / |excess|^2`` along it aims the sum at ``target``. ``scale``
     starts at 2 and halves after each step that does not raise the best
     sum. The steps move float penalties that are rounded to ints, so the
-    sums stay exact for ``int`` and ``Fraction`` weights. Returns the pairs
-    with the largest sum seen, those without penalties first, so the bound
-    is never below the one without penalties.
+    sums stay exact for ``int`` and ``Fraction`` weights. A step whose
+    rounded penalties are those of the step before gives that step's pairs
+    and excess again, so they are kept rather than recomputed, and its sum
+    raises nothing. Returns the pairs with the largest sum seen, those
+    without penalties first, so the bound is never below the one without
+    penalties.
     """
     drift = [0.0] * len(ends)
-    best_a1, best_a2, excess = _lightest_pairs(ends, [0] * len(ends))
+    pi = [0] * len(ends)
+    best_a1, best_a2, excess = _lightest_pairs(ends, pi)
     total = best = sum(best_a1) + sum(best_a2)
     scale = 2.0
     for _ in range(PENALTY_STEPS):
-        norm = sum(e * e for e in excess)
+        norm = sum(map(mul, excess, excess))
         if not norm or total >= target:
             break  # the sum is at its largest
         step = scale * float(target - total) / norm
         drift = [d + step * e for d, e in zip(drift, excess)]
-        a1, a2, excess = _lightest_pairs(ends, [round(d) for d in drift])
-        total = sum(a1) + sum(a2)
-        if total > best:
-            best_a1, best_a2, best = a1, a2, total
-        else:
-            scale /= 2
+        rounded = list(map(round, drift))
+        if rounded != pi:
+            pi = rounded
+            a1, a2, excess = _lightest_pairs(ends, pi)
+            total = sum(a1) + sum(a2)
+            if total > best:
+                best_a1, best_a2, best = a1, a2, total
+                continue
+        scale /= 2
     return best_a1, best_a2
 
 
@@ -760,7 +788,7 @@ def enumerate_tours(g: Graph, limit: int) -> list[tuple[tuple[int, ...], Weight]
         raise TooLarge(f"{n} vertices exceeds the enumeration cap of {ENUMERATION_MAX_VERTICES}")
     if n < 3 or limit < 1:
         return []
-    nbrs = mask_neighbours(g, (1 << g.edge_count) - 1)
+    nbrs = neighbour_masks(g)
     out: list[tuple[tuple[int, ...], Weight]] = []
     path = [0]
     weight_stack = [0]

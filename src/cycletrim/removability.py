@@ -12,7 +12,9 @@ depend only on the rows, so each is a per-cycle table of the basis
 (``diagonals``, ``sharing``) masked by the retained set, and the closure is
 :func:`~cycletrim.graphs.reach` over ``sharing``. The union of the cluster's
 edges is handed to the reducer as neighbour bitmasks on the parent graph's
-vertex ids (:func:`~cycletrim.graphs.mask_neighbours`). The cluster
+vertex ids (:func:`~cycletrim.graphs.mask_neighbours`, or
+:func:`~cycletrim.graphs.neighbour_masks` when the cluster covers every
+edge). The cluster
 reducer repeatedly (a) removes an edge that cannot lie on a spanning cycle
 because one endpoint already has two degree-2 neighbors forcing its tour
 edges, or else (b) contracts a run of adjacent degree-2 vertices by one
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cycle_space import count_covers, edges_with_cover
-from .graphs import Weight, mask_neighbours, mask_weight, reach
+from .graphs import Weight, mask_neighbours, mask_weight, neighbour_masks, reach
 from .graphs import mask_degrees  # noqa: F401  perfbench/layers.py traces this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -255,7 +257,9 @@ class _RetainedSet:
 
 def _retained_set(state: SolverState) -> _RetainedSet:
     """The solve's entry for ``state.retained``; a set without one yet gets
-    it from the basis rows, and the full set takes the basis' cover counts."""
+    it from the basis rows, and the full set takes the basis' cover counts.
+    A union of every edge, as the full set of a 2-connected graph has,
+    takes the whole-graph masks of :func:`~cycletrim.graphs.neighbour_masks`."""
     basis = state.basis
     entry = basis._retained_sets.get(state.retained)
     if entry is None:
@@ -269,10 +273,12 @@ def _retained_set(state: SolverState) -> _RetainedSet:
             rows.append(row)
             union |= row
             m ^= low
+        graph = basis.graph
         full = len(rows) == basis.dimension
-        covers = basis.cover_counts if full else count_covers(basis.graph.edge_count, rows)
+        covers = basis.cover_counts if full else count_covers(graph.edge_count, rows)
         once, twice = edges_with_cover(covers, 1), edges_with_cover(covers, 2)
-        adjacency = tuple(mask_neighbours(basis.graph, union))
+        whole = union == (1 << graph.edge_count) - 1
+        adjacency = neighbour_masks(graph) if whole else tuple(mask_neighbours(graph, union))
         degree_two = 0
         for x, nbrs in enumerate(adjacency):
             if nbrs.bit_count() == 2:
@@ -417,7 +423,9 @@ def is_removable(state: SolverState, c: int) -> RemovabilityContext:
                         mask |= basis.cycles[bit.bit_length() - 1]
                         m ^= bit
                     counters.row_ops += members.bit_count()
-                    tag = reduce_cluster(mask_neighbours(graph, mask)).tag
+                    whole = mask == (1 << graph.edge_count) - 1
+                    nbrs = neighbour_masks(graph) if whole else mask_neighbours(graph, mask)
+                    tag = reduce_cluster(nbrs).tag
                     basis._cluster_tags[members] = tag
                     counters.reduce_calls += 1
                 if tag == REDUCED_ACYCLIC:

@@ -37,11 +37,14 @@ def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:
     most ``vertex_count - 2`` members. ``sums[i][k]`` is the bitmask of the
     totals, up to the target, that ``k`` cycles from index ``i`` on can
     reach; the search enters a cycle only when the rest of the target is
-    reachable after it, so every call leads to a solution and the search
-    never backtracks: the first solution takes at most ``vertex_count - 1``
-    calls, and each further one as many again. The table depends only on
-    the basis, so it is built on the first search of a basis and kept on it
-    (``_solution_sums``) for every later one.
+    reachable after it, so every entered cycle leads to a solution and the
+    search never backtracks out of a dead end: the first solution takes at
+    most ``vertex_count - 1`` steps, and each further one as many again.
+    The search is a depth-first walk over the members in ascending order,
+    kept on an explicit stack (``chosen``), so a solution costs no nested
+    generator frames. The table depends only on the basis, so it is built
+    on the first search of a basis and kept on it (``_solution_sums``) for
+    every later one.
     """
     target = basis.graph.vertex_count - 2
     values = [c.bit_count() - 2 for c in basis.cycles]
@@ -57,23 +60,36 @@ def _solutions(basis: CycleBasis) -> Iterator[SolutionPartition]:
             for k in range(1, most + 1):
                 sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
     everything = (1 << dim) - 1
-    chosen: list[int] = []
-
-    def extend(start: int, rest: int, remaining: int, mask: int) -> Iterator[SolutionPartition]:
-        if remaining == 0:
-            yield SolutionPartition(tuple(chosen), everything & ~mask)
-            return
-        for i in range(start, dim - remaining + 1):
-            need = rest - values[i]
-            if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
-                continue
-            chosen.append(i)
-            yield from extend(i + 1, need, remaining - 1, mask | 1 << i)
-            chosen.pop()
-
     for size in range(1, most + 1):
-        if (sums[0][size] >> target) & 1:
-            yield from extend(0, target, size, 0)
+        if not (sums[0][size] >> target) & 1:
+            continue
+        # the members chosen, as indices and as a bitmask, the total and the
+        # number of members still wanted, and the next index to try
+        chosen: list[int] = []
+        mask = 0
+        rest = target
+        remaining = size
+        i = 0
+        while True:
+            # enter each next index that leaves the rest reachable
+            while remaining and i <= dim - remaining:
+                need = rest - values[i]
+                if need >= 0 and (sums[i + 1][remaining - 1] >> need) & 1:
+                    chosen.append(i)
+                    mask |= 1 << i
+                    rest = need
+                    remaining -= 1
+                i += 1
+            if not remaining:
+                yield SolutionPartition(tuple(chosen), everything & ~mask)
+            if not chosen:
+                break
+            # back up: leave the last member and go on after it
+            i = chosen.pop()
+            mask ^= 1 << i
+            rest += values[i]
+            remaining += 1
+            i += 1
 
 
 def enumerate_solutions(basis: CycleBasis) -> tuple[SolutionPartition, ...]:

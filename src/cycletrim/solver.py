@@ -73,7 +73,7 @@ class Counters:
     row_ops: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SolverState:
     """Immutable snapshot of the retained basis subset.
 
@@ -84,7 +84,13 @@ class SolverState:
     are read-only views of it, always consistent with the retained rows.
     The union is the set of edges with a nonzero cover count, and the graph
     is ``basis.graph``. Counters ride along by reference and are excluded
-    from equality, so structurally identical states compare equal.
+    from equality, so structurally identical states compare equal; a state
+    built without counters gets new ones.
+
+    A solve builds one state per deletion, so ``__init__`` is written out:
+    it fills the slots through their own descriptors, which a frozen class's
+    ``__setattr__`` does not guard, where the generated one would call
+    ``object.__setattr__`` once per field.
     """
 
     basis: CycleBasis
@@ -92,6 +98,21 @@ class SolverState:
     retained: int
     trace: tuple[DeletionRecord, ...] = ()
     counters: Counters = field(default_factory=Counters, compare=False, repr=False)
+
+    def __init__(
+        self,
+        basis: CycleBasis,
+        partition: SolutionPartition,
+        retained: int,
+        trace: tuple[DeletionRecord, ...] = (),
+        counters: Counters | None = None,
+    ) -> None:
+        set_basis, set_partition, set_retained, set_trace, set_counters = _STATE_SLOTS
+        set_basis(self, basis)
+        set_partition(self, partition)
+        set_retained(self, retained)
+        set_trace(self, trace)
+        set_counters(self, Counters() if counters is None else counters)
 
     @property
     def cover_counts(self) -> tuple[int, ...]:
@@ -105,6 +126,10 @@ class SolverState:
     def verdict_cache(self) -> dict:
         # perfbench/layers.py counts a verdict cache hit by this length
         return _retained_set(self).verdicts
+
+
+#: the setters of SolverState's slots, in field order
+_STATE_SLOTS = tuple(getattr(SolverState, name).__set__ for name in SolverState.__slots__)
 
 
 @dataclass(frozen=True)

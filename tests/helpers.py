@@ -762,3 +762,114 @@ def held_karp_list_rows_reference(g: Graph, a1: list, a2: list, target) -> Oracl
         seq.append(cur)
     tour = _canonical((0,) + tuple(reversed(seq)))
     return OracleAnswer(total, tour)
+
+
+def two_opt_reference(tour: list[int], table: list) -> bool:
+    """``oracle._two_opt`` as it was, reading both far ends of each pair of
+    tour edges before testing either: the first 2-opt move that lowers the
+    weight, made in place; False if there is none."""
+    n = len(tour)
+    for i in range(n - 2):
+        a, b = tour[i], tour[i + 1]
+        ab = table[a * n + b]
+        for j in range(i + 2, n if i else n - 1):
+            c, d = tour[j], tour[(j + 1) % n]
+            ac = table[a * n + c]
+            bd = table[b * n + d]
+            if ac is not None and bd is not None and ac + bd < ab + table[c * n + d]:
+                tour[i + 1 : j + 1] = tour[j:i:-1]
+                return True
+    return False
+
+
+def or_opt_reference(tour: list[int], table: list) -> bool:
+    """``oracle._or_opt`` as it was, building the rotated cycle, its stretch
+    and its rest for every start: the first or-opt move that lowers the
+    weight, made in place; False if there is none."""
+    n = len(tour)
+    for length in range(1, min(3, n - 3) + 1):
+        for i in range(n):
+            cycle = tour[i:] + tour[:i]
+            segment, rest = cycle[:length], cycle[length:]
+            first, last, before, after = segment[0], segment[-1], rest[-1], rest[0]
+            joined = table[before * n + after]
+            if joined is None:
+                continue
+            saved = table[before * n + first] + table[last * n + after] - joined
+            ends = ((first, last),) if length == 1 else ((first, last), (last, first))
+            for k in range(len(rest) - 1):
+                x, y = rest[k], rest[k + 1]
+                for head, tail in ends:
+                    xh = table[x * n + head]
+                    ty = table[tail * n + y]
+                    if xh is not None and ty is not None and xh + ty - table[x * n + y] < saved:
+                        if head != first:
+                            segment.reverse()
+                        tour[:] = rest[: k + 1] + segment + rest[k + 1 :]
+                        return True
+    return False
+
+
+def improve_reference(tour: list[int], table: list) -> None:
+    """``oracle._improve`` over the reference moves."""
+    while two_opt_reference(tour, table) or or_opt_reference(tour, table):
+        pass
+
+
+def penalties_reference(ends: list, target) -> tuple[list, list]:
+    """``oracle._penalties`` as it was, computing the pairs anew at every
+    subgradient step, also when the rounded penalties have not moved."""
+    drift = [0.0] * len(ends)
+    best_a1, best_a2, excess = oracle._lightest_pairs(ends, [0] * len(ends))
+    total = best = sum(best_a1) + sum(best_a2)
+    scale = 2.0
+    for _ in range(oracle.PENALTY_STEPS):
+        norm = sum(e * e for e in excess)
+        if not norm or total >= target:
+            break
+        step = scale * float(target - total) / norm
+        drift = [d + step * e for d, e in zip(drift, excess)]
+        a1, a2, excess = oracle._lightest_pairs(ends, [round(d) for d in drift])
+        total = sum(a1) + sum(a2)
+        if total > best:
+            best_a1, best_a2, best = a1, a2, total
+        else:
+            scale /= 2
+    return best_a1, best_a2
+
+
+def solutions_reference(basis: CycleBasis, sums: list):
+    """``solvability._solutions`` as it was, one nested generator per
+    member, with its reachable-totals table built into ``sums`` when that is
+    empty instead of on the basis: all solution partitions, smallest first
+    then lexicographic, lazily."""
+    target = basis.graph.vertex_count - 2
+    values = [c.bit_count() - 2 for c in basis.cycles]
+    dim = len(values)
+    most = min(dim, target)
+    if most < 1:
+        return
+    if not sums:
+        keep = (1 << (target + 1)) - 1
+        sums.extend([1] + [0] * most for _ in range(dim + 1))
+        for i in range(dim - 1, -1, -1):
+            for k in range(1, most + 1):
+                sums[i][k] = sums[i + 1][k] | ((sums[i + 1][k - 1] << values[i]) & keep)
+    everything = (1 << dim) - 1
+    chosen: list[int] = []
+
+    def extend(start, rest, remaining, mask):
+        if remaining == 0:
+            yield SolutionPartition(tuple(chosen), everything & ~mask)
+            return
+        for i in range(start, dim - remaining + 1):
+            need = rest - values[i]
+            if need < 0 or not (sums[i + 1][remaining - 1] >> need) & 1:
+                continue
+            chosen.append(i)
+            yield from extend(i + 1, need, remaining - 1, mask | 1 << i)
+            chosen.pop()
+
+    for size in range(1, most + 1):
+        if (sums[0][size] >> target) & 1:
+            yield from extend(0, target, size, 0)
